@@ -23,11 +23,9 @@ from .diffusion import (
     DiffusionNotConverged,
     PurchaseTieError,
     SeedAssignment,
-    run_diffusion,
-    sample_thresholds,
     simulate_batch,
 )
-from .estimator import SpreadEstimate, estimate_node_probability, estimate_spread
+from .estimator import SpreadEstimate, estimate_spread
 from .feature_space import Product, ProductError, angular_distance, load_products, normalize_product
 from .network import Edge, Network, NetworkError, ParseError, ValidationError, load_network
 from .optimizer import (
@@ -36,7 +34,6 @@ from .optimizer import (
     InfeasiblePlanError,
     best_response_loop,
     ce_optimize,
-    plan_cost,
 )
 from .oracle import EnumerationCapError, GridSpec, analytic_blocking_demo, exact_spread_grid
 
@@ -66,16 +63,12 @@ __all__ = [
     "best_response_loop",
     "build_augmented",
     "ce_optimize",
-    "estimate_node_probability",
     "estimate_spread",
     "exact_spread_grid",
     "load_network",
     "load_plans",
     "load_products",
     "normalize_product",
-    "plan_cost",
-    "run_diffusion",
-    "sample_thresholds",
     "save_plans",
     "scaling_ratio",
     "simulate_batch",

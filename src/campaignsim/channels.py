@@ -26,6 +26,7 @@ float sum of its two incoming weights.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,10 +50,11 @@ class ChannelPlan:
     def __post_init__(self):
         object.__setattr__(self, "seeds", frozenset(int(s) for s in self.seeds))
         object.__setattr__(self, "beta", tuple(float(b) for b in self.beta))
-        if self.alpha < 0:
-            raise PlanError(f"plan for product {self.product}: alpha < 0")
-        if any(b < 0 for b in self.beta):
-            raise PlanError(f"plan for product {self.product}: negative beta entry")
+        # range tests so NaN fails too; an infinite budget would zero every scaling ratio
+        if not 0.0 <= self.alpha < math.inf:
+            raise PlanError(f"plan for product {self.product}: alpha must be finite and >= 0")
+        if not all(0.0 <= b < math.inf for b in self.beta):
+            raise PlanError(f"plan for product {self.product}: beta entries must be finite and >= 0")
 
     @property
     def horizon(self) -> int:
@@ -80,6 +82,8 @@ class AugmentedNetwork:
     roots: tuple[int, ...]  # root pseudonode per product index
     provenance: dict[int, dict]  # pseudonode id -> role description
     scale: np.ndarray  # per-base-node channel scaling ratio
+    chain: dict[tuple[int, int], int]  # (product index, t >= 2) -> media chain node
+    gadgets: dict[tuple[int, int, int], int]  # (product index, u, v) -> relay node
 
     @property
     def horizon(self) -> int:
@@ -95,18 +99,14 @@ class AugmentedNetwork:
         """The media pseudonode influenced at step t-1 (t=1 is the root)."""
         if t == 1:
             return self.roots[product_index]
-        pid = self.product_ids[product_index]
-        for node, info in self.provenance.items():
-            if info["kind"] == "media_chain" and info["product"] == pid and info["step"] == t:
-                return node
-        raise KeyError(f"no media chain node for product {pid} at step {t}")
+        try:
+            return self.chain[(product_index, t)]
+        except KeyError:
+            pid = self.product_ids[product_index]
+            raise KeyError(f"no media chain node for product {pid} at step {t}") from None
 
     def gadget_node(self, product_index: int, u: int, v: int) -> int | None:
-        pid = self.product_ids[product_index]
-        for node, info in self.provenance.items():
-            if info["kind"] == "social_gadget" and info["product"] == pid and info["edge"] == (u, v):
-                return node
-        return None
+        return self.gadgets.get((product_index, u, v))
 
 
 def scaling_ratio(net: Network, v: int, plans: list[ChannelPlan]) -> float:
@@ -132,6 +132,7 @@ class AugmentBuilder:
         self.provenance: dict[int, dict] = {}
         self.roots = roots  # product index -> root node id
         self.chain: dict[tuple[int, int], int] = {}  # (product index, t) -> node
+        self.gadgets: dict[tuple[int, int, int], int] = {}  # (product index, u, v) -> node
 
     def add_pseudo(self, kind: NodeKind, threshold: float, info: dict) -> int:
         node = len(self.kinds)
@@ -187,6 +188,7 @@ class AugmentBuilder:
             threshold,
             {"kind": "social_gadget", "product": pid, "edge": (u, v)},
         )
+        self.gadgets[(product_index, u, v)] = node
         root = self.roots[product_index]
         self.edges.append(Edge(root, node, b_root))
         self.edges.append(Edge(u, node, params.epsilon))
@@ -266,6 +268,8 @@ def build_augmented(
         roots=tuple(roots[i] for i in range(len(products))),
         provenance=builder.provenance,
         scale=scale,
+        chain=builder.chain,
+        gadgets=builder.gadgets,
     )
 
 

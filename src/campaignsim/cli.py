@@ -30,7 +30,8 @@ from .channels import (
     save_augmented,
 )
 from .checks import gadget_property_check
-from .estimator import activation_time_histogram, estimate_spread
+from .diffusion import apply_fixed_thresholds, simulate_batch
+from .estimator import estimate_spread
 from .feature_space import ProductError, load_products
 from .fixtures import write_fixtures
 from .network import NetworkError, ParseError, ValidationError, load_network
@@ -42,6 +43,7 @@ from .optimizer import (
     ce_optimize,
 )
 from .oracle import EnumerationCapError, GridSpec, exact_spread_grid
+from .rng import tile_rng
 
 WORKERS_ENV = "CAMPAIGNSIM_WORKERS"
 
@@ -198,18 +200,16 @@ def cmd_simulate(args) -> int:
             writer.writerow(row)
         _atomic_write(args.node_probs, buf.getvalue())
     if args.trajectory:
-        from .diffusion import run_diffusion, sample_thresholds
-        from .rng import tile_rng
-
-        chi = sample_thresholds(aug.net, tile_rng(args.seed, 0))
-        out = run_diffusion(aug.net, products, aug.seed_assignment(), chi, tie_key=(args.seed, 0))
+        # replication 0 of the estimate: tile 0's first threshold row, tie key (seed, 0)
+        chi = apply_fixed_thresholds(aug.net, tile_rng(args.seed, 0).random((1, aug.net.node_count)))
+        act_time, purchased = simulate_batch(aug.net, products, aug.seed_assignment(), chi, master_seed=args.seed)
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["node", "activation_time", "product"])
         for v in range(aug.net.node_count):
-            pidx = int(out.purchased[v])
+            pidx = int(purchased[0, v])
             pid = est.product_ids[pidx] if pidx >= 0 else -1
-            writer.writerow([v, int(out.activation_time[v]), pid])
+            writer.writerow([v, int(act_time[0, v]), pid])
         _atomic_write(args.trajectory, buf.getvalue())
     _write_result(args.out, _envelope("simulate", args, est.to_dict()))
     return EXIT_OK

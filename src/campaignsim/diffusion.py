@@ -13,10 +13,9 @@ components are non-negative, aggregate norms are non-decreasing over time
 and first-crossing detection coincides with the two-sided formulation
 (crossed now, not crossed one step earlier).
 
-Two implementations share these semantics: a per-replication scalar engine
-(reference, used by small-scale checks) and a batch kernel that advances many
-replications at once for Monte Carlo work.  A node whose aggregate is exactly
-the zero vector never activates, whatever its threshold.
+The kernel advances many replications at once; a single run is a batch of
+one.  A node whose aggregate is exactly the zero vector never activates,
+whatever its threshold.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .feature_space import COS_TIE_TOL, Product, product_matrix, tied_candidates
+from .feature_space import COS_TIE_TOL, Product, product_matrix
 from .network import Network, NodeKind
 from .rng import key_uniform
 
@@ -66,113 +65,11 @@ class SeedAssignment:
         return np.array(nodes, dtype=np.int64), np.array(prods, dtype=np.int64)
 
 
-@dataclass
-class DiffusionState:
-    time: int
-    influenced: np.ndarray  # bool (n,)
-    purchased: np.ndarray  # int16 (n,), product index or -1
-    activation_time: np.ndarray  # int32 (n,), -1 if never
-
-
-@dataclass
-class DiffusionOutcome:
-    activation_time: np.ndarray
-    purchased: np.ndarray
-    steps: int
-
-
-def sample_thresholds(net: Network, rng: np.random.Generator) -> np.ndarray:
-    """Uniform[0,1) thresholds for real nodes, fixed values for pseudonodes."""
-    chi = rng.random(net.node_count)
-    fixed = ~np.isnan(net.fixed_threshold)
-    chi[fixed] = net.fixed_threshold[fixed]
-    return chi
-
-
 def apply_fixed_thresholds(net: Network, chi: np.ndarray) -> np.ndarray:
     """Overwrite pseudonode columns of a (R, n) threshold matrix in place."""
     fixed = ~np.isnan(net.fixed_threshold)
     chi[..., fixed] = net.fixed_threshold[fixed]
     return chi
-
-
-def initial_state(net: Network, products: list[Product], seeds: SeedAssignment) -> DiffusionState:
-    seeds.validate(net)
-    n = net.node_count
-    influenced = np.zeros(n, dtype=bool)
-    purchased = np.full(n, -1, dtype=np.int16)
-    activation_time = np.full(n, -1, dtype=np.int32)
-    nodes, prods = seeds.arrays()
-    influenced[nodes] = True
-    purchased[nodes] = prods
-    activation_time[nodes] = 0
-    return DiffusionState(0, influenced, purchased, activation_time)
-
-
-def step(
-    net: Network,
-    products: list[Product],
-    state: DiffusionState,
-    thresholds: np.ndarray,
-    *,
-    tie_key: tuple[int, int] = (0, 0),
-    node_order=None,
-) -> DiffusionState:
-    """Advance one synchronous step; returns a new state.
-
-    tie_key is (master seed, replication index); purchase ties hash it with
-    (node, step) so iteration order is irrelevant.  node_order exists for
-    order-independence checks and defaults to ascending ids.
-    """
-    t = state.time + 1
-    pmat = product_matrix(products)
-    influenced = state.influenced.copy()
-    purchased = state.purchased.copy()
-    activation_time = state.activation_time.copy()
-    order = range(net.node_count) if node_order is None else node_order
-    for v in order:
-        if state.influenced[v]:
-            continue
-        acc = np.zeros(pmat.shape[1])
-        for u, w in net.in_neighbors(v):
-            if state.influenced[u]:
-                acc += w * pmat[state.purchased[u]]
-        norm = float(np.sqrt(np.sum(acc * acc)))
-        if norm <= 0.0 or norm < thresholds[v]:
-            continue
-        tied = tied_candidates(acc, products)
-        if len(tied) == 1:
-            choice = tied[0]
-        else:
-            u01 = key_uniform(tie_key[0], tie_key[1], v, t)
-            choice = tied[int(u01 * len(tied))]
-        influenced[v] = True
-        purchased[v] = choice
-        activation_time[v] = t
-    return DiffusionState(t, influenced, purchased, activation_time)
-
-
-def run_diffusion(
-    net: Network,
-    products: list[Product],
-    seeds: SeedAssignment,
-    thresholds: np.ndarray,
-    *,
-    tie_key: tuple[int, int] = (0, 0),
-    max_steps: int | None = None,
-    node_order=None,
-) -> DiffusionOutcome:
-    """Run to the fixed point; raises DiffusionNotConverged past max_steps."""
-    if max_steps is None:
-        max_steps = net.node_count + 2
-    state = initial_state(net, products, seeds)
-    while True:
-        nxt = step(net, products, state, thresholds, tie_key=tie_key, node_order=node_order)
-        if np.array_equal(nxt.influenced, state.influenced):
-            return DiffusionOutcome(state.activation_time, state.purchased, state.time)
-        if nxt.time > max_steps:
-            raise DiffusionNotConverged(f"no fixed point within {max_steps} steps")
-        state = nxt
 
 
 def simulate_batch(

@@ -12,6 +12,7 @@ Spread counts real nodes only; pseudonodes are bookkeeping.
 
 from __future__ import annotations
 
+import contextlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -127,23 +128,18 @@ def _run_all_tiles(aug, products, replications, seed, workers, track_node, max_s
     sumsq = np.zeros(k, dtype=np.int64)
     node_counts = np.zeros((k, n), dtype=np.int64)
     time_hist = np.zeros(max_steps + 1, dtype=np.int64)
-    tiles = list(_tile_bounds(replications))
-    if workers and workers > 1:
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_init_worker,
-            initargs=(aug, products, seed, track_node, max_steps),
-        ) as pool:
-            results = pool.map(_tile_task, tiles)
-            for s, sq, nc, th in results:  # map preserves tile order
-                sums += s
-                sumsq += sq
-                node_counts += nc
-                if th is not None:
-                    time_hist += th
-    else:
-        for tile_idx, tile_len in tiles:
-            s, sq, nc, th = _run_tile(aug, products, seed, tile_idx, tile_len, track_node, max_steps)
+    tiles = _tile_bounds(replications)
+    with contextlib.ExitStack() as stack:
+        if workers and workers > 1:
+            pool = stack.enter_context(ProcessPoolExecutor(
+                max_workers=workers,
+                initializer=_init_worker,
+                initargs=(aug, products, seed, track_node, max_steps),
+            ))
+            results = pool.map(_tile_task, tiles)  # map preserves tile order
+        else:
+            results = (_run_tile(aug, products, seed, i, length, track_node, max_steps) for i, length in tiles)
+        for s, sq, nc, th in results:
             sums += s
             sumsq += sq
             node_counts += nc
@@ -185,23 +181,6 @@ def estimate_spread(
         node_counts=node_counts if collect_node_counts else None,
         real_nodes=aug.net.real_nodes(),
     )
-
-
-def estimate_node_probability(
-    aug: AugmentedNetwork,
-    products: list[Product],
-    node: int,
-    product_id: int,
-    replications: int,
-    seed: int,
-    *,
-    workers: int = 1,
-) -> float:
-    """Probability that a node ends up purchasing the given product."""
-    est = estimate_spread(
-        aug, products, replications, seed, workers=workers, collect_node_counts=True
-    )
-    return est.node_probability(node, product_id)
 
 
 def activation_time_histogram(

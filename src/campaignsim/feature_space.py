@@ -75,30 +75,6 @@ def angular_distance(aggregate: np.ndarray, product: Product) -> float:
     return float(np.arccos(min(1.0, max(-1.0, cos))))
 
 
-def tied_candidates(aggregate: np.ndarray, products: list[Product]) -> list[int]:
-    """Indices of products at the minimal angular distance.
-
-    More than one index is returned only when cosines agree within
-    COS_TIE_TOL.  Products are unit vectors, so the angular argmin is the
-    cosine argmax and no arccos is needed here.
-    """
-    a = np.asarray(aggregate, dtype=float)
-    norm = float(np.linalg.norm(a))
-    if norm == 0.0:
-        raise ProductError("cannot choose a product for the zero vector")
-    cosines = np.array([float(np.dot(a, p.vector)) for p in products]) / norm
-    best = float(np.max(cosines))
-    return [i for i, c in enumerate(cosines) if best - c <= COS_TIE_TOL]
-
-
-def choose_product(aggregate: np.ndarray, products: list[Product], rng: np.random.Generator) -> int:
-    """Index of the preferred product; exact ties broken uniformly via rng."""
-    tied = tied_candidates(aggregate, products)
-    if len(tied) == 1:
-        return tied[0]
-    return tied[int(rng.integers(len(tied)))]
-
-
 # -- file format --------------------------------------------------------
 
 

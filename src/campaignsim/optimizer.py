@@ -46,10 +46,6 @@ class CostModel:
         )
 
 
-def plan_cost(plan: ChannelPlan, cost_model: CostModel) -> float:
-    return cost_model.plan_cost(plan)
-
-
 @dataclass
 class CEConfig:
     n_samples: int | None = None  # default max(100, 2 * candidate count)
@@ -156,8 +152,8 @@ def ce_optimize(
     horizon: int | None = None,
 ) -> CEResult:
     """Cross-entropy search for the focal product's plan against fixed rivals."""
-    if gamma < 0:
-        raise InfeasiblePlanError("budget must be >= 0")
+    if not 0.0 <= gamma < math.inf:
+        raise InfeasiblePlanError("budget must be finite and >= 0")
     if horizon is None:
         if not competitor_plans:
             raise ValueError("horizon is required when there are no competitor plans")

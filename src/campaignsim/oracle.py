@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import AugmentedNetwork
-from .diffusion import simulate_batch
+from .diffusion import apply_fixed_thresholds, simulate_batch
 from .feature_space import Product, product_matrix
 from .network import NodeKind
 
@@ -125,9 +125,7 @@ def exact_spread_grid(
     for ns in seeds.by_product:
         seeded |= ns
 
-    base_chi = np.full(n, 2.0)
-    fixed = ~np.isnan(net.fixed_threshold)
-    base_chi[fixed] = net.fixed_threshold[fixed]
+    base_chi = apply_fixed_thresholds(net, np.full(n, 2.0))
     for node, value in pinned.items():
         base_chi[node] = value
 

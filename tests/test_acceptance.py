@@ -9,9 +9,10 @@ Eight criteria, each with a single printed PASS/FAIL verdict:
    bridge activation probability rises to 0.721 +- 0.003.
 3. relay gadget: over ten thousand random geometries the gadget pseudonode
    fires on schedule iff the watched friend buys exactly the relay product.
-4. classical threshold degeneration: with a single product the engine
-   matches an independent reference implementation exactly on 100 random
-   graphs, for both the scalar and the batch engine.
+4. classical threshold degeneration: with a single product the batch
+   kernel and the per-node scalar reference (tests/scalar_reference.py)
+   both match an independent textbook implementation exactly on 100 random
+   graphs.
 5. estimator versus enumeration oracle: Monte Carlo at 1e5 reps agrees
    with the exact grid oracle (m = 64) within 4*stderr + 2n/m on 50
    random tie-free channel instances.
@@ -38,12 +39,7 @@ import pytest
 
 from campaignsim.channels import ChannelPlan, build_augmented
 from campaignsim.checks import gadget_property_check
-from campaignsim.diffusion import (
-    PurchaseTieError,
-    SeedAssignment,
-    run_diffusion,
-    simulate_batch,
-)
+from campaignsim.diffusion import PurchaseTieError, SeedAssignment, simulate_batch
 from campaignsim.estimator import activation_time_histogram, estimate_spread
 from campaignsim.feature_space import Product, normalize_product
 from campaignsim.fixtures import BRIDGE, blocking_demo, ce_toy
@@ -51,6 +47,7 @@ from campaignsim.network import Edge, Network
 from campaignsim.optimizer import CEConfig, CostModel, ce_optimize
 from campaignsim.oracle import EnumerationCapError, GridSpec, exact_spread_grid
 from lt_reference import classical_lt, random_lt_instance
+from scalar_reference import run_diffusion
 from test_estimator import P_AXIS, media_instance
 
 MASTER_SEED = 20260823
@@ -348,7 +345,7 @@ def test_criterion_4_classical_threshold_degeneration(payloads):
     ok = got["graphs"] == 100 and got["mismatches"] == 0
     verdict(4, "classical degeneration", ok,
             f"{got['mismatches']} mismatches over {got['graphs']} graphs x "
-            f"{got['threshold_draws_per_graph']} draws, both engines")
+            f"{got['threshold_draws_per_graph']} draws, kernel and scalar reference")
     assert ok
 
 

@@ -15,10 +15,10 @@ from campaignsim.channels import (
     save_plans,
     scaling_ratio,
 )
-from campaignsim.diffusion import run_diffusion, sample_thresholds, simulate_batch
 from campaignsim.feature_space import Product, normalize_product
 from campaignsim.network import Edge, Network, NodeKind, ValidationError
 from campaignsim.rng import tile_rng
+from scalar_reference import run_diffusion, sample_thresholds
 
 P_AXIS = Product(id=0, features=(1.0, 0.0), null_index=1)
 Q_AXIS = Product(id=1, features=(0.0, 1.0), null_index=0)
@@ -36,6 +36,11 @@ def test_plan_rejects_negative_budget_components():
         ChannelPlan(product=0, alpha=-0.1)
     with pytest.raises(PlanError, match="beta"):
         ChannelPlan(product=0, beta=(0.2, -0.2))
+    for bad in (math.inf, math.nan):
+        with pytest.raises(PlanError, match="alpha"):
+            ChannelPlan(product=0, alpha=bad)
+        with pytest.raises(PlanError, match="beta"):
+            ChannelPlan(product=0, beta=(0.2, bad))
 
 
 def test_gadget_params_ordering_enforced():

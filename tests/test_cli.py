@@ -2,10 +2,16 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
+from campaignsim.channels import ChannelPlan, build_augmented, load_plans, save_plans
 from campaignsim.cli import main, parse_config_file
-from campaignsim.feature_space import load_products
+from campaignsim.diffusion import apply_fixed_thresholds, simulate_batch
+from campaignsim.estimator import estimate_spread
+from campaignsim.feature_space import Product, load_products, save_products
+from campaignsim.network import Network, load_network, save_network
+from campaignsim.rng import TILE_SIZE, tile_rng
 
 
 @pytest.fixture(scope="module")
@@ -107,6 +113,24 @@ def test_simulate_worker_env_override_is_result_neutral(fixture_dir, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def assert_replication_zero(d, seed, traj):
+    """Each trajectory row is replication 0 of the seed's estimate: tile 0's
+    first threshold row and tie key (seed, 0)."""
+    products = load_products(str(d / "products.txt"))
+    net = load_network(str(d / "edges.txt"), str(d / "similarity.txt"))
+    aug = build_augmented(net, products, load_plans(str(d / "plans.json")))
+    n = aug.net.node_count
+    chi = apply_fixed_thresholds(aug.net, tile_rng(seed, 0).random((TILE_SIZE, n))[:1])
+    act, bought = simulate_batch(aug.net, products, aug.seed_assignment(), chi, master_seed=seed, rep_offset=0)
+    ids = [p.id for p in products]
+    expected = [f"{v},{act[0, v]},{ids[bought[0, v]] if bought[0, v] >= 0 else -1}" for v in range(n)]
+    assert traj.read_text().strip().splitlines()[1:] == expected
+    one = estimate_spread(aug, products, 1, seed, collect_node_counts=True)
+    real = aug.net.real_nodes()
+    for j in range(len(ids)):
+        assert np.array_equal(one.node_counts[j, real], bought[0, real] == j)
+
+
 def test_simulate_optional_outputs(fixture_dir, tmp_path):
     out = tmp_path / "sim.json"
     probs = tmp_path / "probs.csv"
@@ -125,8 +149,30 @@ def test_simulate_optional_outputs(fixture_dir, tmp_path):
     assert len(rows) == 5  # real nodes only
     t_header, *t_rows = traj.read_text().strip().splitlines()
     assert t_header == "node,activation_time,product"
+    assert_replication_zero(fixture_dir / "preference_shift", 1, traj)
     assert (dump / "edges.txt").exists()
     assert (dump / "pseudo.json").exists()
+    # twenty nodes hear both seeds at equal weight, so most of them buy on a
+    # purchase tie and the rows depend on the tie key
+    ties = tmp_path / "ties"
+    ties.mkdir()
+    net = Network.from_edges(22, [(s, v, 0.4) for v in range(2, 22) for s in (0, 1)])
+    save_network(net, str(ties / "edges.txt"), str(ties / "similarity.txt"))
+    save_products(
+        [Product(id=0, features=(1.0, 0.0), null_index=1), Product(id=1, features=(0.0, 1.0), null_index=0)],
+        str(ties / "products.txt"),
+    )
+    save_plans([ChannelPlan(product=0, seeds={0}), ChannelPlan(product=1, seeds={1})], str(ties / "plans.json"))
+    t_traj = tmp_path / "ties.csv"
+    code = run(
+        [
+            "simulate", "--net", ties / "edges.txt", "--products", ties / "products.txt",
+            "--plans", ties / "plans.json", "--seed", 3, "--reps", 10,
+            "--out", tmp_path / "ties.json", "--trajectory", t_traj,
+        ]
+    )
+    assert code == 0
+    assert_replication_zero(ties, 3, t_traj)
 
 
 def test_missing_input_exits_3(fixture_dir, tmp_path, capsys):
@@ -158,6 +204,18 @@ def test_invalid_network_exits_3(fixture_dir, tmp_path, capsys):
     assert code == 3
     err = json.loads(capsys.readouterr().err)
     assert "sum to" in err["error"]["message"]
+
+
+def test_non_finite_plan_budget_exits_3(fixture_dir, tmp_path, capsys):
+    # JSON parsers accept Infinity; an infinite spend would zero every scaling ratio
+    payload = json.loads((fixture_dir / "blocking_demo" / "plans.json").read_text())
+    payload["plans"][0]["beta"] = [math.inf] * payload["horizon"]
+    plans = tmp_path / "inf.json"
+    plans.write_text(json.dumps(payload))
+    args = demo_args(fixture_dir)[:6]
+    code = run(["simulate", *args, "--plans", plans, "--reps", 10, "--out", tmp_path / "x.json"])
+    assert code == 3
+    assert "finite" in json.loads(capsys.readouterr().err)["error"]["message"]
 
 
 # -- optimize and best-response -----------------------------------------
@@ -219,15 +277,16 @@ def test_optimize_non_numeric_config_value_exits_2(fixture_dir, tmp_path, capsys
 
 
 def test_negative_budget_exits_4(fixture_dir, tmp_path, capsys):
-    code = run(
-        [
-            "optimize", *demo_args(fixture_dir, "preference_shift")[:6],
-            "--focal", 0, "--budget", -2.0, "--horizon", 2,
-            "--seed", 1, "--out", tmp_path / "o.json",
-        ]
-    )
-    assert code == 4
-    assert json.loads(capsys.readouterr().err)["error"]["type"] == "infeasible"
+    for budget in (-2.0, "inf", "nan"):
+        code = run(
+            [
+                "optimize", *demo_args(fixture_dir, "preference_shift")[:6],
+                "--focal", 0, "--budget", budget, "--horizon", 2,
+                "--seed", 1, "--out", tmp_path / "o.json",
+            ]
+        )
+        assert code == 4
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == "infeasible"
 
 
 def test_best_response_end_to_end(fixture_dir, tmp_path):

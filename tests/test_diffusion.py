@@ -8,11 +8,7 @@ from campaignsim.diffusion import (
     PurchaseTieError,
     SeedAssignment,
     apply_fixed_thresholds,
-    initial_state,
-    run_diffusion,
-    sample_thresholds,
     simulate_batch,
-    step,
 )
 from campaignsim.feature_space import Product, normalize_product
 from campaignsim.fixtures import (
@@ -29,13 +25,14 @@ from campaignsim.fixtures import (
 )
 from campaignsim.network import Edge, Network
 from lt_reference import classical_lt, random_lt_instance
+from scalar_reference import initial_state, run_diffusion, sample_thresholds, step
 
 P_AXIS = Product(id=0, features=(1.0, 0.0), null_index=1)
 Q_AXIS = Product(id=1, features=(0.0, 1.0), null_index=0)
 
 
 def run_both(net, products, seeds, chi, *, seed=0, rep=0):
-    """Scalar engine and batch kernel on one threshold draw; must agree."""
+    """Scalar reference and batch kernel on one threshold draw; must agree."""
     out = run_diffusion(net, products, seeds, chi, tie_key=(seed, rep))
     at, pu = simulate_batch(
         net, products, seeds, chi[None, :], master_seed=seed, rep_offset=rep

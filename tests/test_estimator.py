@@ -3,11 +3,7 @@ import pytest
 
 from campaignsim.channels import ChannelPlan, build_augmented
 from campaignsim.diffusion import simulate_batch
-from campaignsim.estimator import (
-    activation_time_histogram,
-    estimate_node_probability,
-    estimate_spread,
-)
+from campaignsim.estimator import activation_time_histogram, estimate_spread
 from campaignsim.feature_space import Product
 from campaignsim.fixtures import preference_shift
 from campaignsim.network import Edge, Network
@@ -152,9 +148,3 @@ def test_mean_and_stderr_definitions():
     var = (sq - s * s / R) / (R - 1)
     assert est.means[0] == s / R
     assert est.stderrs[0] == pytest.approx(np.sqrt(var / R), rel=1e-12)
-
-
-def test_estimate_node_probability_helper():
-    aug = media_instance(t=2)
-    p = estimate_node_probability(aug, [P_AXIS], 1, 0, 20_000, 7)
-    assert p == pytest.approx(0.37, abs=0.01)

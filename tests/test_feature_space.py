@@ -8,13 +8,12 @@ from campaignsim.feature_space import (
     Product,
     ProductError,
     angular_distance,
-    choose_product,
     load_products,
     normalize_product,
     product_matrix,
     save_products,
-    tied_candidates,
 )
+from scalar_reference import tied_candidates
 
 
 def test_product_must_be_unit_norm_and_non_negative():
@@ -106,11 +105,7 @@ def test_exact_tie_detected_and_broken_uniformly():
     ]
     agg = np.array([0.35, 0.35])
     assert tied_candidates(agg, products) == [0, 1]
-    rng = np.random.default_rng(0)
-    picks = np.array([choose_product(agg, products, rng) for _ in range(10_000)])
-    frac = picks.mean()
-    # binomial(10^4, 1/2): five sigma is ~0.025
-    assert abs(frac - 0.5) < 0.025
+    # the kernel breaks it by a keyed hash: test_purchase_tie_raise_and_keyed_break
 
 
 def test_near_tie_outside_tolerance_is_not_a_tie():

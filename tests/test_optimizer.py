@@ -14,7 +14,6 @@ from campaignsim.optimizer import (
     _initial_state,
     best_response_loop,
     ce_optimize,
-    plan_cost,
     sample_plan,
 )
 from campaignsim.rng import derive_seed
@@ -30,9 +29,9 @@ def quick_config(**kw):
 
 def test_plan_cost_arithmetic():
     plan = ChannelPlan(product=0, seeds=frozenset({1, 2, 3}), alpha=0.5, beta=(0.3, 0.2))
-    assert plan_cost(plan, UNIT) == pytest.approx(4.0)
+    assert UNIT.plan_cost(plan) == pytest.approx(4.0)
     weighted = CostModel(seed_unit_cost=2.0, alpha_unit_cost=0.5, beta_unit_cost=4.0)
-    assert plan_cost(plan, weighted) == pytest.approx(6.0 + 0.25 + 2.0)
+    assert weighted.plan_cost(plan) == pytest.approx(6.0 + 0.25 + 2.0)
 
 
 def test_sampled_plans_always_fit_the_budget():
@@ -42,7 +41,7 @@ def test_sampled_plans_always_fit_the_budget():
     rng = np.random.default_rng(2)
     for _ in range(500):
         plan = sample_plan(state, UNIT, gamma, 2, 0, candidates, rng)
-        assert plan_cost(plan, UNIT) <= gamma + 1e-9
+        assert UNIT.plan_cost(plan) <= gamma + 1e-9
 
 
 def test_oversized_continuous_draws_scale_exactly_to_budget():
@@ -59,7 +58,7 @@ def test_oversized_continuous_draws_scale_exactly_to_budget():
         plan = sample_plan(state, UNIT, gamma, 2, 0, [0, 1, 2], rng)
         assert plan.seeds == frozenset()
         # the scale-down lands exactly on the budget
-        assert plan_cost(plan, UNIT) == pytest.approx(gamma, abs=1e-9)
+        assert UNIT.plan_cost(plan) == pytest.approx(gamma, abs=1e-9)
 
 
 def test_unaffordable_seed_distribution_is_infeasible():
@@ -77,8 +76,9 @@ def test_unaffordable_seed_distribution_is_infeasible():
 
 def test_negative_budget_is_infeasible():
     net, products, _ = preference_shift()
-    with pytest.raises(InfeasiblePlanError):
-        ce_optimize(net, products, 0, [], UNIT, -1.0, quick_config(), 1, horizon=2)
+    for gamma in (-1.0, math.inf, math.nan):
+        with pytest.raises(InfeasiblePlanError):
+            ce_optimize(net, products, 0, [], UNIT, gamma, quick_config(), 1, horizon=2)
 
 
 def test_zero_budget_returns_the_empty_plan():
@@ -119,7 +119,7 @@ def test_best_value_trace_is_non_decreasing_and_feasible():
     assert bests == sorted(bests)
     assert res.max_cost_evaluated <= gamma + 1e-9
     assert res.evaluations == len(res.trace) * 6
-    assert plan_cost(res.best_plan, UNIT) <= gamma + 1e-9
+    assert UNIT.plan_cost(res.best_plan) <= gamma + 1e-9
 
 
 def test_same_seed_reproduces_the_run_exactly():

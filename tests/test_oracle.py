@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from campaignsim.channels import ChannelPlan, build_augmented
-from campaignsim.diffusion import PurchaseTieError, SeedAssignment, run_diffusion
+from campaignsim.diffusion import PurchaseTieError, SeedAssignment
 from campaignsim.feature_space import Product
 from campaignsim.fixtures import BRIDGE, TARGET, blocking_demo, preference_shift
 from campaignsim.network import Edge, Network, NodeKind
@@ -15,6 +15,7 @@ from campaignsim.oracle import (
     analytic_blocking_demo,
     exact_spread_grid,
 )
+from scalar_reference import run_diffusion
 
 P_AXIS = Product(id=0, features=(1.0, 0.0), null_index=1)
 Q_AXIS = Product(id=1, features=(0.0, 1.0), null_index=0)

@@ -16,6 +16,19 @@ and first-crossing detection coincides with the two-sided formulation
 The kernel advances many replications at once; a single run is a batch of
 one.  A node whose aggregate is exactly the zero vector never activates,
 whatever its threshold.
+
+Influence is permanent and purchases are immutable, so the kernel keeps a
+running aggregate per (replication, node) cell and updates it
+incrementally: at step t only the cells activated at step t-1 (the
+frontier) add weight * product-vector along their out-edges, read from the
+network's CSR arrays.  Only cells touched that step can newly cross their
+threshold, so norms, thresholds and purchases are evaluated for those cells
+alone.  An aggregate is therefore summed in activation-step order, and
+within a step in frontier order (ascending cell) then CSR edge order,
+without BLAS; its norm sums the squared features in feature order.  Every
+purchase tie of a step is broken by one keyed-hash call over all tied
+cells.  Memory is O(R * n * f) for R replications, n nodes and f features,
+plus O(E) for the edge arrays; there is no n x n matrix.
 """
 
 from __future__ import annotations
@@ -37,6 +50,13 @@ class PurchaseTieError(Exception):
     """An exact purchase tie occurred where the caller forbade randomness."""
 
 
+_SEEDABLE = frozenset({NodeKind.REAL, NodeKind.PRODUCT_ROOT})
+
+# smallest positive double: a threshold floor that makes "norm >= threshold"
+# also demand "norm > 0", so a zero aggregate never activates
+_TINY = np.nextafter(0.0, 1.0)
+
+
 @dataclass(frozen=True)
 class SeedAssignment:
     """Seed sets per product, index-aligned with the products list."""
@@ -49,8 +69,8 @@ class SeedAssignment:
             for v in nodes:
                 if not (0 <= v < net.node_count):
                     raise ValueError(f"seed {v} is not a node")
-                kind = NodeKind(net.node_kind[v])
-                if kind not in (NodeKind.REAL, NodeKind.PRODUCT_ROOT):
+                if int(net.node_kind[v]) not in _SEEDABLE:
+                    kind = NodeKind(net.node_kind[v])
                     raise ValueError(f"seed {v} has kind {kind.name}; only real nodes and product roots may be seeded")
                 if v in seen:
                     raise ValueError(f"node {v} seeded for more than one product")
@@ -96,47 +116,75 @@ def simulate_batch(
     R, n = thresholds.shape
     if n != net.node_count:
         raise ValueError("threshold matrix width does not match node count")
-    W = net.weight_matrix()
+    indptr, out_dst, out_w = net.out_csr()
+    n_edges = out_dst.size
     pmat = product_matrix(products)
-    f = pmat.shape[1]
+    k, f = pmat.shape
+    # edge e carrying product j has key j * E + e; its weighted features by key
+    key_dst = np.concatenate([out_dst] * k)
+    key_contrib = (pmat.T[:, :, None] * out_w).reshape(f, k * n_edges)
+    # per-replication arrays are flat over cells r * n + v; agg is feature-major
+    thr = np.maximum(thresholds.reshape(-1), _TINY)
+    purchased = np.full(R * n, -1, dtype=np.int16)
+    activation_time = np.full(R * n, -1, dtype=np.int32)
+    agg = np.zeros((f, R * n))
+    touched = np.zeros(R * n, dtype=bool)
 
-    influenced = np.zeros((R, n), dtype=bool)
-    purchased = np.full((R, n), -1, dtype=np.int16)
-    activation_time = np.full((R, n), -1, dtype=np.int32)
     snodes, sprods = seeds.arrays()
-    influenced[:, snodes] = True
-    purchased[:, snodes] = sprods
-    activation_time[:, snodes] = 0
-
-    agg = np.empty((R, n, f))
+    purchased.reshape(R, n)[:, snodes] = sprods
+    activation_time.reshape(R, n)[:, snodes] = 0
+    front = (activation_time == 0).nonzero()[0]  # cells activated last step, ascending
+    front_prod = purchased[front].astype(np.intp)
+    thr[front] = np.inf  # an influenced cell never activates again
     t = 0
-    while True:
+    while front.size:
         t += 1
-        contrib = pmat[np.clip(purchased, 0, None)]  # (R, n, f)
-        contrib *= influenced[:, :, None]
-        for i in range(f):
-            np.matmul(contrib[:, :, i], W, out=agg[:, :, i])
-        norms = np.sqrt(np.sum(agg * agg, axis=2))
-        newly = ~influenced & (norms >= thresholds) & (norms > 0.0)
-        if not newly.any():
-            return activation_time, purchased
+        # out-edges of last step's activations, in frontier then CSR order
+        u = front % n
+        lo = indptr[u]
+        deg = indptr[u + 1] - lo
+        ends = deg.cumsum()
+        if not ends[-1]:
+            break
+        key = np.repeat(front_prod * n_edges + lo - ends + deg, deg) + np.arange(ends[-1])
+        cell = np.repeat(front - u, deg) + key_dst[key]
+        for i in range(f):  # unbuffered: adds in edge order onto the running sums
+            np.add.at(agg[i], cell, key_contrib[i][key])
+        # only cells whose aggregate changed can newly cross their threshold
+        touched[cell] = True
+        cells = touched.nonzero()[0]
+        touched[cells] = False
+        norm2 = 0.0
+        for i in range(f):  # squares summed in feature order
+            x = agg[i][cells]
+            norm2 = norm2 + x * x
+        norms = np.sqrt(norm2)
+        newly = norms >= thr[cells]
+        front = cells[newly]
+        if not front.size:
+            break
         if t > max_steps:
             raise DiffusionNotConverged(f"no fixed point within {max_steps} steps")
-        rows, cols = np.nonzero(newly)
-        sel = agg[rows, cols, :]  # (m, f)
-        dots = sel @ pmat.T  # (m, k)
-        best = dots.max(axis=1)
-        tie_mask = dots >= (best - COS_TIE_TOL * norms[rows, cols])[:, None]
-        choice = np.argmax(dots, axis=1)
-        multi = np.flatnonzero(tie_mask.sum(axis=1) > 1)
-        if multi.size:
-            if on_tie == "raise":
-                r0, v0 = rows[multi[0]], cols[multi[0]]
-                raise PurchaseTieError(f"purchase tie at node {v0}, step {t}, replication {rep_offset + r0}")
-            for i in multi:
-                cands = np.flatnonzero(tie_mask[i])
-                u01 = key_uniform(master_seed, rep_offset + int(rows[i]), int(cols[i]), t)
-                choice[i] = cands[int(u01 * len(cands))]
-        influenced[rows, cols] = True
-        purchased[rows, cols] = choice.astype(np.int16)
-        activation_time[rows, cols] = t
+        if k == 1:
+            choice = np.zeros(front.size, dtype=np.intp)
+        else:
+            dots = agg.T[front] @ pmat.T  # (m, k)
+            choice = dots.argmax(axis=1)
+            tie_mask = dots >= (np.maximum.reduce(dots, axis=1) - COS_TIE_TOL * norms[newly])[:, None]
+            if np.count_nonzero(tie_mask) > front.size:  # some cell has more than one candidate
+                multi = (tie_mask.sum(axis=1) > 1).nonzero()[0]
+                rows, cols = np.divmod(front[multi], n)
+                if on_tie == "raise":
+                    raise PurchaseTieError(
+                        f"purchase tie at node {cols[0]}, step {t}, replication {rep_offset + rows[0]}"
+                    )
+                # the i-th tied candidate, i = floor(u01 * count), hashed per (rep, node, step)
+                cand = tie_mask[multi]
+                u01 = key_uniform(master_seed, rep_offset + rows, cols, t)
+                pick = (u01 * cand.sum(axis=1)).astype(np.intp)
+                choice[multi] = (cand.cumsum(axis=1) > pick[:, None]).argmax(axis=1)
+        front_prod = choice
+        purchased[front] = choice
+        activation_time[front] = t
+        thr[front] = np.inf
+    return activation_time.reshape(R, n), purchased.reshape(R, n)

@@ -91,7 +91,8 @@ def _run_tile(aug, products, seed, tile_idx, tile_len, track_node, max_steps):
     net = aug.net
     n = net.node_count
     k = len(products)
-    chi = tile_rng(seed, tile_idx).random((TILE_SIZE, n))[:tile_len]
+    # Philox fills rows in order: these are the first tile_len rows of the full tile
+    chi = tile_rng(seed, tile_idx).random((tile_len, n))
     apply_fixed_thresholds(net, chi)
     act_time, purchased = simulate_batch(
         net,

@@ -58,7 +58,7 @@ def normalize_product(raw, null_index: int, product_id: int = 0) -> Product:
 
 def product_matrix(products: list[Product]) -> np.ndarray:
     """(k, f) array of product vectors in list order."""
-    return np.array([p.vector for p in products], dtype=float)
+    return np.array([p.features for p in products], dtype=float)
 
 
 def angular_distance(aggregate: np.ndarray, product: Product) -> float:

@@ -68,7 +68,7 @@ class Network:
             self.fixed_threshold = np.full(self.node_count, np.nan)
         self._in = None
         self._out = None
-        self._weights = None
+        self._csr = None
 
     # -- construction ---------------------------------------------------
 
@@ -127,14 +127,18 @@ class Network:
             self._build_adjacency()
         return self._out[u]
 
-    def weight_matrix(self) -> np.ndarray:
-        """Dense (n, n) array W with W[u, v] = weight of edge (u, v)."""
-        if self._weights is None:
-            w = np.zeros((self.node_count, self.node_count))
-            for e in self.edges:
-                w[e.src, e.dst] = e.weight
-            self._weights = w
-        return self._weights
+    def out_csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Out-edges as CSR arrays (indptr, dst, weight), grouped by source.
+
+        Edges of u are dst[indptr[u]:indptr[u + 1]], in edge-list order.
+        """
+        if self._csr is None:
+            edges = sorted(self.edges, key=lambda e: e.src)  # stable
+            src = np.array([e.src for e in edges], dtype=np.intp)
+            dst = np.array([e.dst for e in edges], dtype=np.intp)
+            weight = np.array([e.weight for e in edges], dtype=float)
+            self._csr = (np.searchsorted(src, np.arange(self.node_count + 1)), dst, weight)
+        return self._csr
 
     def similarity_of(self, u: int, v: int) -> float:
         return self.similarity.get((min(u, v), max(u, v)), 0.0)

@@ -38,6 +38,12 @@ class CostModel:
     alpha_unit_cost: float = 1.0
     beta_unit_cost: float = 1.0
 
+    def __post_init__(self):
+        # range test so NaN fails too: a NaN price disables the budget scale-down
+        for name in ("seed_unit_cost", "alpha_unit_cost", "beta_unit_cost"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+
     def plan_cost(self, plan: ChannelPlan) -> float:
         return (
             self.seed_unit_cost * len(plan.seeds)

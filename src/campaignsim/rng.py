@@ -7,7 +7,9 @@ r depend only on (master seed, r) and never on batch sizes or worker counts.
 
 Purchase tie-breaks use a stateless splitmix64 hash keyed by
 (master seed, replication, node, step) so the outcome is independent of the
-order in which nodes are examined.
+order in which nodes are examined.  The hash works elementwise on uint64
+arrays, so the kernel breaks every tie of a step in one call; an int key
+gives bit-for-bit the value the same key gives inside an array.
 """
 
 from __future__ import annotations
@@ -21,25 +23,49 @@ MASK64 = (1 << 64) - 1
 TILE_SIZE = 4096
 
 
-def splitmix64(x: int) -> int:
-    """One round of the splitmix64 mixer (Steele et al.)."""
-    x = (x + 0x9E3779B97F4A7C15) & MASK64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & MASK64
-    return (x ^ (x >> 31)) & MASK64
+def splitmix64(x):
+    """One round of the splitmix64 mixer (Steele et al.), elementwise on uint64.
+
+    Arithmetic wraps modulo 2**64.  An int in [0, 2**64) gives an int; an
+    array gives a uint64 array of the same shape.
+    """
+    z = np.array(x, dtype=np.uint64, ndmin=1)
+    with np.errstate(over="ignore"):
+        z += np.uint64(0x9E3779B97F4A7C15)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        z ^= z >> np.uint64(31)
+    return int(z[0]) if isinstance(x, int) else z.reshape(np.shape(x))
 
 
-def mix_key(*parts: int) -> int:
-    """Fold integer parts into a single well-mixed 64-bit key."""
-    acc = 0x243F6A8885A308D3
+def _as_uint64(part) -> np.ndarray:
+    """A key part reduced modulo 2**64: ints of any size, integer arrays of any sign."""
+    if isinstance(part, (int, np.integer)):
+        return np.uint64(int(part) & MASK64)
+    return np.asarray(part).astype(np.uint64)
+
+
+def mix_key(*parts):
+    """Fold integer parts into a single well-mixed 64-bit key.
+
+    Parts may be ints or integer arrays, which broadcast: scalars give an
+    int, otherwise the result is a uint64 array with one key per element.
+    """
+    acc = np.uint64(0x243F6A8885A308D3)
     for p in parts:
-        acc = splitmix64((acc ^ (int(p) & MASK64)) & MASK64)
-    return acc
+        acc = splitmix64(acc ^ _as_uint64(p))
+    return int(acc) if np.ndim(acc) == 0 else acc
 
 
-def key_uniform(*parts: int) -> float:
-    """Deterministic uniform in [0, 1) derived from the given key parts."""
-    return mix_key(*parts) / 2.0**64
+def key_uniform(*parts):
+    """Deterministic uniform in [0, 1) derived from the given key parts.
+
+    Takes the parts mix_key takes; one call hashes a whole array of keys.
+    """
+    key = mix_key(*parts)
+    if isinstance(key, int):
+        return key / 2.0**64
+    return key.astype(np.float64) / 2.0**64
 
 
 def tile_rng(master_seed: int, tile_index: int) -> np.random.Generator:

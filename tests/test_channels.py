@@ -135,10 +135,9 @@ def test_channel_weights_never_break_capacity_random_sweep():
         aug = build_augmented(net, [P_AXIS, Q_AXIS], plans)
         assert aug.net.validate() == []
         # pseudoedges into each base node fill the residual exactly when scaled
-        w = aug.net.weight_matrix()
         for v in range(n):
             base_in = sum(wt for _, wt in net.in_neighbors(v))
-            total_in = float(w[:, v].sum())
+            total_in = sum(e.weight for e in aug.net.edges if e.dst == v)
             if aug.scale[v] > 0:
                 assert total_in == pytest.approx(1.0, abs=1e-9)
             else:
@@ -207,7 +206,7 @@ def test_media_pseudoedge_weight_is_ratio_times_beta():
     net = two_node_net(weight=0.6, h=0.0)
     plans = [ChannelPlan(product=0, beta=(0.2, 0.3))]
     aug = build_augmented(net, [P_AXIS], plans)
-    w = aug.net.weight_matrix()
+    w = {(e.src, e.dst): e.weight for e in aug.net.edges}
     root = aug.roots[0]
     second = aug.chain_node(0, 2)
     # ratio = residual / nominal load = 0.4 / 0.5
@@ -255,7 +254,7 @@ def test_relay_stored_threshold_is_float_sum_of_weights():
             gadget=GadgetParams(chi_w=chi_w, epsilon=eps),
         )
         relay = aug.gadget_node(0, 0, 1)
-        w = aug.net.weight_matrix()
+        w = {(e.src, e.dst): e.weight for e in aug.net.edges}
         incoming = w[aug.roots[0], relay] + w[0, relay]
         assert aug.net.fixed_threshold[relay] == incoming  # bitwise, not approx
 

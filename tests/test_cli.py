@@ -276,6 +276,22 @@ def test_optimize_non_numeric_config_value_exits_2(fixture_dir, tmp_path, capsys
     assert code == 2
 
 
+def test_optimize_bad_unit_cost_exits_2(fixture_dir, tmp_path, capsys):
+    for line in ("alpha_cost = nan", "seed_cost = inf", "beta_cost = -1"):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        code = run(
+            [
+                "optimize", *demo_args(fixture_dir, "preference_shift")[:6],
+                "--focal", 0, "--budget", 2.0, "--horizon", 2,
+                "--config", cfg, "--seed", 1, "--out", tmp_path / "o.json",
+            ]
+        )
+        assert code == 2, line
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == "config"
+        assert not (tmp_path / "o.json").exists()
+
+
 def test_negative_budget_exits_4(fixture_dir, tmp_path, capsys):
     for budget in (-2.0, "inf", "nan"):
         code = run(

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from campaignsim.channels import ChannelPlan, build_augmented
 from campaignsim.diffusion import (
     DiffusionNotConverged,
     PurchaseTieError,
@@ -173,6 +174,57 @@ def test_batch_equals_scalar_on_random_instances():
             out = run_diffusion(net, products, seeds, chi[r], tie_key=(77, 3 + r))
             assert np.array_equal(out.activation_time, at[r]), f"case {case} rep {r}"
             assert np.array_equal(out.purchased, pu[r])
+
+
+def channel_instance(products, rng, n=12):
+    """Base graph with similarities plus equal media and social plans per product.
+
+    Every product gets the same alpha and schedule, so a node that hears only
+    media sees an exact purchase tie among all products; the last two nodes
+    have no base in-edges and hear nothing else.
+    """
+    edges, sims = {}, {}
+    for v in range(n - 2):
+        for u in rng.choice([u for u in range(n - 2) if u != v], size=2, replace=False):
+            edges[(int(u), v)] = float(rng.uniform(0.1, 0.3))
+            if rng.random() < 0.6:
+                sims[(min(int(u), v), max(int(u), v))] = float(rng.uniform(0.2, 1.0))
+    net = Network.from_edges(n, [Edge(u, v, w) for (u, v), w in edges.items()], sims)
+    plans = [
+        ChannelPlan(product=p.id, seeds=frozenset({i}), alpha=0.6, beta=(0.3, 0.3))
+        for i, p in enumerate(products)
+    ]
+    return build_augmented(net, products, plans)
+
+
+def test_batch_equals_scalar_on_augmented_instances_with_ties():
+    rng = np.random.default_rng(23)
+    mirror = [
+        normalize_product([0.8, 0.6, 0.0], 2, product_id=0),
+        normalize_product([0.6, 0.8, 0.0], 2, product_id=1),
+    ]
+    # cyclic permutations: equal media from all three gives a 3-way tie
+    cyclic = [
+        normalize_product(np.roll([0.7, 0.2, 0.1], i).tolist() + [0.0], 3, product_id=i) for i in range(3)
+    ]
+    for products in (mirror, cyclic):
+        aug = channel_instance(products, rng)
+        net, seeds = aug.net, aug.seed_assignment()
+        assert aug.chain and aug.gadgets  # media chain nodes and relay gadgets
+        media_only = [aug.base_node_count - 2, aug.base_node_count - 1]
+        bought = set()
+        for R, master, offset in ((1, 0, 0), (1, 2**63 + 7, 2**32 + 3), (17, 5, 4096), (17, 2**64 - 1, 2**40 + 1)):
+            chi = apply_fixed_thresholds(net, rng.random((R, net.node_count)))
+            with pytest.raises(PurchaseTieError):
+                simulate_batch(net, products, seeds, chi, on_tie="raise")
+            at, pu = simulate_batch(net, products, seeds, chi, master_seed=master, rep_offset=offset)
+            for r in range(R):
+                out = run_diffusion(net, products, seeds, chi[r], tie_key=(master, offset + r))
+                assert np.array_equal(out.activation_time, at[r]), (len(products), R, r)
+                assert np.array_equal(out.purchased, pu[r]), (len(products), R, r)
+            bought |= set(pu[:, media_only].ravel().tolist()) - {-1}
+        # the media-only nodes broke their ties every way there is
+        assert bought == set(range(len(products)))
 
 
 def test_first_crossing_matches_two_sided_condition():

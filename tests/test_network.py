@@ -29,13 +29,11 @@ def test_from_edges_builds_adjacency_in_ascending_order():
     assert net.in_neighbors(0) == []
 
 
-def test_weight_matrix_layout():
-    w = small_net().weight_matrix()
-    assert w.shape == (4, 4)
-    assert w[0, 1] == 0.5
-    assert w[2, 1] == 0.3
-    assert w[1, 3] == 1.0
-    assert w.sum() == pytest.approx(1.8)
+def test_out_csr_layout():
+    indptr, dst, weight = small_net().out_csr()
+    assert indptr.tolist() == [0, 1, 2, 3, 3]
+    assert dst.tolist() == [1, 3, 1]
+    assert weight.tolist() == [0.5, 1.0, 0.3]
 
 
 def test_similarity_lookup_is_symmetric_with_zero_default():

@@ -74,6 +74,15 @@ def test_unaffordable_seed_distribution_is_infeasible():
         sample_plan(state, UNIT, 2.0, 1, 0, list(range(5)), rng, retry_limit=50)
 
 
+def test_cost_model_rejects_bad_unit_costs():
+    for name in ("seed_unit_cost", "alpha_unit_cost", "beta_unit_cost"):
+        for bad in (-1.0, math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match=name):
+                CostModel(**{name: bad})
+    free = CostModel(seed_unit_cost=0.0, alpha_unit_cost=0.0, beta_unit_cost=0.0)
+    assert free.plan_cost(ChannelPlan(product=0, seeds=frozenset({1}), alpha=1.0, beta=(1.0,))) == 0.0
+
+
 def test_negative_budget_is_infeasible():
     net, products, _ = preference_shift()
     for gamma in (-1.0, math.inf, math.nan):

@@ -273,26 +273,46 @@ def build_augmented(
     )
 
 
+_NUMBER = (int, float)
+
+
+def _typed(value, kind, what: str):
+    """value if it has the JSON type kind; true and false are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        name = "number" if kind is _NUMBER else kind.__name__
+        raise PlanError(f"{what}: expected {name}, got {value!r}")
+    return value
+
+
 def load_plans(path: str) -> list[ChannelPlan]:
-    """Read a JSON plan file: {"horizon": T, "plans": [{product, seeds, alpha, beta}]}."""
+    """Read a JSON plan file: {"horizon": T, "plans": [{product, seeds, alpha, beta}]}.
+
+    Any other shape raises PlanError naming the file.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    horizon = int(payload["horizon"])
-    plans = []
-    for entry in payload["plans"]:
-        beta = tuple(float(b) for b in entry.get("beta", []))
-        if len(beta) != horizon:
-            raise PlanError(f"plan for product {entry.get('product')}: beta length != horizon")
-        plans.append(
-            ChannelPlan(
-                product=int(entry["product"]),
-                seeds=frozenset(int(s) for s in entry.get("seeds", [])),
-                alpha=float(entry.get("alpha", 0.0)),
-                beta=beta,
+    try:
+        horizon = _typed(_typed(payload, dict, "plan file").get("horizon"), int, "horizon")
+        plans = []
+        for entry in _typed(payload.get("plans"), list, "plans"):
+            product = _typed(_typed(entry, dict, "plan entry").get("product"), int, "product")
+            what = f"plan for product {product}"
+            seeds = _typed(entry.get("seeds", []), list, f"{what}: seeds")
+            beta = _typed(entry.get("beta", []), list, f"{what}: beta")
+            if len(beta) != horizon:
+                raise PlanError(f"{what}: beta length != horizon")
+            plans.append(
+                ChannelPlan(
+                    product=product,
+                    seeds=[_typed(v, int, f"{what}: seed") for v in seeds],
+                    alpha=float(_typed(entry.get("alpha", 0.0), _NUMBER, f"{what}: alpha")),
+                    beta=[_typed(b, _NUMBER, f"{what}: beta") for b in beta],
+                )
             )
-        )
-    if not plans:
-        raise PlanError(f"{path}: no plans")
+        if not plans:
+            raise PlanError("no plans")
+    except PlanError as exc:
+        raise PlanError(f"{path}: {exc}") from None
     return plans
 
 

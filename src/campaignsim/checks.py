@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from .channels import ChannelPlan, GadgetParams, build_augmented
-from .diffusion import apply_fixed_thresholds, simulate_batch
+from .diffusion import simulate_batch
 from .feature_space import Product, normalize_product
 from .network import Network
 
@@ -38,7 +38,7 @@ def _behavioral_trial(chi_w: float, eps: float, theta: float, same_product: bool
     ]
     aug = build_augmented(net, products, plans, gadget=GadgetParams(chi_w=chi_w, epsilon=eps))
     relay = aug.gadget_node(0, 0, 1)
-    chi = apply_fixed_thresholds(aug.net, np.full((1, aug.net.node_count), 0.99))
+    chi = np.full((1, aug.net.node_count), 0.99)
     act_time, _ = simulate_batch(aug.net, products, aug.seed_assignment(), chi)
     fired = act_time[0, relay] >= 0
     on_time = (not fired) or act_time[0, relay] == 1  # source is a seed, active at 0

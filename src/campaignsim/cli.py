@@ -30,8 +30,7 @@ from .channels import (
     save_augmented,
 )
 from .checks import gadget_property_check
-from .diffusion import apply_fixed_thresholds, simulate_batch
-from .estimator import estimate_spread
+from .estimator import estimate_spread, simulate_tile
 from .feature_space import ProductError, load_products
 from .fixtures import write_fixtures
 from .network import NetworkError, ParseError, ValidationError, load_network
@@ -43,9 +42,6 @@ from .optimizer import (
     ce_optimize,
 )
 from .oracle import EnumerationCapError, GridSpec, exact_spread_grid
-from .rng import tile_rng
-
-WORKERS_ENV = "CAMPAIGNSIM_WORKERS"
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -99,16 +95,6 @@ def _envelope(command: str, args: argparse.Namespace, results: dict) -> dict:
     }
 
 
-def _resolve_workers(args) -> int:
-    env = os.environ.get(WORKERS_ENV)
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(f"{WORKERS_ENV} must be an integer, got {env!r}") from None
-    return max(1, getattr(args, "workers", 1) or 1)
-
-
 def parse_config_file(path: str) -> dict:
     """Flat key=value lines with # comments; values are int, float, or bare strings."""
     out: dict = {}
@@ -159,9 +145,9 @@ def _ce_setup(config_path: str | None, workers: int) -> tuple[CEConfig, CostMode
             alpha_unit_cost=float(raw.get("alpha_cost", 1.0)),
             beta_unit_cost=float(raw.get("beta_cost", 1.0)),
         )
+        config = CEConfig(workers=workers, **kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad config value: {exc}") from None
-    config = CEConfig(workers=workers, **kwargs)
     return config, cost
 
 
@@ -178,11 +164,7 @@ def cmd_simulate(args) -> int:
     net, products = _load_instance(args)
     plans = load_plans(args.plans)
     aug = build_augmented(net, products, plans)
-    workers = _resolve_workers(args)
-    est = estimate_spread(
-        aug, products, args.reps, args.seed,
-        workers=workers, collect_node_counts=bool(args.node_probs),
-    )
+    est = estimate_spread(aug, products, args.reps, args.seed, workers=args.workers)
     if args.dump_augmented:
         os.makedirs(args.dump_augmented, exist_ok=True)
         save_augmented(
@@ -200,9 +182,7 @@ def cmd_simulate(args) -> int:
             writer.writerow(row)
         _atomic_write(args.node_probs, buf.getvalue())
     if args.trajectory:
-        # replication 0 of the estimate: tile 0's first threshold row, tie key (seed, 0)
-        chi = apply_fixed_thresholds(aug.net, tile_rng(args.seed, 0).random((1, aug.net.node_count)))
-        act_time, purchased = simulate_batch(aug.net, products, aug.seed_assignment(), chi, master_seed=args.seed)
+        act_time, purchased = simulate_tile(aug, products, args.seed, 0, 1)  # replication 0 of the estimate
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["node", "activation_time", "product"])
@@ -218,8 +198,7 @@ def cmd_simulate(args) -> int:
 def cmd_optimize(args) -> int:
     net, products = _load_instance(args)
     competitor_plans = load_plans(args.plans) if args.plans else []
-    workers = _resolve_workers(args)
-    config, cost = _ce_setup(args.config, workers)
+    config, cost = _ce_setup(args.config, args.workers)
     result = ce_optimize(
         net, products, args.focal, competitor_plans, cost, args.budget,
         config, args.seed, horizon=args.horizon,
@@ -254,8 +233,7 @@ def cmd_best_response(args) -> int:
         budgets = budgets * len(products)
     if len(budgets) != len(products):
         raise ConfigError(f"{len(budgets)} budgets for {len(products)} products")
-    workers = _resolve_workers(args)
-    config, cost = _ce_setup(args.config, workers)
+    config, cost = _ce_setup(args.config, args.workers)
     result = best_response_loop(
         net, products, [cost] * len(products), budgets, args.rounds,
         config, args.seed, horizon=args.horizon,
@@ -276,8 +254,7 @@ def cmd_oracle(args) -> int:
     aug = build_augmented(net, products, plans)
     grid = GridSpec(resolution=args.resolution)
     exact = exact_spread_grid(aug, products, grid)
-    workers = _resolve_workers(args)
-    est = estimate_spread(aug, products, args.reps, args.seed, workers=workers)
+    est = estimate_spread(aug, products, args.reps, args.seed, workers=args.workers)
     comparison = []
     for j, pid in enumerate(aug.product_ids):
         comparison.append(
@@ -402,6 +379,9 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
     try:
+        for name in ("reps", "resolution", "rounds", "trials", "workers"):  # the count flags
+            if getattr(args, name, 1) < 1:
+                raise ConfigError(f"--{name} must be >= 1, got {getattr(args, name)}")
         return args.func(args)
     except ConfigError as exc:
         return _fail("config", EXIT_CONFIG, str(exc))

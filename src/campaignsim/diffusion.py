@@ -105,9 +105,11 @@ def simulate_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Advance R replications at once over a shared network.
 
-    thresholds is (R, n) with pseudonode columns already fixed.  Replication
-    r in the batch is globally indexed rep_offset + r for tie-break hashing,
-    which keeps outcomes identical however the replications are batched.
+    thresholds is (R, n); pseudonode columns are replaced, in the kernel's
+    own copy, by the thresholds the network fixes for them, so the caller's
+    values there do not matter.  Replication r in the batch is globally
+    indexed rep_offset + r for tie-break hashing, which keeps outcomes
+    identical however the replications are batched.
     Returns (activation_time, purchased), both (R, n).
     """
     if max_steps is None:
@@ -124,7 +126,9 @@ def simulate_batch(
     key_dst = np.concatenate([out_dst] * k)
     key_contrib = (pmat.T[:, :, None] * out_w).reshape(f, k * n_edges)
     # per-replication arrays are flat over cells r * n + v; agg is feature-major
-    thr = np.maximum(thresholds.reshape(-1), _TINY)
+    # fixed before the floor, so a fixed threshold of 0 still needs a non-zero aggregate
+    thr = apply_fixed_thresholds(net, np.array(thresholds, dtype=float)).reshape(-1)
+    np.maximum(thr, _TINY, out=thr)
     purchased = np.full(R * n, -1, dtype=np.int16)
     activation_time = np.full(R * n, -1, dtype=np.int32)
     agg = np.zeros((f, R * n))

@@ -3,9 +3,11 @@
 Replications are partitioned into fixed-size tiles; tile k draws its
 thresholds from a counter-based stream keyed by (master seed, k), so the
 values a given replication sees depend only on the master seed and its global
-index.  Per-replication purchase counts are accumulated as exact integers and
-tiles are reduced in index order, which makes every estimate bit-identical
-for any worker count.
+index.  simulate_tile owns that rule (which threshold row and which tie key
+replication r gets); every run of the kernel on sampled thresholds, including
+the CLI's single-replication trajectory, goes through it.  Per-replication
+purchase counts are accumulated as exact integers and tiles are reduced in
+index order, which makes every estimate bit-identical for any worker count.
 
 Spread counts real nodes only; pseudonodes are bookkeeping.
 """
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import AugmentedNetwork
-from .diffusion import apply_fixed_thresholds, simulate_batch
+from .diffusion import simulate_batch
 from .feature_space import Product
 from .rng import TILE_SIZE, tile_rng
 
@@ -32,7 +34,7 @@ class SpreadEstimate:
     replications: int
     spread_sums: np.ndarray  # (k,) int64, exact
     spread_sumsq: np.ndarray  # (k,) int64, exact
-    node_counts: np.ndarray | None  # (k, n) int64 purchase counts, or None
+    node_counts: np.ndarray  # (k, n) int64 purchase counts
     real_nodes: np.ndarray
 
     def mean_of(self, product_id: int) -> float:
@@ -42,8 +44,6 @@ class SpreadEstimate:
         return float(self.stderrs[self.product_ids.index(product_id)])
 
     def node_probability(self, node: int, product_id: int) -> float:
-        if self.node_counts is None:
-            raise ValueError("estimate was run without node counts")
         j = self.product_ids.index(product_id)
         return float(self.node_counts[j, node]) / self.replications
 
@@ -67,43 +67,39 @@ def _tile_bounds(replications: int):
         yield tile_idx, min(TILE_SIZE, replications - lo)
 
 
+def simulate_tile(
+    aug: AugmentedNetwork, products: list[Product], seed: int, tile_idx: int, tile_len: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(activation_time, purchased) of the first tile_len replications of a tile.
+
+    Replication r = tile_idx * TILE_SIZE + i takes row i of
+    tile_rng(seed, tile_idx) as its thresholds and (seed, r) as its tie key.
+    """
+    # Philox fills rows in order: these are the first tile_len rows of the full tile
+    chi = tile_rng(seed, tile_idx).random((tile_len, aug.net.node_count))
+    return simulate_batch(
+        aug.net, products, aug.seed_assignment(), chi, master_seed=seed, rep_offset=tile_idx * TILE_SIZE
+    )
+
+
 _WORKER_CTX: dict = {}
 
 
-def _init_worker(aug, products, seed, track_node, max_steps):
-    _WORKER_CTX.update(aug=aug, products=products, seed=seed, track_node=track_node, max_steps=max_steps)
+def _init_worker(aug, products, seed, track_node):
+    _WORKER_CTX.update(aug=aug, products=products, seed=seed, track_node=track_node)
 
 
 def _tile_task(args):
     tile_idx, tile_len = args
-    return _run_tile(
-        _WORKER_CTX["aug"],
-        _WORKER_CTX["products"],
-        _WORKER_CTX["seed"],
-        tile_idx,
-        tile_len,
-        _WORKER_CTX["track_node"],
-        _WORKER_CTX["max_steps"],
-    )
+    ctx = _WORKER_CTX
+    return _run_tile(ctx["aug"], ctx["products"], ctx["seed"], tile_idx, tile_len, ctx["track_node"])
 
 
-def _run_tile(aug, products, seed, tile_idx, tile_len, track_node, max_steps):
-    net = aug.net
-    n = net.node_count
+def _run_tile(aug, products, seed, tile_idx, tile_len, track_node):
+    act_time, purchased = simulate_tile(aug, products, seed, tile_idx, tile_len)
+    n = aug.net.node_count
+    real = aug.net.real_nodes()
     k = len(products)
-    # Philox fills rows in order: these are the first tile_len rows of the full tile
-    chi = tile_rng(seed, tile_idx).random((tile_len, n))
-    apply_fixed_thresholds(net, chi)
-    act_time, purchased = simulate_batch(
-        net,
-        products,
-        aug.seed_assignment(),
-        chi,
-        master_seed=seed,
-        rep_offset=tile_idx * TILE_SIZE,
-        max_steps=max_steps,
-    )
-    real = net.real_nodes()
     sums = np.zeros(k, dtype=np.int64)
     sumsq = np.zeros(k, dtype=np.int64)
     node_counts = np.zeros((k, n), dtype=np.int64)
@@ -116,30 +112,31 @@ def _run_tile(aug, products, seed, tile_idx, tile_len, track_node, max_steps):
     time_hist = None
     if track_node is not None:
         times = act_time[:, track_node]
-        time_hist = np.bincount(times[times >= 0], minlength=max_steps + 1).astype(np.int64)
+        # every step activates a node, so no activation comes later than step n - 1
+        time_hist = np.bincount(times[times >= 0], minlength=n).astype(np.int64)
     return sums, sumsq, node_counts, time_hist
 
 
-def _run_all_tiles(aug, products, replications, seed, workers, track_node, max_steps):
-    if max_steps is None:
-        max_steps = aug.net.node_count + aug.horizon + 2
+def _run_all_tiles(aug, products, replications, seed, workers, track_node):
+    if replications < 1:
+        raise ValueError("replications must be >= 1")
     k = len(products)
     n = aug.net.node_count
     sums = np.zeros(k, dtype=np.int64)
     sumsq = np.zeros(k, dtype=np.int64)
     node_counts = np.zeros((k, n), dtype=np.int64)
-    time_hist = np.zeros(max_steps + 1, dtype=np.int64)
+    time_hist = np.zeros(n, dtype=np.int64)
     tiles = _tile_bounds(replications)
     with contextlib.ExitStack() as stack:
         if workers and workers > 1:
             pool = stack.enter_context(ProcessPoolExecutor(
                 max_workers=workers,
                 initializer=_init_worker,
-                initargs=(aug, products, seed, track_node, max_steps),
+                initargs=(aug, products, seed, track_node),
             ))
             results = pool.map(_tile_task, tiles)  # map preserves tile order
         else:
-            results = (_run_tile(aug, products, seed, i, length, track_node, max_steps) for i, length in tiles)
+            results = (_run_tile(aug, products, seed, i, length, track_node) for i, length in tiles)
         for s, sq, nc, th in results:
             sums += s
             sumsq += sq
@@ -156,15 +153,9 @@ def estimate_spread(
     seed: int,
     *,
     workers: int = 1,
-    collect_node_counts: bool = False,
-    max_steps: int | None = None,
 ) -> SpreadEstimate:
     """Mean and standard error of per-product real-node purchase counts."""
-    if replications < 1:
-        raise ValueError("replications must be >= 1")
-    sums, sumsq, node_counts, _ = _run_all_tiles(
-        aug, products, replications, seed, workers, None, max_steps
-    )
+    sums, sumsq, node_counts, _ = _run_all_tiles(aug, products, replications, seed, workers, None)
     R = replications
     means = sums / R
     if R > 1:
@@ -179,7 +170,7 @@ def estimate_spread(
         replications=R,
         spread_sums=sums,
         spread_sumsq=sumsq,
-        node_counts=node_counts if collect_node_counts else None,
+        node_counts=node_counts,
         real_nodes=aug.net.real_nodes(),
     )
 
@@ -190,16 +181,12 @@ def activation_time_histogram(
     node: int,
     replications: int,
     seed: int,
-    *,
-    workers: int = 1,
-    max_steps: int | None = None,
 ) -> np.ndarray:
     """Counts of replications in which the node activated at each step.
 
-    Index t holds the count for activation at exactly step t; replications
-    where the node never activates are not counted anywhere.
+    Index t, for t < node count, holds the count for activation at exactly
+    step t; replications where the node never activates are not counted
+    anywhere.
     """
-    _, _, _, time_hist = _run_all_tiles(
-        aug, products, replications, seed, workers, node, max_steps
-    )
+    _, _, _, time_hist = _run_all_tiles(aug, products, replications, seed, 1, node)
     return time_hist

@@ -67,7 +67,6 @@ class Network:
         if self.fixed_threshold is None:
             self.fixed_threshold = np.full(self.node_count, np.nan)
         self._in = None
-        self._out = None
         self._csr = None
 
     # -- construction ---------------------------------------------------
@@ -105,27 +104,15 @@ class Network:
 
     # -- adjacency ------------------------------------------------------
 
-    def _build_adjacency(self):
-        self._in = [[] for _ in range(self.node_count)]
-        self._out = [[] for _ in range(self.node_count)]
-        for e in self.edges:
-            self._out[e.src].append((e.dst, e.weight))
-            self._in[e.dst].append((e.src, e.weight))
-        for lst in self._in:
-            lst.sort()
-        for lst in self._out:
-            lst.sort()
-
     def in_neighbors(self, v: int) -> list[tuple[int, float]]:
         """(src, weight) pairs in ascending source order."""
         if self._in is None:
-            self._build_adjacency()
+            self._in = [[] for _ in range(self.node_count)]
+            for e in self.edges:
+                self._in[e.dst].append((e.src, e.weight))
+            for lst in self._in:
+                lst.sort()
         return self._in[v]
-
-    def out_neighbors(self, u: int) -> list[tuple[int, float]]:
-        if self._out is None:
-            self._build_adjacency()
-        return self._out[u]
 
     def out_csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Out-edges as CSR arrays (indptr, dst, weight), grouped by source.

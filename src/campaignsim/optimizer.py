@@ -64,6 +64,21 @@ class CEConfig:
     workers: int = 1
     best_response_tol: float = 1e-3
 
+    def __post_init__(self):
+        # range tests so NaN fails too
+        for name, ok in (
+            ("n_samples", self.n_samples is None or self.n_samples >= 1),
+            ("elite_frac", 0.0 < self.elite_frac <= 1.0),
+            ("smoothing", 0.0 <= self.smoothing <= 1.0),
+            ("max_iterations", self.max_iterations >= 1),
+            ("tol", 0.0 <= self.tol < math.inf),
+            ("replications", self.replications >= 1),
+            ("seed_retry_limit", self.seed_retry_limit >= 1),
+            ("best_response_tol", 0.0 <= self.best_response_tol < math.inf),
+        ):
+            if not ok:
+                raise ValueError(f"CEConfig out of range: {name}={getattr(self, name)!r}")
+
 
 @dataclass
 class CrossEntropyState:

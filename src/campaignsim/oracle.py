@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import AugmentedNetwork
-from .diffusion import apply_fixed_thresholds, simulate_batch
+from .diffusion import simulate_batch
 from .feature_space import Product, product_matrix
 from .network import NodeKind
 
@@ -34,13 +34,15 @@ class EnumerationCapError(Exception):
     pass
 
 
+# cap on the breakpoint pre-computation per node; beyond it every midpoint
+# becomes its own cell (correct, just slower)
+_MAX_NORM_COMBOS = 200_000
+
+
 @dataclass(frozen=True)
 class GridSpec:
     resolution: int
     max_tuples: int = 1 << 24
-    # cap on the breakpoint pre-computation per node; beyond it every midpoint
-    # becomes its own cell (correct, just slower)
-    max_norm_combos: int = 200_000
 
     def __post_init__(self):
         if self.resolution < 1:
@@ -66,7 +68,7 @@ def _source_product(aug: AugmentedNetwork, node: int) -> int | None:
     return aug.product_ids.index(info["product"])
 
 
-def _breakpoint_norms(aug: AugmentedNetwork, products: list[Product], v: int, cap: int) -> np.ndarray | None:
+def _breakpoint_norms(aug: AugmentedNetwork, products: list[Product], v: int) -> np.ndarray | None:
     """Norms of all aggregate vectors v could receive (superset of reachable)."""
     pmat = product_matrix(products)
     options: list[np.ndarray] = []
@@ -79,7 +81,7 @@ def _breakpoint_norms(aug: AugmentedNetwork, products: list[Product], v: int, ca
             opts = np.vstack([np.zeros(pmat.shape[1]), w * pmat[pi]])
         options.append(opts)
         total *= opts.shape[0]
-        if total > cap:
+        if total > _MAX_NORM_COMBOS:
             return None
     acc = np.zeros((1, pmat.shape[1]))
     for opts in options:
@@ -91,7 +93,7 @@ def _cells_for_node(aug, products, v, grid: GridSpec) -> list[tuple[float, int]]
     """(representative midpoint, midpoint count) per constant-outcome piece."""
     m = grid.resolution
     mids = (np.arange(m) + 0.5) / m
-    norms = _breakpoint_norms(aug, products, v, grid.max_norm_combos)
+    norms = _breakpoint_norms(aug, products, v)
     if norms is None:
         return [(float(x), 1) for x in mids]
     piece = np.searchsorted(norms, mids, side="left")
@@ -112,7 +114,7 @@ def exact_spread_grid(
     """Exact expected spread under midpoint-discretized thresholds.
 
     Thresholds are enumerated for every unseeded real node with incoming
-    influence, except nodes listed in pinned, whose thresholds are held at
+    influence, except real nodes listed in pinned, whose thresholds are held at
     the given values.  Raises EnumerationCapError past grid.max_tuples and
     PurchaseTieError on any purchase tie.
     """
@@ -125,7 +127,7 @@ def exact_spread_grid(
     for ns in seeds.by_product:
         seeded |= ns
 
-    base_chi = apply_fixed_thresholds(net, np.full(n, 2.0))
+    base_chi = np.full(n, 2.0)  # the kernel fixes pseudonode columns
     for node, value in pinned.items():
         base_chi[node] = value
 

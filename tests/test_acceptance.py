@@ -73,7 +73,7 @@ def blocking_payload(master: int, variant: str) -> dict:
     net, products, plans = blocking_demo(variant)
     aug = build_augmented(net, products, plans)
     reps = 1_000_000
-    est = estimate_spread(aug, products, reps, master, collect_node_counts=True)
+    est = estimate_spread(aug, products, reps, master)
     return {
         "variant": variant,
         "focal_spread": float(est.mean_of(0)),

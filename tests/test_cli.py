@@ -101,15 +101,11 @@ def test_simulate_reruns_are_byte_identical(fixture_dir, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_simulate_worker_env_override_is_result_neutral(fixture_dir, tmp_path):
+def test_simulate_workers_flag_is_result_neutral(fixture_dir, tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     args = ["simulate", *demo_args(fixture_dir), "--seed", 5, "--reps", 5000]
     assert run(args + ["--out", a]) == 0
-    os.environ["CAMPAIGNSIM_WORKERS"] = "3"
-    try:
-        assert run(args + ["--out", b]) == 0
-    finally:
-        del os.environ["CAMPAIGNSIM_WORKERS"]
+    assert run(args + ["--workers", 3, "--out", b]) == 0
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -125,7 +121,7 @@ def assert_replication_zero(d, seed, traj):
     ids = [p.id for p in products]
     expected = [f"{v},{act[0, v]},{ids[bought[0, v]] if bought[0, v] >= 0 else -1}" for v in range(n)]
     assert traj.read_text().strip().splitlines()[1:] == expected
-    one = estimate_spread(aug, products, 1, seed, collect_node_counts=True)
+    one = estimate_spread(aug, products, 1, seed)
     real = aug.net.real_nodes()
     for j in range(len(ids)):
         assert np.array_equal(one.node_counts[j, real], bought[0, real] == j)
@@ -218,6 +214,36 @@ def test_non_finite_plan_budget_exits_3(fixture_dir, tmp_path, capsys):
     assert "finite" in json.loads(capsys.readouterr().err)["error"]["message"]
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"plans": [{"product": 0, "seeds": [0]}]},
+        {"horizon": 0},
+        {"horizon": 0, "plans": [{"seeds": [0]}]},
+        [{"product": 0}],
+        {"horizon": 1, "plans": [{"product": 0, "beta": 5}]},
+        {"horizon": 0, "plans": [{"product": 0, "seeds": [1.5]}]},
+        {"horizon": 0, "plans": [{"product": 0, "seeds": ["1"]}]},
+        {"horizon": 0, "plans": [{"product": 0, "alpha": "lots"}]},
+        {"horizon": 0, "plans": {"product": 0}},
+        {"horizon": 0.5, "plans": [{"product": 0}]},
+    ],
+    ids=[
+        "no-horizon", "no-plans", "no-product", "top-level-list", "scalar-beta",
+        "fractional-seed", "string-seed", "string-alpha", "plans-not-a-list", "fractional-horizon",
+    ],
+)
+def test_malformed_plan_file_exits_3(fixture_dir, tmp_path, capsys, payload):
+    plans = tmp_path / "bad_plans.json"
+    plans.write_text(json.dumps(payload))
+    args = demo_args(fixture_dir)[:6]
+    code = run(["simulate", *args, "--plans", plans, "--reps", 10, "--out", tmp_path / "x.json"])
+    assert code == 3
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "io"
+    assert str(plans) in err["message"]
+
+
 # -- optimize and best-response -----------------------------------------
 
 
@@ -292,6 +318,26 @@ def test_optimize_bad_unit_cost_exits_2(fixture_dir, tmp_path, capsys):
         assert not (tmp_path / "o.json").exists()
 
 
+@pytest.mark.parametrize(
+    "line", ["replications = 0", "samples = -5", "max_iterations = 0", "smoothing = 5", "elite_frac = 0", "tol = nan"]
+)
+def test_optimize_out_of_range_ce_config_exits_2(fixture_dir, tmp_path, capsys, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    code = run(
+        [
+            "optimize", *demo_args(fixture_dir, "preference_shift")[:6],
+            "--focal", 0, "--budget", 2.0, "--horizon", 2,
+            "--config", cfg, "--seed", 1, "--out", tmp_path / "o.json",
+        ]
+    )
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "config"
+    assert "CEConfig out of range" in err["message"]
+    assert not (tmp_path / "o.json").exists()
+
+
 def test_negative_budget_exits_4(fixture_dir, tmp_path, capsys):
     for budget in (-2.0, "inf", "nan"):
         code = run(
@@ -362,6 +408,35 @@ def test_gadget_check_subcommand(tmp_path):
     assert run(["gadget-check", "--trials", 100, "--seed", 1, "--out", out]) == 0
     payload = json.loads(out.read_text())
     assert payload["results"]["counterexamples"] == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--reps", 0],
+        ["simulate", "--workers", 0],
+        ["oracle", "--reps", 0],
+        ["oracle", "--resolution", 0],
+        ["best-response", "--rounds", 0],
+        ["gadget-check", "--trials", -1],
+        ["gadget-check", "--trials", 0],
+    ],
+    ids=lambda argv: " ".join(map(str, argv)),
+)
+def test_non_positive_count_exits_2(fixture_dir, tmp_path, capsys, argv):
+    command, *count = argv
+    inputs = {
+        "simulate": demo_args(fixture_dir),
+        "oracle": demo_args(fixture_dir),
+        "best-response": [*demo_args(fixture_dir, "preference_shift")[:6], "--budget", 1.0, "--horizon", 2],
+        "gadget-check": [],
+    }[command]
+    out = tmp_path / "x.json"
+    assert run([command, *inputs, *count, "--out", out]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "config"
+    assert count[0] in err["message"]
+    assert not out.exists()
 
 
 # -- config file parser --------------------------------------------------

@@ -227,6 +227,33 @@ def test_batch_equals_scalar_on_augmented_instances_with_ties():
         assert bought == set(range(len(products)))
 
 
+def test_kernel_applies_the_fixed_pseudonode_thresholds():
+    rng = np.random.default_rng(29)
+    products = [
+        normalize_product([0.8, 0.6, 0.0], 2, product_id=0),
+        normalize_product([0.6, 0.8, 0.0], 2, product_id=1),
+    ]
+    aug = channel_instance(products, rng)
+    net, seeds = aug.net, aug.seed_assignment()
+    raw = rng.random((64, net.node_count))
+    fixed = apply_fixed_thresholds(net, raw.copy())
+    pseudo = ~np.isnan(net.fixed_threshold)
+    assert pseudo.any() and not np.array_equal(raw[:, pseudo], fixed[:, pseudo])
+    kept = raw.copy()
+    got = simulate_batch(net, products, seeds, raw, master_seed=3, rep_offset=11)
+    want = simulate_batch(net, products, seeds, fixed, master_seed=3, rep_offset=11)
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+    assert np.array_equal(raw, kept)  # the caller's thresholds are left alone
+    # the zero floor comes after the fixed value: a pseudonode fixed at 0 with
+    # a zero aggregate stays inactive, whatever the caller passed for it
+    net = Network.from_edges(3, [(0, 1, 1.0), (1, 2, 0.5)])
+    net.node_kind[2] = 2
+    net.fixed_threshold[2] = 0.0
+    at, _ = simulate_batch(net, [P_AXIS], SeedAssignment((frozenset(),)), np.full((1, 3), 0.7))
+    assert at.tolist() == [[-1, -1, -1]]
+
+
 def test_first_crossing_matches_two_sided_condition():
     rng = np.random.default_rng(31)
     for _ in range(30):

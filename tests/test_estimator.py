@@ -52,11 +52,13 @@ def test_single_replication_reports_zero_stderr():
 def test_replications_must_be_positive():
     with pytest.raises(ValueError):
         estimate_spread(sure_chain(), [P_AXIS], 0, 1)
+    with pytest.raises(ValueError):
+        activation_time_histogram(sure_chain(), [P_AXIS], 2, 0, 1)
 
 
 def test_media_pseudoedge_probability_near_effective_weight():
     aug = media_instance(t=2)
-    est = estimate_spread(aug, [P_AXIS], 100_000, 7, collect_node_counts=True)
+    est = estimate_spread(aug, [P_AXIS], 100_000, 7)
     # activation probability equals the pseudoedge weight 0.37;
     # 0.0035 is ~2.3 binomial sigma but the seed is fixed, so this is stable
     assert est.mean_of(0) == pytest.approx(0.37, abs=0.0035)
@@ -69,6 +71,7 @@ def test_activation_time_histogram_hits_the_scheduled_step():
     for t in (1, 2, 3):
         aug = media_instance(t=t)
         hist = activation_time_histogram(aug, [P_AXIS], 1, 20_000, 50 + t)
+        assert hist.size == aug.net.node_count  # no activation comes after step n - 1
         active = int(hist.sum())
         assert hist[t] == active  # never at any other step
         assert active / 20_000 == pytest.approx(0.37, abs=0.01)
@@ -77,7 +80,7 @@ def test_activation_time_histogram_hits_the_scheduled_step():
 def test_spread_sum_equals_node_count_total():
     net, products, plans = preference_shift()
     aug = build_augmented(net, products, plans)
-    est = estimate_spread(aug, products, 3000, 11, collect_node_counts=True)
+    est = estimate_spread(aug, products, 3000, 11)
     for j in range(len(products)):
         # exact integer identity between the two accumulators
         assert est.spread_sums[j] == est.node_counts[j].sum()
@@ -86,9 +89,9 @@ def test_spread_sum_equals_node_count_total():
 def test_same_seed_is_bit_identical_and_different_seed_is_not():
     net, products, plans = preference_shift()
     aug = build_augmented(net, products, plans)
-    a = estimate_spread(aug, products, 5000, 3, collect_node_counts=True)
-    b = estimate_spread(aug, products, 5000, 3, collect_node_counts=True)
-    c = estimate_spread(aug, products, 5000, 4, collect_node_counts=True)
+    a = estimate_spread(aug, products, 5000, 3)
+    b = estimate_spread(aug, products, 5000, 3)
+    c = estimate_spread(aug, products, 5000, 4)
     assert np.array_equal(a.spread_sums, b.spread_sums)
     assert np.array_equal(a.spread_sumsq, b.spread_sumsq)
     assert np.array_equal(a.node_counts, b.node_counts)
@@ -100,8 +103,8 @@ def test_worker_count_does_not_change_results():
     aug = build_augmented(net, products, plans)
     # spans three tiles so the reduction order matters
     reps = 2 * TILE_SIZE + 123
-    serial = estimate_spread(aug, products, reps, 9, collect_node_counts=True)
-    pooled = estimate_spread(aug, products, reps, 9, workers=3, collect_node_counts=True)
+    serial = estimate_spread(aug, products, reps, 9)
+    pooled = estimate_spread(aug, products, reps, 9, workers=3)
     assert np.array_equal(serial.spread_sums, pooled.spread_sums)
     assert np.array_equal(serial.spread_sumsq, pooled.spread_sumsq)
     assert np.array_equal(serial.node_counts, pooled.node_counts)
@@ -131,11 +134,11 @@ def test_batch_rows_are_independent_replications():
 def test_replication_outcomes_do_not_depend_on_total_count():
     # the first R replications of a longer run equal a shorter run exactly
     aug = media_instance(t=1)
-    short = estimate_spread(aug, [P_AXIS], 1000, 21, collect_node_counts=True)
-    longer = estimate_spread(aug, [P_AXIS], 1000 + TILE_SIZE, 21, collect_node_counts=True)
+    short = estimate_spread(aug, [P_AXIS], 1000, 21)
+    longer = estimate_spread(aug, [P_AXIS], 1000 + TILE_SIZE, 21)
     # per-tile means differ, but the shared prefix can be checked through sums
     # of the first tile alone: re-run the first 1000 as their own call
-    again = estimate_spread(aug, [P_AXIS], 1000, 21, collect_node_counts=True)
+    again = estimate_spread(aug, [P_AXIS], 1000, 21)
     assert np.array_equal(short.node_counts, again.node_counts)
     assert int(longer.spread_sums[0]) >= int(short.spread_sums[0])
 

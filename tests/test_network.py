@@ -25,7 +25,6 @@ def small_net():
 def test_from_edges_builds_adjacency_in_ascending_order():
     net = small_net()
     assert net.in_neighbors(1) == [(0, 0.5), (2, 0.3)]
-    assert net.out_neighbors(1) == [(3, 1.0)]
     assert net.in_neighbors(0) == []
 
 

@@ -83,6 +83,27 @@ def test_cost_model_rejects_bad_unit_costs():
     assert free.plan_cost(ChannelPlan(product=0, seeds=frozenset({1}), alpha=1.0, beta=(1.0,))) == 0.0
 
 
+def test_ce_config_rejects_out_of_range_fields():
+    bad = {
+        "n_samples": (0, -5),
+        "elite_frac": (0.0, -0.1, 1.5, math.nan),
+        "smoothing": (-0.1, 1.5, 5.0, math.nan),
+        "max_iterations": (0, -1),
+        "tol": (-1e-3, math.inf, math.nan),
+        "replications": (0, -10),
+        "seed_retry_limit": (0,),
+        "best_response_tol": (-1.0, math.inf, math.nan),
+    }
+    for name, values in bad.items():
+        for value in values:
+            with pytest.raises(ValueError, match=name):
+                CEConfig(**{name: value})
+    # the edges of every range are accepted
+    CEConfig(n_samples=1, elite_frac=1.0, smoothing=0.0, max_iterations=1, tol=0.0,
+             replications=1, seed_retry_limit=1, best_response_tol=0.0)
+    CEConfig(smoothing=1.0)
+
+
 def test_negative_budget_is_infeasible():
     net, products, _ = preference_shift()
     for gamma in (-1.0, math.inf, math.nan):

@@ -3,7 +3,9 @@
 Subcommands: simulate, optimize, best-response, oracle, gadget-check,
 fixtures.  Result files are written atomically (temp + rename) and contain
 no wall-clock data, so a repeated run with the same seed and inputs is
-byte-identical; the write timestamp goes to a sidecar <out>.meta.json.
+byte-identical; the write timestamp goes to a sidecar <out>.meta.json,
+and so do, for optimize and best-response, the wall seconds and why each
+cross-entropy run stopped.
 
 Exit codes: 0 success, 2 configuration error, 3 input/output error,
 4 infeasible optimization, 5 internal error.  Failures print a
@@ -20,6 +22,7 @@ import io
 import json
 import os
 import sys
+import time
 
 from . import __version__
 from .channels import (
@@ -68,9 +71,10 @@ def _atomic_write(path: str, data: str) -> None:
     os.replace(tmp, path)
 
 
-def _write_result(path: str, payload: dict) -> None:
+def _write_result(path: str, payload: dict, run_stats: dict | None = None) -> None:
+    """The result file, then its sidecar: the write time plus any run statistics."""
     _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    meta = {"written_at": datetime.datetime.now(datetime.timezone.utc).isoformat()}
+    meta = {"written_at": datetime.datetime.now(datetime.timezone.utc).isoformat(), **(run_stats or {})}
     _atomic_write(path + ".meta.json", json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
@@ -117,14 +121,19 @@ def parse_config_file(path: str) -> dict:
     return out
 
 
+def _count(value):
+    """A whole float (2.0, 1e4) as an int; anything else is left for CEConfig to reject."""
+    return int(value) if isinstance(value, float) and value.is_integer() else value
+
+
 _CE_KEYS = {
-    "samples": ("n_samples", int),
+    "samples": ("n_samples", _count),
     "elite_frac": ("elite_frac", float),
     "smoothing": ("smoothing", float),
-    "max_iterations": ("max_iterations", int),
+    "max_iterations": ("max_iterations", _count),
     "tol": ("tol", float),
-    "replications": ("replications", int),
-    "seed_retry_limit": ("seed_retry_limit", int),
+    "replications": ("replications", _count),
+    "seed_retry_limit": ("seed_retry_limit", _count),
     "best_response_tol": ("best_response_tol", float),
 }
 _COST_KEYS = {"seed_cost", "alpha_cost", "beta_cost"}
@@ -199,10 +208,12 @@ def cmd_optimize(args) -> int:
     net, products = _load_instance(args)
     competitor_plans = load_plans(args.plans) if args.plans else []
     config, cost = _ce_setup(args.config, args.workers)
+    start = time.perf_counter()
     result = ce_optimize(
         net, products, args.focal, competitor_plans, cost, args.budget,
         config, args.seed, horizon=args.horizon,
     )
+    wall_s = time.perf_counter() - start
     if args.trace:
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -219,7 +230,8 @@ def cmd_optimize(args) -> int:
         "iterations": len(result.trace),
         "plan": plans_to_payload([result.best_plan])["plans"][0] | {"horizon": result.best_plan.horizon},
     }
-    _write_result(args.out, _envelope("optimize", args, results))
+    run_stats = {"stop_reason": result.stop_reason, "wall_s": wall_s}
+    _write_result(args.out, _envelope("optimize", args, results), run_stats)
     return EXIT_OK
 
 
@@ -234,17 +246,25 @@ def cmd_best_response(args) -> int:
     if len(budgets) != len(products):
         raise ConfigError(f"{len(budgets)} budgets for {len(products)} products")
     config, cost = _ce_setup(args.config, args.workers)
+    start = time.perf_counter()
     result = best_response_loop(
         net, products, [cost] * len(products), budgets, args.rounds,
         config, args.seed, horizon=args.horizon,
     )
+    wall_s = time.perf_counter() - start
     results = {
         "rounds_run": result.rounds_run,
         "values": result.values,
         "plans": plans_to_payload(result.plans),
         "history": result.history,
     }
-    _write_result(args.out, _envelope("best-response", args, results))
+    stop_reasons = [
+        {"round": rnd, "product": p.id, "stop_reason": reason}
+        for rnd, reasons in enumerate(result.stop_reasons)
+        for p, reason in zip(products, reasons)
+    ]
+    run_stats = {"stop_reasons": stop_reasons, "wall_s": wall_s}
+    _write_result(args.out, _envelope("best-response", args, results), run_stats)
     return EXIT_OK
 
 
@@ -382,6 +402,8 @@ def main(argv: list[str] | None = None) -> int:
         for name in ("reps", "resolution", "rounds", "trials", "workers"):  # the count flags
             if getattr(args, name, 1) < 1:
                 raise ConfigError(f"--{name} must be >= 1, got {getattr(args, name)}")
+        if getattr(args, "horizon", None) is not None and args.horizon < 0:
+            raise ConfigError(f"--horizon must be >= 0, got {args.horizon}")
         return args.func(args)
     except ConfigError as exc:
         return _fail("config", EXIT_CONFIG, str(exc))

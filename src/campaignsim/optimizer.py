@@ -9,6 +9,21 @@ keeps the top elite fraction by estimated focal spread, refits the sampling
 distribution to the elites and smooths toward the previous parameters.  The
 returned plan is the best ever evaluated, not the last distribution mode.
 
+The loop stops at the first of three tests (``CEResult.stop_reason``):
+
+- ``"converged"``: the smoothed parameters moved by less than ``tol``, or
+  the distribution has collapsed (entropy plus standard deviations < ``tol``);
+- ``"stalled"``: the elite threshold (the worst elite's value) has held
+  within ``tol`` for ``_STALL_ITERATIONS`` iterations, the textbook CE rule
+  (de Boer, Kroese, Mannor & Rubinstein 2005), and sits within ``tol`` of
+  the best value evaluated.  On such a plateau the elites are random picks
+  among plans as good as the best, so the parameters keep moving although
+  no iteration finds anything better.  Like any CE stopping rule this is a
+  heuristic: a better plan the distribution rarely samples can be missed.
+  Estimates with Monte Carlo noise well above ``tol`` keep the threshold
+  moving, so on noisy instances the rule does not fire;
+- ``"max_iterations"``: neither fired within ``max_iterations``.
+
 Everything is seeded: sample draws and inner Monte Carlo estimates use
 sub-seeds derived from (master seed, iteration, sample), so repeated runs
 return the identical plan.
@@ -17,6 +32,7 @@ return the identical plan.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +42,10 @@ from .estimator import estimate_spread
 from .feature_space import Product
 from .network import Network
 from .rng import derive_seed
+
+
+# iterations the elite threshold must hold (span the last this + 1 rows)
+_STALL_ITERATIONS = 5
 
 
 class InfeasiblePlanError(Exception):
@@ -65,15 +85,18 @@ class CEConfig:
     best_response_tol: float = 1e-3
 
     def __post_init__(self):
-        # range tests so NaN fails too
+        # range tests so NaN fails too; counts must be integers, not 2.5
+        def count(value):
+            return isinstance(value, numbers.Integral) and value >= 1
+
         for name, ok in (
-            ("n_samples", self.n_samples is None or self.n_samples >= 1),
+            ("n_samples", self.n_samples is None or count(self.n_samples)),
             ("elite_frac", 0.0 < self.elite_frac <= 1.0),
             ("smoothing", 0.0 <= self.smoothing <= 1.0),
-            ("max_iterations", self.max_iterations >= 1),
+            ("max_iterations", count(self.max_iterations)),
             ("tol", 0.0 <= self.tol < math.inf),
-            ("replications", self.replications >= 1),
-            ("seed_retry_limit", self.seed_retry_limit >= 1),
+            ("replications", count(self.replications)),
+            ("seed_retry_limit", count(self.seed_retry_limit)),
             ("best_response_tol", 0.0 <= self.best_response_tol < math.inf),
         ):
             if not ok:
@@ -98,6 +121,7 @@ class CEResult:
     state: CrossEntropyState | None = None
     evaluations: int = 0
     max_cost_evaluated: float = 0.0
+    stop_reason: str = "max_iterations"  # or "converged", "stalled"
 
 
 def sample_plan(
@@ -179,6 +203,8 @@ def ce_optimize(
         if not competitor_plans:
             raise ValueError("horizon is required when there are no competitor plans")
         horizon = competitor_plans[0].horizon
+    if horizon < 0:
+        raise ValueError(f"horizon must be >= 0, got {horizon}")
     taken = set()
     for plan in competitor_plans:
         taken |= plan.seeds
@@ -202,6 +228,7 @@ def ce_optimize(
     trace: list[dict] = []
     evaluations = 0
     max_cost = 0.0
+    stop_reason = "max_iterations"
 
     for it in range(1, config.max_iterations + 1):
         scored = []
@@ -267,6 +294,17 @@ def ce_optimize(
         )
         spread_stat = _bernoulli_entropy(state.seed_probs) + state.alpha_std + float(state.beta_std.sum())
         if delta < config.tol or spread_stat < config.tol:
+            stop_reason = "converged"
+            break
+        # the threshold has held, and held at the best value seen: every
+        # recent iteration sampled at least n_elite plans as good as the best
+        recent = [row["elite_threshold"] for row in trace[-_STALL_ITERATIONS - 1:]]
+        if (
+            len(recent) > _STALL_ITERATIONS
+            and max(recent) - min(recent) <= config.tol
+            and min(recent) >= best_value - config.tol
+        ):
+            stop_reason = "stalled"
             break
 
     return CEResult(
@@ -276,6 +314,7 @@ def ce_optimize(
         state=state,
         evaluations=evaluations,
         max_cost_evaluated=max_cost,
+        stop_reason=stop_reason,
     )
 
 
@@ -285,6 +324,7 @@ class BestResponseResult:
     values: list[float]
     history: list[dict] = field(default_factory=list)
     rounds_run: int = 0
+    stop_reasons: list[list[str]] = field(default_factory=list)  # [round][product]
 
 
 def best_response_loop(
@@ -305,6 +345,8 @@ def best_response_loop(
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
+    if horizon < 0:
+        raise ValueError(f"horizon must be >= 0, got {horizon}")
     k = len(products)
     if len(cost_models) != k or len(budgets) != k:
         raise ValueError("cost_models and budgets must match the product list")
@@ -314,9 +356,12 @@ def best_response_loop(
     ]
     values: list[float | None] = [None] * k
     history: list[dict] = []
+    stop_reasons: list[list[str]] = []
     rounds_run = 0
     for rnd in range(rounds):
         max_delta = math.inf if any(v is None for v in values) else 0.0
+        reasons: list[str] = []
+        stop_reasons.append(reasons)
         for i, p in enumerate(products):
             competitors = [plans[j] for j in range(k) if j != i]
             res = ce_optimize(
@@ -327,8 +372,12 @@ def best_response_loop(
                 max_delta = max(max_delta, abs(res.best_value - values[i]))
             plans[i] = res.best_plan
             values[i] = res.best_value
+            reasons.append(res.stop_reason)
         rounds_run = rnd + 1
         history.append({"round": rnd, "values": [float(v) for v in values]})
         if max_delta <= config.best_response_tol:
             break
-    return BestResponseResult(plans=plans, values=[float(v) for v in values], history=history, rounds_run=rounds_run)
+    return BestResponseResult(
+        plans=plans, values=[float(v) for v in values], history=history,
+        rounds_run=rounds_run, stop_reasons=stop_reasons,
+    )

@@ -22,20 +22,28 @@ MASK64 = (1 << 64) - 1
 # this value changes which uniforms a given replication sees.
 TILE_SIZE = 4096
 
+_MIX_KEY_INIT = 0x243F6A8885A308D3
+
 
 def splitmix64(x):
     """One round of the splitmix64 mixer (Steele et al.), elementwise on uint64.
 
-    Arithmetic wraps modulo 2**64.  An int in [0, 2**64) gives an int; an
-    array gives a uint64 array of the same shape.
+    Arithmetic wraps modulo 2**64.  An int gives an int (any int is first
+    reduced modulo 2**64); an array gives a uint64 array of the same shape.
     """
+    if isinstance(x, int):
+        # Python int arithmetic: a numpy round trip costs more than the hash
+        z = (x + 0x9E3779B97F4A7C15) & MASK64
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+        return z ^ (z >> 31)
     z = np.array(x, dtype=np.uint64, ndmin=1)
     with np.errstate(over="ignore"):
         z += np.uint64(0x9E3779B97F4A7C15)
         z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
         z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
         z ^= z >> np.uint64(31)
-    return int(z[0]) if isinstance(x, int) else z.reshape(np.shape(x))
+    return z.reshape(np.shape(x))
 
 
 def _as_uint64(part) -> np.ndarray:
@@ -51,7 +59,13 @@ def mix_key(*parts):
     Parts may be ints or integer arrays, which broadcast: scalars give an
     int, otherwise the result is a uint64 array with one key per element.
     """
-    acc = np.uint64(0x243F6A8885A308D3)
+    if all(isinstance(p, (int, np.integer)) for p in parts):
+        # all scalars: fold in Python ints, no numpy round trip per part
+        acc = _MIX_KEY_INIT
+        for p in parts:
+            acc = splitmix64(acc ^ (int(p) & MASK64))
+        return acc
+    acc = np.uint64(_MIX_KEY_INIT)
     for p in parts:
         acc = splitmix64(acc ^ _as_uint64(p))
     return int(acc) if np.ndim(acc) == 0 else acc

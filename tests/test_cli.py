@@ -319,7 +319,11 @@ def test_optimize_bad_unit_cost_exits_2(fixture_dir, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "line", ["replications = 0", "samples = -5", "max_iterations = 0", "smoothing = 5", "elite_frac = 0", "tol = nan"]
+    "line",
+    [
+        "replications = 0", "samples = -5", "max_iterations = 0", "smoothing = 5", "elite_frac = 0", "tol = nan",
+        "samples = 2.5", "max_iterations = 1.5", "replications = 100.5", "seed_retry_limit = 3.5",
+    ],
 )
 def test_optimize_out_of_range_ce_config_exits_2(fixture_dir, tmp_path, capsys, line):
     cfg = tmp_path / "bad.cfg"
@@ -336,6 +340,59 @@ def test_optimize_out_of_range_ce_config_exits_2(fixture_dir, tmp_path, capsys, 
     assert err["type"] == "config"
     assert "CEConfig out of range" in err["message"]
     assert not (tmp_path / "o.json").exists()
+
+
+@pytest.mark.parametrize(
+    "command, horizon",
+    [("optimize", -1), ("optimize", -2), ("best-response", -1), ("best-response", -2)],
+)
+def test_negative_horizon_exits_2(fixture_dir, tmp_path, capsys, command, horizon):
+    extra = ["--focal", 0, "--budget", 2.0] if command == "optimize" else ["--budget", 1.0, "--rounds", 1]
+    out = tmp_path / "o.json"
+    code = run(
+        [
+            command, *demo_args(fixture_dir, "preference_shift")[:6], *extra,
+            "--horizon", horizon, "--config", ce_config(tmp_path), "--seed", 1, "--out", out,
+        ]
+    )
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "config"
+    assert "--horizon" in err["message"]
+    assert not out.exists()
+
+
+def test_sidecar_reports_why_each_optimizer_run_stopped(fixture_dir, tmp_path):
+    reasons = {"stalled", "converged", "max_iterations"}
+    out = tmp_path / "opt.json"
+    code = run(
+        [
+            "optimize", *demo_args(fixture_dir, "preference_shift")[:6],
+            "--focal", 0, "--budget", 2.0, "--horizon", 2,
+            "--config", ce_config(tmp_path), "--seed", 4, "--out", out,
+        ]
+    )
+    assert code == 0
+    meta = json.loads((tmp_path / "opt.json.meta.json").read_text())
+    assert meta["stop_reason"] == "max_iterations"  # 2 iterations are too few to stall
+    assert meta["wall_s"] > 0.0
+    assert "stop_reason" not in json.loads(out.read_text())["results"]
+    out = tmp_path / "br.json"
+    code = run(
+        [
+            "best-response", *demo_args(fixture_dir, "preference_shift")[:6],
+            "--budget", "1.5,1.0", "--rounds", 2, "--horizon", 2,
+            "--config", ce_config(tmp_path), "--seed", 8, "--out", out,
+        ]
+    )
+    assert code == 0
+    rounds_run = json.loads(out.read_text())["results"]["rounds_run"]
+    meta = json.loads((tmp_path / "br.json.meta.json").read_text())
+    assert [(r["round"], r["product"]) for r in meta["stop_reasons"]] == [
+        (rnd, pid) for rnd in range(rounds_run) for pid in (0, 1)
+    ]
+    assert {r["stop_reason"] for r in meta["stop_reasons"]} <= reasons
+    assert meta["wall_s"] > 0.0
 
 
 def test_negative_budget_exits_4(fixture_dir, tmp_path, capsys):

@@ -1,4 +1,6 @@
 import math
+import platform
+import resource
 
 import numpy as np
 import pytest
@@ -381,3 +383,22 @@ def test_single_feature_degeneration_spot_check():
     assert set(np.flatnonzero(out.activation_time >= 0).tolist()) == ref_active
     for v, t in ref_time.items():
         assert out.activation_time[v] == t
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc allocator thresholds")
+def test_repeated_batches_reuse_their_memory():
+    # 2000 nodes, 64 replications: a few MB of (R, n) arrays per batch, which
+    # the next batch must find still mapped instead of faulting them in again
+    rng = np.random.default_rng(5)
+    n = 2000
+    edges = [Edge(int(u), v, 0.2) for v in range(n) for u in rng.choice(np.delete(np.arange(n), v), 3, replace=False)]
+    net = Network.from_edges(n, edges)
+    seeds = SeedAssignment((frozenset(range(0, 40, 2)), frozenset(range(1, 40, 2))))
+    chi = rng.random((64, n))
+    faults = []
+    for _ in range(4):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        simulate_batch(net, [P_AXIS, Q_AXIS], seeds, chi)
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    # with glibc's default dynamic thresholds a batch here faults in over 1000 pages
+    assert max(faults[1:]) < 50, faults

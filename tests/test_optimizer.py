@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from campaignsim import optimizer
 from campaignsim.channels import ChannelPlan, PlanError, build_augmented
 from campaignsim.estimator import estimate_spread
-from campaignsim.fixtures import preference_shift
+from campaignsim.fixtures import ce_toy, preference_shift
 from campaignsim.optimizer import (
+    _STALL_ITERATIONS,
     CEConfig,
     CostModel,
     CrossEntropyState,
@@ -85,13 +87,13 @@ def test_cost_model_rejects_bad_unit_costs():
 
 def test_ce_config_rejects_out_of_range_fields():
     bad = {
-        "n_samples": (0, -5),
+        "n_samples": (0, -5, 2.5, 6.0),
         "elite_frac": (0.0, -0.1, 1.5, math.nan),
         "smoothing": (-0.1, 1.5, 5.0, math.nan),
-        "max_iterations": (0, -1),
+        "max_iterations": (0, -1, 2.5),
         "tol": (-1e-3, math.inf, math.nan),
-        "replications": (0, -10),
-        "seed_retry_limit": (0,),
+        "replications": (0, -10, 100.5),
+        "seed_retry_limit": (0, 1.5),
         "best_response_tol": (-1.0, math.inf, math.nan),
     }
     for name, values in bad.items():
@@ -109,6 +111,17 @@ def test_negative_budget_is_infeasible():
     for gamma in (-1.0, math.inf, math.nan):
         with pytest.raises(InfeasiblePlanError):
             ce_optimize(net, products, 0, [], UNIT, gamma, quick_config(), 1, horizon=2)
+
+
+def test_negative_horizon_is_rejected():
+    net, products, _ = preference_shift()
+    with pytest.raises(ValueError, match="horizon"):
+        ce_optimize(net, products, 0, [], UNIT, 1.0, quick_config(), 1, horizon=-1)
+    with pytest.raises(ValueError, match="horizon"):
+        best_response_loop(net, products, [UNIT, UNIT], [1.0, 1.0], 1, quick_config(), 1, horizon=-2)
+    # no media steps is a valid campaign
+    res = ce_optimize(net, products, 0, [], UNIT, 1.0, quick_config(), 1, horizon=0)
+    assert res.best_plan.beta == ()
 
 
 def test_zero_budget_returns_the_empty_plan():
@@ -221,3 +234,59 @@ def test_best_response_runs_and_reports_history():
     assert all(v >= 0.0 for v in res.values)
     # seed sets stay disjoint across the final plans
     assert not (res.plans[0].seeds & res.plans[1].seeds)
+
+
+def test_stalled_elite_threshold_stops_the_loop():
+    # every real node bought at the first iteration's best plan: the elite
+    # threshold sits at the maximum, 5.0, from then on
+    net, products, horizon = ce_toy()
+    config = quick_config(max_iterations=30)
+    res = ce_optimize(net, products, 0, [], UNIT, 2.0, config, 3, horizon=horizon)
+    assert res.stop_reason == "stalled"
+    assert len(res.trace) == _STALL_ITERATIONS + 1 == 6
+    assert res.evaluations == 6 * config.n_samples
+    thresholds = [row["elite_threshold"] for row in res.trace]
+    assert max(thresholds) - min(thresholds) <= config.tol
+    assert res.best_value == 5.0
+    # with 5 iterations the rule cannot fire; the run is the same up to there
+    short = ce_optimize(net, products, 0, [], UNIT, 2.0, quick_config(max_iterations=5), 3, horizon=horizon)
+    assert short.stop_reason == "max_iterations"
+    assert short.trace == res.trace[:5]
+    assert short.best_plan == res.best_plan
+
+
+def test_moving_elite_threshold_runs_to_max_iterations():
+    # against a rival plan, 50 replications leave Monte Carlo noise in every
+    # iteration's elite threshold
+    net, products, plans = preference_shift()
+    rival = [p for p in plans if p.product == 1]
+    res = ce_optimize(net, products, 0, rival, UNIT, 2.0, quick_config(max_iterations=12, replications=50), 0)
+    assert res.stop_reason == "max_iterations"
+    assert len(res.trace) == 12
+    thresholds = [row["elite_threshold"] for row in res.trace]
+    assert max(thresholds[-_STALL_ITERATIONS - 1:]) - min(thresholds[-_STALL_ITERATIONS - 1:]) > 0.01
+    # a tolerance larger than any parameter move stops after one iteration
+    loose = ce_optimize(net, products, 0, rival, UNIT, 2.0, quick_config(max_iterations=12, tol=10.0), 0)
+    assert loose.stop_reason == "converged"
+    assert len(loose.trace) == 1
+
+
+def test_plateau_below_the_best_value_does_not_stall(monkeypatch):
+    # every estimate reads 1.0 except the very first, 2.0: the elite threshold
+    # holds at 1.0, but below the best value, so the loop keeps sampling
+    values = iter([2.0])
+
+    class Flat:
+        def __init__(self, value):
+            self.value = value
+
+        def mean_of(self, product):
+            return self.value
+
+    monkeypatch.setattr(optimizer, "estimate_spread", lambda *a, **kw: Flat(next(values, 1.0)))
+    net, products, horizon = ce_toy()
+    res = ce_optimize(net, products, 0, [], UNIT, 2.0, quick_config(max_iterations=10), 3, horizon=horizon)
+    assert [row["elite_threshold"] for row in res.trace[2:]] == [1.0] * 8
+    assert res.best_value == 2.0
+    assert res.stop_reason == "max_iterations"
+    assert len(res.trace) == 10

@@ -123,3 +123,19 @@ def test_tile_prefix_rows_equal_the_full_tile():
         full = tile_rng(11, 2).random((TILE_SIZE, n))
         for m in (1, 7, 1000, TILE_SIZE):
             assert np.array_equal(tile_rng(11, 2).random((m, n)), full[:m])
+
+
+def test_key_parts_are_reduced_modulo_2_64():
+    # negative, over-wide and numpy-scalar parts key like their residues,
+    # whether the fold runs on ints or on arrays
+    cases = [
+        ((-1,), (2**64 - 1,)),
+        ((-(2**63), 5), (2**63, 5)),
+        ((2**64 + 3, -7, 0), (3, 2**64 - 7, 0)),
+        ((np.int64(-9), np.uint64(2**64 - 1), 4), (2**64 - 9, 2**64 - 1, 4)),
+    ]
+    for parts, residues in cases:
+        want = mix_key(*residues)
+        assert mix_key(*parts) == want
+        assert mix_key(*(np.array([r], dtype=np.uint64) for r in residues))[0] == want
+        assert derive_seed(*parts) == want >> 1

@@ -20,7 +20,6 @@ from .channels import (
     scaling_ratio,
 )
 from .diffusion import (
-    DiffusionNotConverged,
     PurchaseTieError,
     SeedAssignment,
     simulate_batch,
@@ -42,7 +41,6 @@ __all__ = [
     "CEConfig",
     "ChannelPlan",
     "CostModel",
-    "DiffusionNotConverged",
     "Edge",
     "EnumerationCapError",
     "GadgetParams",

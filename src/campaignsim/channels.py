@@ -18,9 +18,13 @@ that they exactly fill the node's residual incoming capacity 1 - sum(b_uv):
 with ratio 0 when the denominator is 0.  Relay activation relies on the
 non-strict threshold comparison: with incoming weights (chi_w - eps) from the
 root and eps from the source, a source buying the same product lands the
-relay's aggregate norm exactly on its threshold.  To keep that equality exact
-in floating point for any parameters, the relay's stored threshold is the
-float sum of its two incoming weights.
+relay's aggregate norm on chi_w, and a source buying any other product leaves
+it strictly below.  Rounding can put the kernel's float norm of the
+same-product aggregate a few ulps below the float sum of the two weights, so
+the relay's stored threshold is that sum, lowered to the norm when the norm
+is smaller (diffusion.relay_threshold).
+
+Each pseudonode's role is recorded once: in roots, chain or gadgets.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffusion import SeedAssignment
+from .diffusion import SeedAssignment, relay_threshold
 from .feature_space import Product
 from .network import Edge, Network, NodeKind, ValidationError
 
@@ -80,30 +84,15 @@ class AugmentedNetwork:
     plans: tuple[ChannelPlan, ...]  # aligned with the products list
     product_ids: tuple[int, ...]
     roots: tuple[int, ...]  # root pseudonode per product index
-    provenance: dict[int, dict]  # pseudonode id -> role description
     scale: np.ndarray  # per-base-node channel scaling ratio
     chain: dict[tuple[int, int], int]  # (product index, t >= 2) -> media chain node
     gadgets: dict[tuple[int, int, int], int]  # (product index, u, v) -> relay node
-
-    @property
-    def horizon(self) -> int:
-        return self.plans[0].horizon if self.plans else 0
 
     def seed_assignment(self) -> SeedAssignment:
         by_product = tuple(
             frozenset(plan.seeds) | {self.roots[i]} for i, plan in enumerate(self.plans)
         )
         return SeedAssignment(by_product)
-
-    def chain_node(self, product_index: int, t: int) -> int:
-        """The media pseudonode influenced at step t-1 (t=1 is the root)."""
-        if t == 1:
-            return self.roots[product_index]
-        try:
-            return self.chain[(product_index, t)]
-        except KeyError:
-            pid = self.product_ids[product_index]
-            raise KeyError(f"no media chain node for product {pid} at step {t}") from None
 
     def gadget_node(self, product_index: int, u: int, v: int) -> int | None:
         return self.gadgets.get((product_index, u, v))
@@ -112,9 +101,9 @@ class AugmentedNetwork:
 def scaling_ratio(net: Network, v: int, plans: list[ChannelPlan]) -> float:
     """Residual incoming capacity of v divided by its total nominal channel load."""
     in_sum = sum(w for _, w in net.in_neighbors(v))
+    h_total = sum(net.similarity_of(u, v) for u, _ in net.in_neighbors(v))
     denom = 0.0
     for plan in plans:
-        h_total = sum(net.similarity_of(u, v) for u, _ in net.in_neighbors(v))
         denom += plan.alpha * h_total + sum(plan.beta)
     if denom <= 0.0:
         return 0.0
@@ -124,50 +113,46 @@ def scaling_ratio(net: Network, v: int, plans: list[ChannelPlan]) -> float:
 class AugmentBuilder:
     """Accumulates pseudonodes and pseudoedges on top of a base network."""
 
-    def __init__(self, net: Network, roots: dict[int, int]):
-        self.base = net
+    def __init__(self, net: Network, product_count: int):
         self.edges: list[Edge] = list(net.edges)
         self.kinds: list[int] = list(net.node_kind)
         self.fixed: list[float] = list(net.fixed_threshold)
-        self.provenance: dict[int, dict] = {}
-        self.roots = roots  # product index -> root node id
         self.chain: dict[tuple[int, int], int] = {}  # (product index, t) -> node
         self.gadgets: dict[tuple[int, int, int], int] = {}  # (product index, u, v) -> node
+        # root node per product index, numbered right after the base nodes
+        self.roots = tuple(self.add_pseudo(NodeKind.PRODUCT_ROOT, 0.5) for _ in range(product_count))
 
-    def add_pseudo(self, kind: NodeKind, threshold: float, info: dict) -> int:
+    def add_pseudo(self, kind: NodeKind, threshold: float) -> int:
         node = len(self.kinds)
         self.kinds.append(int(kind))
         self.fixed.append(threshold)
-        self.provenance[node] = info
         return node
 
-    def chain_node(self, product_index: int, pid: int, t: int) -> int:
+    def chain_node(self, product_index: int, t: int) -> int:
         """Return the media chain node for step t, materializing the chain lazily."""
         if t == 1:
             return self.roots[product_index]
         key = (product_index, t)
         if key not in self.chain:
-            prev = self.chain_node(product_index, pid, t - 1)
-            node = self.add_pseudo(
-                NodeKind.MEDIA_CHAIN, 0.5, {"kind": "media_chain", "product": pid, "step": t}
-            )
+            prev = self.chain_node(product_index, t - 1)
+            node = self.add_pseudo(NodeKind.MEDIA_CHAIN, 0.5)
             self.edges.append(Edge(prev, node, 1.0))
             self.chain[key] = node
         return self.chain[key]
 
-    def attach_mass_media(self, product_index: int, pid: int, plan: ChannelPlan, v: int, ratio: float) -> None:
+    def attach_mass_media(self, product_index: int, plan: ChannelPlan, v: int, ratio: float) -> None:
         """Pseudoedges from the media chain to v, one per nonzero schedule entry."""
         for t_idx, beta_t in enumerate(plan.beta):
             w = ratio * beta_t
             if w <= 0.0:
                 continue
-            src = self.chain_node(product_index, pid, t_idx + 1)
+            src = self.chain_node(product_index, t_idx + 1)
             self.edges.append(Edge(src, v, w))
 
     def attach_social_gadget(
         self,
         product_index: int,
-        pid: int,
+        product: Product,
         plan: ChannelPlan,
         u: int,
         v: int,
@@ -180,14 +165,9 @@ class AugmentBuilder:
         if w_rec <= 0.0:
             return
         b_root = params.chi_w - params.epsilon
-        # stored threshold equals the float sum of the incoming weights so the
-        # same-product case lands exactly on the equality branch of >=
-        threshold = b_root + params.epsilon
-        node = self.add_pseudo(
-            NodeKind.SOCIAL_GADGET,
-            threshold,
-            {"kind": "social_gadget", "product": pid, "edge": (u, v)},
-        )
+        # at most the kernel's norm of the same-product aggregate, so that case
+        # lands on the equality branch of >= for every product geometry
+        node = self.add_pseudo(NodeKind.SOCIAL_GADGET, relay_threshold(b_root, params.epsilon, product))
         self.gadgets[(product_index, u, v)] = node
         root = self.roots[product_index]
         self.edges.append(Edge(root, node, b_root))
@@ -227,28 +207,20 @@ def build_augmented(
                 raise PlanError(f"node {s} seeded for more than one product")
             seen_seeds.add(s)
 
-    roots: dict[int, int] = {}
-    builder = AugmentBuilder(net, roots)
-    for i, p in enumerate(products):
-        roots[i] = builder.add_pseudo(
-            NodeKind.PRODUCT_ROOT, 0.5, {"kind": "product_root", "product": p.id}
-        )
-
+    builder = AugmentBuilder(net, len(products))
     scale = np.zeros(net.node_count)
     for v in range(net.node_count):
         scale[v] = scaling_ratio(net, v, ordered)
         if scale[v] <= 0.0:
             continue
-        for i, p in enumerate(products):
-            builder.attach_mass_media(i, p.id, ordered[i], v, scale[v])
+        for i in range(len(products)):
+            builder.attach_mass_media(i, ordered[i], v, scale[v])
     for e in net.edges:
         h = net.similarity_of(e.src, e.dst)
-        if h <= 0.0:
-            continue
-        if scale[e.dst] <= 0.0:
+        if h <= 0.0 or scale[e.dst] <= 0.0:
             continue
         for i, p in enumerate(products):
-            builder.attach_social_gadget(i, p.id, ordered[i], e.src, e.dst, h, scale[e.dst], gadget)
+            builder.attach_social_gadget(i, p, ordered[i], e.src, e.dst, h, scale[e.dst], gadget)
 
     aug_net = Network(
         node_count=len(builder.kinds),
@@ -265,8 +237,7 @@ def build_augmented(
         base_node_count=net.node_count,
         plans=tuple(ordered),
         product_ids=tuple(p.id for p in products),
-        roots=tuple(roots[i] for i in range(len(products))),
-        provenance=builder.provenance,
+        roots=builder.roots,
         scale=scale,
         chain=builder.chain,
         gadgets=builder.gadgets,
@@ -345,13 +316,16 @@ def save_augmented(aug: AugmentedNetwork, edge_path: str, similarity_path: str, 
     from .network import save_network
 
     save_network(aug.net, edge_path, similarity_path)
-    entries = {}
-    for node, info in sorted(aug.provenance.items()):
-        entry = dict(info)
-        if "edge" in entry:
-            entry["edge"] = list(entry["edge"])
-        entry["fixed_threshold"] = float(aug.net.fixed_threshold[node])
-        entries[str(node)] = entry
+    pids = aug.product_ids
+    roles = {node: {"kind": "product_root", "product": pids[i]} for i, node in enumerate(aug.roots)}
+    for (i, t), node in aug.chain.items():
+        roles[node] = {"kind": "media_chain", "product": pids[i], "step": t}
+    for (i, u, v), node in aug.gadgets.items():
+        roles[node] = {"kind": "social_gadget", "product": pids[i], "edge": [u, v]}
+    entries = {
+        str(node): role | {"fixed_threshold": float(aug.net.fixed_threshold[node])}
+        for node, role in roles.items()
+    }
     payload = {
         "base_node_count": aug.base_node_count,
         "pseudonodes": entries,

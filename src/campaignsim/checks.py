@@ -8,9 +8,9 @@ whatever the source bought, the relay's aggregate norm satisfies
 
 with equality exactly at theta = 0.  So the relay fires iff the source buys
 exactly p.  This module checks both the inequality (pure arithmetic, theta
-up to pi) and the built behaviour (actual diffusion; theta up to pi/2, the
-widest angle two non-negative unit vectors can span), including the firing
-time one step after the source.
+up to pi) and the built behaviour (actual diffusion with random non-negative
+3-feature products p and q, q at least 0.01 rad from p), including the
+firing time one step after the source.
 """
 
 from __future__ import annotations
@@ -21,15 +21,25 @@ import numpy as np
 
 from .channels import ChannelPlan, GadgetParams, build_augmented
 from .diffusion import simulate_batch
-from .feature_space import Product, normalize_product
+from .feature_space import Product, angular_distance, normalize_product
 from .network import Network
 
 
-def _behavioral_trial(chi_w: float, eps: float, theta: float, same_product: bool) -> tuple[bool, bool]:
-    """Build a 2-node instance and report (relay fired, fired one step late)."""
+def _product_pair(rng: np.random.Generator) -> tuple[Product, Product]:
+    """Random non-negative 3-feature products p and q, q at least 0.01 rad from p."""
+    p = normalize_product(rng.random(3), null_index=2, product_id=0)
+    while True:
+        q = normalize_product(rng.random(3), null_index=2, product_id=1)
+        if angular_distance(q.vector, p) >= 0.01:
+            return p, q
+
+
+def _behavioral_trial(chi_w: float, eps: float, p: Product, q: Product, same_product: bool) -> tuple[bool, bool]:
+    """Build a 2-node instance with p's relay and report (fired, fired on time).
+
+    The source buys p if same_product, else q.
+    """
     net = Network.from_edges(2, [(0, 1, 0.1)], similarities={(0, 1): 0.5})
-    p = Product(id=0, features=(1.0, 0.0), null_index=1)
-    q = normalize_product((math.cos(theta), math.sin(theta)), null_index=1, product_id=1)
     products = [p, q]
     source_product = 0 if same_product else 1
     plans = [
@@ -46,7 +56,7 @@ def _behavioral_trial(chi_w: float, eps: float, theta: float, same_product: bool
 
 
 def gadget_property_check(trials: int, seed: int) -> dict:
-    """Random sweep over (chi_w, eps, theta); returns counterexample counts."""
+    """Random sweep over (chi_w, eps, theta, p, q); returns counterexample counts."""
     rng = np.random.default_rng(seed)
     analytic_fail = 0
     behavioral_fail = 0
@@ -66,10 +76,9 @@ def gadget_property_check(trials: int, seed: int) -> dict:
             lhs = a * a + eps * eps + 2.0 * eps * a * math.cos(theta)
             if not lhs < chi_w * chi_w:
                 analytic_fail += 1
-        # the second product needs a direction of its own even when the source
-        # buys the first one, else the relay's purchase would tie
-        q_angle = rng.uniform(0.01, math.pi / 2)
-        fired, on_time = _behavioral_trial(chi_w, eps, q_angle, same)
+        # q needs a direction of its own even when the source buys p, else
+        # the relay's purchase would tie
+        fired, on_time = _behavioral_trial(chi_w, eps, *_product_pair(rng), same)
         if fired != same:
             behavioral_fail += 1
         if not on_time:

@@ -15,7 +15,8 @@ and first-crossing detection coincides with the two-sided formulation
 
 The kernel advances many replications at once; a single run is a batch of
 one.  A node whose aggregate is exactly the zero vector never activates,
-whatever its threshold.
+whatever its threshold.  A step that activates no cell ends the batch, so
+every batch ends within n - 1 steps.
 
 Influence is permanent and purchases are immutable, so the kernel keeps a
 running aggregate per (replication, node) cell and updates it
@@ -34,6 +35,7 @@ plus O(E) for the edge arrays; there is no n x n matrix.
 from __future__ import annotations
 
 import ctypes
+import math
 import sys
 from dataclasses import dataclass
 
@@ -75,10 +77,6 @@ def _keep_batch_memory() -> None:
 _keep_batch_memory()
 
 
-class DiffusionNotConverged(Exception):
-    """max_steps exhausted while activations were still occurring."""
-
-
 class PurchaseTieError(Exception):
     """An exact purchase tie occurred where the caller forbade randomness."""
 
@@ -98,7 +96,7 @@ class SeedAssignment:
 
     def validate(self, net: Network) -> None:
         seen: set[int] = set()
-        for idx, nodes in enumerate(self.by_product):
+        for nodes in self.by_product:
             for v in nodes:
                 if not (0 <= v < net.node_count):
                     raise ValueError(f"seed {v} is not a node")
@@ -118,11 +116,20 @@ class SeedAssignment:
         return np.array(nodes, dtype=np.int64), np.array(prods, dtype=np.int64)
 
 
-def apply_fixed_thresholds(net: Network, chi: np.ndarray) -> np.ndarray:
-    """Overwrite pseudonode columns of a (R, n) threshold matrix in place."""
-    fixed = ~np.isnan(net.fixed_threshold)
-    chi[..., fixed] = net.fixed_threshold[fixed]
-    return chi
+def relay_threshold(root_weight: float, source_weight: float, product: Product) -> float:
+    """Threshold of a relay whose in-edges weigh root_weight and source_weight.
+
+    The sum of the weights, lowered to the float norm simulate_batch computes
+    for root_weight * p + source_weight * p where rounding puts that norm
+    below the sum: per feature x * root_weight + x * source_weight, squares
+    summed in feature order, then the square root.  So a source that bought p
+    fires the relay for every direction of p; an axis product gives the sum.
+    """
+    norm2 = 0.0
+    for x in product.features:
+        a = x * root_weight + x * source_weight
+        norm2 = norm2 + a * a
+    return min(root_weight + source_weight, math.sqrt(norm2))
 
 
 def simulate_batch(
@@ -133,7 +140,6 @@ def simulate_batch(
     *,
     master_seed: int = 0,
     rep_offset: int = 0,
-    max_steps: int | None = None,
     on_tie: str = "random",
 ) -> tuple[np.ndarray, np.ndarray]:
     """Advance R replications at once over a shared network.
@@ -145,8 +151,6 @@ def simulate_batch(
     identical however the replications are batched.
     Returns (activation_time, purchased), both (R, n).
     """
-    if max_steps is None:
-        max_steps = net.node_count + 2
     seeds.validate(net)
     R, n = thresholds.shape
     if n != net.node_count:
@@ -160,7 +164,10 @@ def simulate_batch(
     key_contrib = (pmat.T[:, :, None] * out_w).reshape(f, k * n_edges)
     # per-replication arrays are flat over cells r * n + v; agg is feature-major
     # fixed before the floor, so a fixed threshold of 0 still needs a non-zero aggregate
-    thr = apply_fixed_thresholds(net, np.array(thresholds, dtype=float)).reshape(-1)
+    thr = np.array(thresholds, dtype=float)
+    fixed = ~np.isnan(net.fixed_threshold)
+    thr[:, fixed] = net.fixed_threshold[fixed]
+    thr = thr.reshape(-1)
     np.maximum(thr, _TINY, out=thr)
     purchased = np.full(R * n, -1, dtype=np.int16)
     activation_time = np.full(R * n, -1, dtype=np.int32)
@@ -200,8 +207,6 @@ def simulate_batch(
         front = cells[newly]
         if not front.size:
             break
-        if t > max_steps:
-            raise DiffusionNotConverged(f"no fixed point within {max_steps} steps")
         if k == 1:
             choice = np.zeros(front.size, dtype=np.intp)
         else:

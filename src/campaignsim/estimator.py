@@ -15,6 +15,7 @@ Spread counts real nodes only; pseudonodes are bookkeeping.
 from __future__ import annotations
 
 import contextlib
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -82,21 +83,26 @@ def simulate_tile(
     )
 
 
+def _check_count(name: str, value) -> None:
+    if not (isinstance(value, numbers.Integral) and value >= 1):
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 _WORKER_CTX: dict = {}
 
 
-def _init_worker(aug, products, seed, track_node):
-    _WORKER_CTX.update(aug=aug, products=products, seed=seed, track_node=track_node)
+def _init_worker(aug, products, seed):
+    _WORKER_CTX.update(aug=aug, products=products, seed=seed)
 
 
 def _tile_task(args):
     tile_idx, tile_len = args
     ctx = _WORKER_CTX
-    return _run_tile(ctx["aug"], ctx["products"], ctx["seed"], tile_idx, tile_len, ctx["track_node"])
+    return _run_tile(ctx["aug"], ctx["products"], ctx["seed"], tile_idx, tile_len)
 
 
-def _run_tile(aug, products, seed, tile_idx, tile_len, track_node):
-    act_time, purchased = simulate_tile(aug, products, seed, tile_idx, tile_len)
+def _run_tile(aug, products, seed, tile_idx, tile_len):
+    _, purchased = simulate_tile(aug, products, seed, tile_idx, tile_len)
     n = aug.net.node_count
     real = aug.net.real_nodes()
     k = len(products)
@@ -109,41 +115,7 @@ def _run_tile(aug, products, seed, tile_idx, tile_len, track_node):
         sums[j] = per_rep.sum()
         sumsq[j] = np.dot(per_rep, per_rep)
         node_counts[j, real] = bought.sum(axis=0)
-    time_hist = None
-    if track_node is not None:
-        times = act_time[:, track_node]
-        # every step activates a node, so no activation comes later than step n - 1
-        time_hist = np.bincount(times[times >= 0], minlength=n).astype(np.int64)
-    return sums, sumsq, node_counts, time_hist
-
-
-def _run_all_tiles(aug, products, replications, seed, workers, track_node):
-    if replications < 1:
-        raise ValueError("replications must be >= 1")
-    k = len(products)
-    n = aug.net.node_count
-    sums = np.zeros(k, dtype=np.int64)
-    sumsq = np.zeros(k, dtype=np.int64)
-    node_counts = np.zeros((k, n), dtype=np.int64)
-    time_hist = np.zeros(n, dtype=np.int64)
-    tiles = _tile_bounds(replications)
-    with contextlib.ExitStack() as stack:
-        if workers and workers > 1:
-            pool = stack.enter_context(ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=_init_worker,
-                initargs=(aug, products, seed, track_node),
-            ))
-            results = pool.map(_tile_task, tiles)  # map preserves tile order
-        else:
-            results = (_run_tile(aug, products, seed, i, length, track_node) for i, length in tiles)
-        for s, sq, nc, th in results:
-            sums += s
-            sumsq += sq
-            node_counts += nc
-            if th is not None:
-                time_hist += th
-    return sums, sumsq, node_counts, time_hist
+    return sums, sumsq, node_counts
 
 
 def estimate_spread(
@@ -155,7 +127,25 @@ def estimate_spread(
     workers: int = 1,
 ) -> SpreadEstimate:
     """Mean and standard error of per-product real-node purchase counts."""
-    sums, sumsq, node_counts, _ = _run_all_tiles(aug, products, replications, seed, workers, None)
+    _check_count("replications", replications)
+    _check_count("workers", workers)
+    k = len(products)
+    sums = np.zeros(k, dtype=np.int64)
+    sumsq = np.zeros(k, dtype=np.int64)
+    node_counts = np.zeros((k, aug.net.node_count), dtype=np.int64)
+    tiles = _tile_bounds(replications)
+    with contextlib.ExitStack() as stack:
+        if workers > 1:
+            pool = stack.enter_context(ProcessPoolExecutor(
+                max_workers=workers, initializer=_init_worker, initargs=(aug, products, seed)
+            ))
+            results = pool.map(_tile_task, tiles)  # map preserves tile order
+        else:
+            results = (_run_tile(aug, products, seed, i, length) for i, length in tiles)
+        for s, sq, nc in results:
+            sums += s
+            sumsq += sq
+            node_counts += nc
     R = replications
     means = sums / R
     if R > 1:
@@ -188,5 +178,10 @@ def activation_time_histogram(
     step t; replications where the node never activates are not counted
     anywhere.
     """
-    _, _, _, time_hist = _run_all_tiles(aug, products, replications, seed, 1, node)
-    return time_hist
+    _check_count("replications", replications)
+    hist = np.zeros(aug.net.node_count, dtype=np.int64)
+    for tile_idx, tile_len in _tile_bounds(replications):
+        times = simulate_tile(aug, products, seed, tile_idx, tile_len)[0][:, node]
+        # every step activates a node, so no activation comes later than step n - 1
+        hist += np.bincount(times[times >= 0], minlength=hist.size)
+    return hist

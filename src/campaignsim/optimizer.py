@@ -97,6 +97,7 @@ class CEConfig:
             ("tol", 0.0 <= self.tol < math.inf),
             ("replications", count(self.replications)),
             ("seed_retry_limit", count(self.seed_retry_limit)),
+            ("workers", count(self.workers)),
             ("best_response_tol", 0.0 <= self.best_response_tol < math.inf),
         ):
             if not ok:

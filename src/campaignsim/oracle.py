@@ -60,21 +60,23 @@ class OracleResult:
         return float(self.spread[self.product_ids.index(product_id)])
 
 
-def _source_product(aug: AugmentedNetwork, node: int) -> int | None:
-    """Product index a pseudonode can ever purchase, None for real nodes."""
-    info = aug.provenance.get(node)
-    if info is None:
-        return None
-    return aug.product_ids.index(info["product"])
+def _source_products(aug: AugmentedNetwork) -> dict[int, int]:
+    """Product index each pseudonode can ever purchase; real nodes are absent."""
+    owner = {node: i for i, node in enumerate(aug.roots)}
+    owner.update((node, key[0]) for key, node in aug.chain.items())
+    owner.update((node, key[0]) for key, node in aug.gadgets.items())
+    return owner
 
 
-def _breakpoint_norms(aug: AugmentedNetwork, products: list[Product], v: int) -> np.ndarray | None:
+def _breakpoint_norms(
+    aug: AugmentedNetwork, products: list[Product], v: int, owner: dict[int, int]
+) -> np.ndarray | None:
     """Norms of all aggregate vectors v could receive (superset of reachable)."""
     pmat = product_matrix(products)
     options: list[np.ndarray] = []
     total = 1
     for u, w in aug.net.in_neighbors(v):
-        pi = _source_product(aug, u)
+        pi = owner.get(u)
         if pi is None:
             opts = np.vstack([np.zeros(pmat.shape[1]), w * pmat])
         else:
@@ -89,11 +91,11 @@ def _breakpoint_norms(aug: AugmentedNetwork, products: list[Product], v: int) ->
     return np.unique(np.sqrt(np.sum(acc * acc, axis=1)))
 
 
-def _cells_for_node(aug, products, v, grid: GridSpec) -> list[tuple[float, int]]:
+def _cells_for_node(aug, products, v, grid: GridSpec, owner) -> list[tuple[float, int]]:
     """(representative midpoint, midpoint count) per constant-outcome piece."""
     m = grid.resolution
     mids = (np.arange(m) + 0.5) / m
-    norms = _breakpoint_norms(aug, products, v)
+    norms = _breakpoint_norms(aug, products, v, owner)
     if norms is None:
         return [(float(x), 1) for x in mids]
     piece = np.searchsorted(norms, mids, side="left")
@@ -139,7 +141,8 @@ def exact_spread_grid(
         and v not in pinned
         and len(net.in_neighbors(v)) > 0
     ]
-    cell_lists = [_cells_for_node(aug, products, v, grid) for v in free]
+    owner = _source_products(aug)
+    cell_lists = [_cells_for_node(aug, products, v, grid, owner) for v in free]
     total = math.prod(len(c) for c in cell_lists) if cell_lists else 1
     if total > grid.max_tuples:
         raise EnumerationCapError(f"{total} threshold tuples exceed the cap {grid.max_tuples}")

@@ -14,10 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from campaignsim.diffusion import DiffusionNotConverged, SeedAssignment
+from campaignsim.diffusion import SeedAssignment
 from campaignsim.feature_space import COS_TIE_TOL, Product, ProductError, product_matrix
 from campaignsim.network import Network
 from campaignsim.rng import key_uniform
+
+
+class DiffusionNotConverged(Exception):
+    """max_steps exhausted while activations were still occurring."""
 
 
 @dataclass
@@ -125,9 +129,16 @@ def run_diffusion(
     max_steps: int | None = None,
     node_order=None,
 ) -> DiffusionOutcome:
-    """Run to the fixed point; raises DiffusionNotConverged past max_steps."""
+    """Run to the fixed point; raises DiffusionNotConverged past max_steps.
+
+    As in the kernel, pseudonode entries of thresholds are replaced by the
+    values the network fixes for them.
+    """
     if max_steps is None:
         max_steps = net.node_count + 2
+    thresholds = np.array(thresholds, dtype=float)
+    fixed = ~np.isnan(net.fixed_threshold)
+    thresholds[fixed] = net.fixed_threshold[fixed]
     state = initial_state(net, products, seeds)
     while True:
         nxt = step(net, products, state, thresholds, tie_key=tie_key, node_order=node_order)

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from campaignsim.channels import (
     save_plans,
     scaling_ratio,
 )
+from campaignsim.diffusion import simulate_batch
 from campaignsim.feature_space import Product, normalize_product
 from campaignsim.network import Edge, Network, NodeKind, ValidationError
 from campaignsim.rng import tile_rng
@@ -197,9 +199,9 @@ def test_media_chain_nodes_activate_one_step_before_their_slot():
     aug = build_augmented(net, [P_AXIS], plans)
     chi = sample_thresholds(aug.net, tile_rng(0, 0))
     out = run_diffusion(aug.net, [P_AXIS], aug.seed_assignment(), chi)
-    assert out.activation_time[aug.chain_node(0, 1)] == 0  # the root itself
+    assert out.activation_time[aug.roots[0]] == 0  # the chain starts at the root
     for t in (2, 3, 4):
-        assert out.activation_time[aug.chain_node(0, t)] == t - 1
+        assert out.activation_time[aug.chain[(0, t)]] == t - 1
 
 
 def test_media_pseudoedge_weight_is_ratio_times_beta():
@@ -208,7 +210,7 @@ def test_media_pseudoedge_weight_is_ratio_times_beta():
     aug = build_augmented(net, [P_AXIS], plans)
     w = {(e.src, e.dst): e.weight for e in aug.net.edges}
     root = aug.roots[0]
-    second = aug.chain_node(0, 2)
+    second = aug.chain[(0, 2)]
     # ratio = residual / nominal load = 0.4 / 0.5
     assert w[root, 1] == pytest.approx(0.8 * 0.2)
     assert w[second, 1] == pytest.approx(0.8 * 0.3)
@@ -230,9 +232,6 @@ def test_relay_fires_only_for_its_own_product():
         relay = aug.gadget_node(0, 0, 1)
         assert relay is not None
         chi = np.full(aug.net.node_count, 0.99)
-        from campaignsim.diffusion import apply_fixed_thresholds
-
-        apply_fixed_thresholds(aug.net, chi)
         out = run_diffusion(aug.net, products, aug.seed_assignment(), chi)
         if source_product == 0:
             # equality case: (chi_w - eps) + eps lands exactly on the threshold
@@ -242,21 +241,25 @@ def test_relay_fires_only_for_its_own_product():
             assert out.activation_time[relay] == -1
 
 
-def test_relay_stored_threshold_is_float_sum_of_weights():
+def test_relay_fires_on_schedule_for_non_axis_products():
+    # a seeded source that bought p must fire p's relay at step 1 whatever
+    # p's direction; rounding in the aggregate's norm used to leave some unfired
     rng = np.random.default_rng(13)
     net = two_node_net(weight=0.1, h=0.7)
-    for _ in range(50):
+    for _ in range(200):
         chi_w = float(rng.uniform(0.05, 0.95))
         eps = float(chi_w * rng.uniform(0.05, 0.95))
+        p = normalize_product(rng.random(3), null_index=2, product_id=0)
         aug = build_augmented(
-            net, [P_AXIS, Q_AXIS],
-            [ChannelPlan(product=0, alpha=0.5, beta=()), ChannelPlan(product=1, alpha=0.0, beta=())],
+            net, [p], [ChannelPlan(product=0, seeds=frozenset({0}), alpha=0.5)],
             gadget=GadgetParams(chi_w=chi_w, epsilon=eps),
         )
         relay = aug.gadget_node(0, 0, 1)
         w = {(e.src, e.dst): e.weight for e in aug.net.edges}
-        incoming = w[aug.roots[0], relay] + w[0, relay]
-        assert aug.net.fixed_threshold[relay] == incoming  # bitwise, not approx
+        assert aug.net.fixed_threshold[relay] <= w[aug.roots[0], relay] + w[0, relay]
+        chi = np.full((1, aug.net.node_count), 0.99)
+        at, bought = simulate_batch(aug.net, [p], aug.seed_assignment(), chi)
+        assert (at[0, relay], bought[0, relay]) == (1, 0), (p.features, chi_w, eps)
 
 
 def test_relayed_influence_arrives_two_steps_after_the_source():
@@ -273,9 +276,6 @@ def test_relayed_influence_arrives_two_steps_after_the_source():
     chi = np.full(aug.net.node_count, 0.0)
     chi[0] = 0.5
     chi[1] = 0.5
-    from campaignsim.diffusion import apply_fixed_thresholds
-
-    apply_fixed_thresholds(aug.net, chi)
     out = run_diffusion(aug.net, products, aug.seed_assignment(), chi)
     assert out.activation_time[0] == 1  # media reaches node 0 at step 1
     assert out.activation_time[relay] == 2
@@ -309,3 +309,25 @@ def test_augmented_dump_files(tmp_path):
     for node, entry in payload["pseudonodes"].items():
         assert 0.0 <= entry["fixed_threshold"] <= 1.0
         assert int(node) >= 2
+
+
+GOLDEN_PSEUDO = Path(__file__).parent / "data" / "augmented_pseudo.json"
+
+
+def test_augmented_dump_matches_the_golden_file(tmp_path):
+    # two products with ids unlike their indices, media chains of length 3
+    # and relays for both products: every pseudonode role is pinned
+    p = Product(id=7, features=(1.0, 0.0), null_index=1)
+    q = Product(id=3, features=(0.0, 1.0), null_index=0)
+    net = Network.from_edges(
+        3, [(0, 1, 0.2), (1, 2, 0.3), (2, 0, 0.1), (0, 2, 0.25)],
+        similarities={(0, 1): 0.5, (1, 2): 0.8},
+    )
+    plans = [
+        ChannelPlan(product=7, seeds=frozenset({0}), alpha=1.0, beta=(0.0, 0.3, 0.2)),
+        ChannelPlan(product=3, seeds=frozenset({2}), alpha=0.5, beta=(0.1, 0.0, 0.4)),
+    ]
+    aug = build_augmented(net, [p, q], plans)
+    e, s, ps = tmp_path / "e.txt", tmp_path / "s.txt", tmp_path / "pseudo.json"
+    save_augmented(aug, str(e), str(s), str(ps))
+    assert ps.read_bytes() == GOLDEN_PSEUDO.read_bytes()

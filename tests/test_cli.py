@@ -7,7 +7,7 @@ import pytest
 
 from campaignsim.channels import ChannelPlan, build_augmented, load_plans, save_plans
 from campaignsim.cli import main, parse_config_file
-from campaignsim.diffusion import apply_fixed_thresholds, simulate_batch
+from campaignsim.diffusion import simulate_batch
 from campaignsim.estimator import estimate_spread
 from campaignsim.feature_space import Product, load_products, save_products
 from campaignsim.network import Network, load_network, save_network
@@ -116,7 +116,7 @@ def assert_replication_zero(d, seed, traj):
     net = load_network(str(d / "edges.txt"), str(d / "similarity.txt"))
     aug = build_augmented(net, products, load_plans(str(d / "plans.json")))
     n = aug.net.node_count
-    chi = apply_fixed_thresholds(aug.net, tile_rng(seed, 0).random((TILE_SIZE, n))[:1])
+    chi = tile_rng(seed, 0).random((TILE_SIZE, n))[:1]
     act, bought = simulate_batch(aug.net, products, aug.seed_assignment(), chi, master_seed=seed, rep_offset=0)
     ids = [p.id for p in products]
     expected = [f"{v},{act[0, v]},{ids[bought[0, v]] if bought[0, v] >= 0 else -1}" for v in range(n)]

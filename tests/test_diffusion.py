@@ -6,13 +6,7 @@ import numpy as np
 import pytest
 
 from campaignsim.channels import ChannelPlan, build_augmented
-from campaignsim.diffusion import (
-    DiffusionNotConverged,
-    PurchaseTieError,
-    SeedAssignment,
-    apply_fixed_thresholds,
-    simulate_batch,
-)
+from campaignsim.diffusion import PurchaseTieError, SeedAssignment, simulate_batch
 from campaignsim.feature_space import Product, normalize_product
 from campaignsim.fixtures import (
     BRIDGE,
@@ -28,7 +22,7 @@ from campaignsim.fixtures import (
 )
 from campaignsim.network import Edge, Network
 from lt_reference import classical_lt, random_lt_instance
-from scalar_reference import initial_state, run_diffusion, sample_thresholds, step
+from scalar_reference import DiffusionNotConverged, initial_state, run_diffusion, sample_thresholds, step
 
 P_AXIS = Product(id=0, features=(1.0, 0.0), null_index=1)
 Q_AXIS = Product(id=1, features=(0.0, 1.0), null_index=0)
@@ -216,7 +210,7 @@ def test_batch_equals_scalar_on_augmented_instances_with_ties():
         media_only = [aug.base_node_count - 2, aug.base_node_count - 1]
         bought = set()
         for R, master, offset in ((1, 0, 0), (1, 2**63 + 7, 2**32 + 3), (17, 5, 4096), (17, 2**64 - 1, 2**40 + 1)):
-            chi = apply_fixed_thresholds(net, rng.random((R, net.node_count)))
+            chi = rng.random((R, net.node_count))
             with pytest.raises(PurchaseTieError):
                 simulate_batch(net, products, seeds, chi, on_tie="raise")
             at, pu = simulate_batch(net, products, seeds, chi, master_seed=master, rep_offset=offset)
@@ -238,8 +232,9 @@ def test_kernel_applies_the_fixed_pseudonode_thresholds():
     aug = channel_instance(products, rng)
     net, seeds = aug.net, aug.seed_assignment()
     raw = rng.random((64, net.node_count))
-    fixed = apply_fixed_thresholds(net, raw.copy())
     pseudo = ~np.isnan(net.fixed_threshold)
+    fixed = raw.copy()
+    fixed[:, pseudo] = net.fixed_threshold[pseudo]
     assert pseudo.any() and not np.array_equal(raw[:, pseudo], fixed[:, pseudo])
     kept = raw.copy()
     got = simulate_batch(net, products, seeds, raw, master_seed=3, rep_offset=11)
@@ -335,16 +330,21 @@ def test_purchase_tie_raise_and_keyed_break():
 
 
 def test_not_converged_raised_when_capped_below_activity():
+    # the scalar reference keeps a step cap of its own
     net = Network.from_edges(2, [(0, 1, 1.0)])
     seeds = SeedAssignment((frozenset({0}),))
     chi = np.array([0.9, 0.5])
     with pytest.raises(DiffusionNotConverged):
         run_diffusion(net, [P_AXIS], seeds, chi, max_steps=0)
-    with pytest.raises(DiffusionNotConverged):
-        simulate_batch(net, [P_AXIS], seeds, chi[None, :], max_steps=0)
     # the converged return beats the cap check: an already-quiet run is fine
     out = run_diffusion(net, [P_AXIS], seeds, chi, max_steps=1)
     assert out.activation_time.tolist() == [0, 1]
+    # the kernel needs none: a step activates a new cell or ends the batch, so
+    # a sure path, the longest cascade there is, ends at step n - 1
+    n = 30
+    path = Network.from_edges(n, [(v, v + 1, 1.0) for v in range(n - 1)])
+    at, _ = simulate_batch(path, [P_AXIS], seeds, np.full((2, n), 0.5))
+    assert at.tolist() == [list(range(n))] * 2
 
 
 def test_seed_assignment_validation():
@@ -366,9 +366,12 @@ def test_threshold_sampling_respects_fixed_values():
     chi = sample_thresholds(net, rng)
     assert chi[2] == 0.5
     assert 0.0 <= chi[0] < 1.0 and 0.0 <= chi[1] < 1.0
-    mat = rng.random((4, 3))
-    apply_fixed_thresholds(net, mat)
-    assert np.all(mat[:, 2] == 0.5)
+    # both engines replace a caller's pseudonode threshold with the fixed one
+    chi = np.array([0.3, 0.3, 0.9])
+    seeds = SeedAssignment((frozenset({0}),))
+    assert run_diffusion(net, [P_AXIS], seeds, chi).activation_time.tolist() == [0, 1, 2]
+    at, _ = simulate_batch(net, [P_AXIS], seeds, chi[None, :])
+    assert at.tolist() == [[0, 1, 2]]
 
 
 def test_single_feature_degeneration_spot_check():

@@ -117,9 +117,6 @@ def test_batch_rows_are_independent_replications():
     aug = build_augmented(net, products, plans)
     n = aug.net.node_count
     chi = tile_rng(33, 0).random((TILE_SIZE, n))[:7]
-    from campaignsim.diffusion import apply_fixed_thresholds
-
-    apply_fixed_thresholds(aug.net, chi)
     at_all, pu_all = simulate_batch(
         aug.net, products, aug.seed_assignment(), chi, master_seed=33, rep_offset=0
     )

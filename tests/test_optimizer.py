@@ -94,12 +94,19 @@ def test_ce_config_rejects_out_of_range_fields():
         "tol": (-1e-3, math.inf, math.nan),
         "replications": (0, -10, 100.5),
         "seed_retry_limit": (0, 1.5),
+        "workers": (0, -2, 2.5),
         "best_response_tol": (-1.0, math.inf, math.nan),
     }
     for name, values in bad.items():
         for value in values:
             with pytest.raises(ValueError, match=name):
                 CEConfig(**{name: value})
+    # the estimator checks its worker count the same way
+    net, products, plans = preference_shift()
+    aug = build_augmented(net, products, plans)
+    for value in bad["workers"]:
+        with pytest.raises(ValueError, match="workers"):
+            estimate_spread(aug, products, 10, 1, workers=value)
     # the edges of every range are accepted
     CEConfig(n_samples=1, elite_frac=1.0, smoothing=0.0, max_iterations=1, tol=0.0,
              replications=1, seed_retry_limit=1, best_response_tol=0.0)

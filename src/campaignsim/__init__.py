@@ -17,7 +17,6 @@ from .channels import (
     build_augmented,
     load_plans,
     save_plans,
-    scaling_ratio,
 )
 from .diffusion import (
     PurchaseTieError,
@@ -68,7 +67,6 @@ __all__ = [
     "load_products",
     "normalize_product",
     "save_plans",
-    "scaling_ratio",
     "simulate_batch",
     "__version__",
 ]

@@ -15,7 +15,9 @@ that they exactly fill the node's residual incoming capacity 1 - sum(b_uv):
 
     ratio(v) = (1 - sum_u b_uv) / sum_p (alpha_p * sum_u h_uv + sum_t beta_p[t])
 
-with ratio 0 when the denominator is 0.  Relay activation relies on the
+with ratio 0 when the denominator is 0.  One array pass computes it for
+every base node: both sums over u run in ascending source order, and the
+denominator adds the plans in plan order.  Relay activation relies on the
 non-strict threshold comparison: with incoming weights (chi_w - eps) from the
 root and eps from the source, a source buying the same product lands the
 relay's aggregate norm on chi_w, and a source buying any other product leaves
@@ -24,7 +26,19 @@ same-product aggregate a few ulps below the float sum of the two weights, so
 the relay's stored threshold is that sum, lowered to the norm when the norm
 is smaller (diffusion.relay_threshold).
 
-Each pseudonode's role is recorded once: in roots, chain or gadgets.
+Node numbers are a contract, because seeded outputs depend on the node count
+and on the order of relay ids:
+
+1. real nodes 0..n-1;
+2. roots n..n+k-1, one per product in product order;
+3. media chain nodes, product by product and step by step, up to the last
+   step that sends a media pseudoedge (none when every ratio is 0);
+4. relays in base edge-list order, product-minor.
+
+The order of the edge list is not part of the contract: each (src, dst) pair
+has at most one edge, and the kernel adds each step's contributions to an
+aggregate in source order.  Each pseudonode's role is recorded once: in
+roots, chain or gadgets.
 """
 
 from __future__ import annotations
@@ -94,85 +108,9 @@ class AugmentedNetwork:
         )
         return SeedAssignment(by_product)
 
-    def gadget_node(self, product_index: int, u: int, v: int) -> int | None:
-        return self.gadgets.get((product_index, u, v))
 
-
-def scaling_ratio(net: Network, v: int, plans: list[ChannelPlan]) -> float:
-    """Residual incoming capacity of v divided by its total nominal channel load."""
-    in_sum = sum(w for _, w in net.in_neighbors(v))
-    h_total = sum(net.similarity_of(u, v) for u, _ in net.in_neighbors(v))
-    denom = 0.0
-    for plan in plans:
-        denom += plan.alpha * h_total + sum(plan.beta)
-    if denom <= 0.0:
-        return 0.0
-    return max(0.0, 1.0 - in_sum) / denom
-
-
-class AugmentBuilder:
-    """Accumulates pseudonodes and pseudoedges on top of a base network."""
-
-    def __init__(self, net: Network, product_count: int):
-        self.edges: list[Edge] = list(net.edges)
-        self.kinds: list[int] = list(net.node_kind)
-        self.fixed: list[float] = list(net.fixed_threshold)
-        self.chain: dict[tuple[int, int], int] = {}  # (product index, t) -> node
-        self.gadgets: dict[tuple[int, int, int], int] = {}  # (product index, u, v) -> node
-        # root node per product index, numbered right after the base nodes
-        self.roots = tuple(self.add_pseudo(NodeKind.PRODUCT_ROOT, 0.5) for _ in range(product_count))
-
-    def add_pseudo(self, kind: NodeKind, threshold: float) -> int:
-        node = len(self.kinds)
-        self.kinds.append(int(kind))
-        self.fixed.append(threshold)
-        return node
-
-    def chain_node(self, product_index: int, t: int) -> int:
-        """Return the media chain node for step t, materializing the chain lazily."""
-        if t == 1:
-            return self.roots[product_index]
-        key = (product_index, t)
-        if key not in self.chain:
-            prev = self.chain_node(product_index, t - 1)
-            node = self.add_pseudo(NodeKind.MEDIA_CHAIN, 0.5)
-            self.edges.append(Edge(prev, node, 1.0))
-            self.chain[key] = node
-        return self.chain[key]
-
-    def attach_mass_media(self, product_index: int, plan: ChannelPlan, v: int, ratio: float) -> None:
-        """Pseudoedges from the media chain to v, one per nonzero schedule entry."""
-        for t_idx, beta_t in enumerate(plan.beta):
-            w = ratio * beta_t
-            if w <= 0.0:
-                continue
-            src = self.chain_node(product_index, t_idx + 1)
-            self.edges.append(Edge(src, v, w))
-
-    def attach_social_gadget(
-        self,
-        product_index: int,
-        product: Product,
-        plan: ChannelPlan,
-        u: int,
-        v: int,
-        similarity: float,
-        ratio: float,
-        params: GadgetParams,
-    ) -> None:
-        """Relay pseudonode for edge (u, v): fires iff u buys this product."""
-        w_rec = ratio * plan.alpha * similarity
-        if w_rec <= 0.0:
-            return
-        b_root = params.chi_w - params.epsilon
-        # at most the kernel's norm of the same-product aggregate, so that case
-        # lands on the equality branch of >= for every product geometry
-        node = self.add_pseudo(NodeKind.SOCIAL_GADGET, relay_threshold(b_root, params.epsilon, product))
-        self.gadgets[(product_index, u, v)] = node
-        root = self.roots[product_index]
-        self.edges.append(Edge(root, node, b_root))
-        self.edges.append(Edge(u, node, params.epsilon))
-        self.edges.append(Edge(node, v, w_rec))
+# node kinds in numbering order
+_KINDS = np.array([NodeKind.REAL, NodeKind.PRODUCT_ROOT, NodeKind.MEDIA_CHAIN, NodeKind.SOCIAL_GADGET], dtype=np.int8)
 
 
 def build_augmented(
@@ -182,7 +120,7 @@ def build_augmented(
     gadget: GadgetParams = GadgetParams(),
 ) -> AugmentedNetwork:
     """Compile channel plans into pseudonodes over a validated base network."""
-    if np.any(net.node_kind != NodeKind.REAL):
+    if net.node_kind.any():  # NodeKind.REAL is 0
         raise PlanError("base network already contains pseudonodes")
     by_id = {plan.product: plan for plan in plans}
     if len(by_id) != len(plans):
@@ -207,40 +145,70 @@ def build_augmented(
                 raise PlanError(f"node {s} seeded for more than one product")
             seen_seeds.add(s)
 
-    builder = AugmentBuilder(net, len(products))
-    scale = np.zeros(net.node_count)
-    for v in range(net.node_count):
-        scale[v] = scaling_ratio(net, v, ordered)
-        if scale[v] <= 0.0:
-            continue
-        for i in range(len(products)):
-            builder.attach_mass_media(i, ordered[i], v, scale[v])
-    for e in net.edges:
-        h = net.similarity_of(e.src, e.dst)
-        if h <= 0.0 or scale[e.dst] <= 0.0:
-            continue
-        for i, p in enumerate(products):
-            builder.attach_social_gadget(i, p, ordered[i], e.src, e.dst, h, scale[e.dst], gadget)
+    n, k = net.node_count, len(products)
+    src = np.array([e.src for e in net.edges], dtype=np.intp)
+    dst = np.array([e.dst for e in net.edges], dtype=np.intp)
+    weight = np.array([e.weight for e in net.edges], dtype=float)
+    h = np.array([net.similarity_of(e.src, e.dst) for e in net.edges], dtype=float)
+    # sums per target in ascending-source order
+    by_src = np.argsort(src, kind="stable")
+    in_sum = np.bincount(dst[by_src], weight[by_src], minlength=n)
+    h_sum = np.bincount(dst[by_src], h[by_src], minlength=n)
+    load = np.zeros(n)
+    for plan in ordered:
+        load += plan.alpha * h_sum + sum(plan.beta)
+    scale = np.zeros(n)
+    np.divide(np.maximum(0.0, 1.0 - in_sum), load, out=scale, where=load > 0.0)
+
+    roots = tuple(range(n, n + k))
+    edges = list(net.edges)
+    chain: dict[tuple[int, int], int] = {}
+    node = n + k
+    for i, plan in enumerate(ordered):
+        media = scale[:, None] * np.array(plan.beta)  # (v, t - 1) -> weight
+        v_idx, t_idx = (media > 0.0).nonzero()
+        ts = t_idx.tolist()
+        # steps[t - 1] sends step t's media; the chain ends at the last step used
+        steps = [roots[i], *range(node, node + max(ts, default=0))]
+        node += len(steps) - 1
+        chain.update({(i, t): c for t, c in enumerate(steps[1:], start=2)})
+        edges += [Edge(a, b, 1.0) for a, b in zip(steps, steps[1:])]
+        edges += [Edge(steps[t], v, w) for v, t, w in zip(v_idx.tolist(), ts, media[v_idx, t_idx])]
+    chain_count = node - n - k
+
+    # one relay per (edge, product) with a recommendation weight, numbered
+    # in edge-list order, product-minor
+    rec = scale[dst][:, None] * np.array([plan.alpha for plan in ordered], dtype=float) * h[:, None]
+    e_idx, p_idx = (rec > 0.0).nonzero()
+    b_root, eps = gadget.chi_w - gadget.epsilon, gadget.epsilon
+    # at most the kernel's norm of the same-product aggregate, so that case
+    # lands on the equality branch of >= for every product geometry
+    relay_thr = np.array([relay_threshold(b_root, eps, p) for p in products], dtype=float)
+    gadgets: dict[tuple[int, int, int], int] = {}
+    for relay, (j, i) in enumerate(zip(e_idx.tolist(), p_idx.tolist()), start=node):
+        e = net.edges[j]
+        gadgets[(i, e.src, e.dst)] = relay
+        edges += (Edge(roots[i], relay, b_root), Edge(e.src, relay, eps), Edge(relay, e.dst, rec[j, i]))
 
     aug_net = Network(
-        node_count=len(builder.kinds),
-        edges=builder.edges,
+        node_count=node + len(gadgets),
+        edges=edges,
         similarity=dict(net.similarity),
-        node_kind=np.array(builder.kinds, dtype=np.int8),
-        fixed_threshold=np.array(builder.fixed, dtype=float),
+        node_kind=np.repeat(_KINDS, [n, k, chain_count, len(gadgets)]),
+        fixed_threshold=np.concatenate([net.fixed_threshold, np.full(k + chain_count, 0.5), relay_thr[p_idx]]),
     )
     violations = aug_net.validate()
     if violations:
         raise ValidationError(violations)
     return AugmentedNetwork(
         net=aug_net,
-        base_node_count=net.node_count,
+        base_node_count=n,
         plans=tuple(ordered),
         product_ids=tuple(p.id for p in products),
-        roots=builder.roots,
+        roots=roots,
         scale=scale,
-        chain=builder.chain,
-        gadgets=builder.gadgets,
+        chain=chain,
+        gadgets=gadgets,
     )
 
 

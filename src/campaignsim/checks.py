@@ -47,7 +47,7 @@ def _behavioral_trial(chi_w: float, eps: float, p: Product, q: Product, same_pro
         ChannelPlan(product=1, seeds=frozenset({0}) if source_product == 1 else frozenset(), alpha=0.0, beta=(0.0,)),
     ]
     aug = build_augmented(net, products, plans, gadget=GadgetParams(chi_w=chi_w, epsilon=eps))
-    relay = aug.gadget_node(0, 0, 1)
+    relay = aug.gadgets[(0, 0, 1)]
     chi = np.full((1, aug.net.node_count), 0.99)
     act_time, _ = simulate_batch(aug.net, products, aug.seed_assignment(), chi)
     fired = act_time[0, relay] >= 0

@@ -133,11 +133,11 @@ def estimate_spread(
     sums = np.zeros(k, dtype=np.int64)
     sumsq = np.zeros(k, dtype=np.int64)
     node_counts = np.zeros((k, aug.net.node_count), dtype=np.int64)
-    tiles = _tile_bounds(replications)
+    tiles = list(_tile_bounds(replications))
     with contextlib.ExitStack() as stack:
-        if workers > 1:
+        if workers > 1 and len(tiles) > 1:  # a single tile runs in-process
             pool = stack.enter_context(ProcessPoolExecutor(
-                max_workers=workers, initializer=_init_worker, initargs=(aug, products, seed)
+                max_workers=min(workers, len(tiles)), initializer=_init_worker, initargs=(aug, products, seed)
             ))
             results = pool.map(_tile_task, tiles)  # map preserves tile order
         else:

@@ -30,7 +30,10 @@ class Product:
         f = np.asarray(self.features, dtype=float)
         if f.ndim != 1 or f.size < 1:
             raise ProductError(f"product {self.id}: features must be a 1-d vector")
-        if np.any(f < 0):
+        # range test so NaN fails too; a NaN norm would pass the unit-norm test below
+        if not (f < np.inf).all():
+            raise ProductError(f"product {self.id}: non-finite feature component")
+        if (f < 0).any():
             raise ProductError(f"product {self.id}: negative feature component")
         if not (0 <= self.null_index < f.size):
             raise ProductError(f"product {self.id}: null index {self.null_index} out of range")
@@ -50,6 +53,8 @@ def normalize_product(raw, null_index: int, product_id: int = 0) -> Product:
     norm = float(np.linalg.norm(f))
     if norm == 0.0:
         raise ProductError("cannot normalize an all-zero feature vector")
+    if not norm < np.inf:  # before dividing, which would warn on inf / inf
+        raise ProductError(f"product {product_id}: feature vector has a non-finite norm")
     scaled = f / norm
     # renormalize once more to absorb rounding in the division
     scaled = scaled / float(np.linalg.norm(scaled))

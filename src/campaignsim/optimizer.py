@@ -129,7 +129,6 @@ def sample_plan(
     state: CrossEntropyState,
     cost_model: CostModel,
     gamma: float,
-    horizon: int,
     product_id: int,
     candidates: list[int],
     rng: np.random.Generator,
@@ -219,6 +218,7 @@ def ce_optimize(
         if p.id != focal_product and p.id not in covered
     ]
     candidates = [int(v) for v in net.real_nodes() if v not in taken]
+    index = {c: i for i, c in enumerate(candidates)}
     n_samples = config.n_samples or max(100, 2 * len(candidates))
     n_elite = max(1, math.ceil(config.elite_frac * n_samples))
     lam = config.smoothing
@@ -236,7 +236,7 @@ def ce_optimize(
         for s in range(n_samples):
             rng = np.random.default_rng(derive_seed(seed, it, s))
             plan = sample_plan(
-                state, cost_model, gamma, horizon, focal_product, candidates, rng,
+                state, cost_model, gamma, focal_product, candidates, rng,
                 retry_limit=config.seed_retry_limit,
             )
             aug = build_augmented(net, products, fixed_plans + [plan])
@@ -258,9 +258,8 @@ def ce_optimize(
         alphas = np.array([p.alpha for _, _, p in elite])
         betas = np.array([p.beta for _, _, p in elite])
         for _, _, plan in elite:
-            for i, c in enumerate(candidates):
-                if c in plan.seeds:
-                    freq[i] += 1.0
+            for c in plan.seeds:
+                freq[index[c]] += 1.0
         freq /= len(elite)
         new_probs = lam * freq + (1 - lam) * state.seed_probs
         new_a_mean = lam * float(alphas.mean()) + (1 - lam) * state.alpha_mean

@@ -14,7 +14,6 @@ from campaignsim.channels import (
     plans_to_payload,
     save_augmented,
     save_plans,
-    scaling_ratio,
 )
 from campaignsim.diffusion import simulate_batch
 from campaignsim.feature_space import Product, normalize_product
@@ -79,20 +78,20 @@ def test_plan_file_beta_length_must_match_horizon(tmp_path):
 def test_scaling_zero_when_capacity_is_exhausted():
     net = Network.from_edges(3, [(0, 2, 0.6), (1, 2, 0.4)])
     plans = [ChannelPlan(product=0, alpha=1.0, beta=(0.5,))]
-    assert scaling_ratio(net, 2, plans) == 0.0
+    assert build_augmented(net, [P_AXIS], plans).scale[2] == 0.0
 
 
 def test_scaling_fills_the_residual_exactly():
     # residual 0.4; nominal load alpha*h + sum(beta) = 0.5 + 0.5 = 1.0
     net = two_node_net(weight=0.6, h=0.5)
     plans = [ChannelPlan(product=0, alpha=1.0, beta=(0.2, 0.3))]
-    assert scaling_ratio(net, 1, plans) == pytest.approx(0.4)
+    assert build_augmented(net, [P_AXIS], plans).scale[1] == pytest.approx(0.4)
 
 
 def test_scaling_zero_when_no_channel_budget():
     net = two_node_net()
     plans = [ChannelPlan(product=0, seeds=frozenset({0}))]
-    assert scaling_ratio(net, 1, plans) == 0.0
+    assert build_augmented(net, [P_AXIS], plans).scale[1] == 0.0
 
 
 def test_scaling_sums_over_products():
@@ -102,7 +101,7 @@ def test_scaling_sums_over_products():
         ChannelPlan(product=1, alpha=0.0, beta=(0.25,)),
     ]
     # denominator 0.5 + 0.25 + 0.25 = 1.0, residual 0.5
-    assert scaling_ratio(net, 1, plans) == pytest.approx(0.5)
+    assert build_augmented(net, [P_AXIS, Q_AXIS], plans).scale[1] == pytest.approx(0.5)
 
 
 def test_channel_weights_never_break_capacity_random_sweep():
@@ -136,6 +135,14 @@ def test_channel_weights_never_break_capacity_random_sweep():
         ]
         aug = build_augmented(net, [P_AXIS, Q_AXIS], plans)
         assert aug.net.validate() == []
+        # the one-pass ratio equals the closed form summed node by node
+        for v in range(n):
+            in_sum = sum(wt for _, wt in net.in_neighbors(v))
+            h_sum = sum(net.similarity_of(u, v) for u, _ in net.in_neighbors(v))
+            load = 0.0
+            for plan in plans:
+                load += plan.alpha * h_sum + sum(plan.beta)
+            assert aug.scale[v] == (max(0.0, 1.0 - in_sum) / load if load > 0.0 else 0.0)
         # pseudoedges into each base node fill the residual exactly when scaled
         for v in range(n):
             base_in = sum(wt for _, wt in net.in_neighbors(v))
@@ -229,7 +236,7 @@ def test_relay_fires_only_for_its_own_product():
             ChannelPlan(product=1, seeds=frozenset({0}) if source_product == 1 else frozenset(), alpha=0.0, beta=(0.0,)),
         ]
         aug = build_augmented(net, products, plans)
-        relay = aug.gadget_node(0, 0, 1)
+        relay = aug.gadgets.get((0, 0, 1))
         assert relay is not None
         chi = np.full(aug.net.node_count, 0.99)
         out = run_diffusion(aug.net, products, aug.seed_assignment(), chi)
@@ -254,7 +261,7 @@ def test_relay_fires_on_schedule_for_non_axis_products():
             net, [p], [ChannelPlan(product=0, seeds=frozenset({0}), alpha=0.5)],
             gadget=GadgetParams(chi_w=chi_w, epsilon=eps),
         )
-        relay = aug.gadget_node(0, 0, 1)
+        relay = aug.gadgets.get((0, 0, 1))
         w = {(e.src, e.dst): e.weight for e in aug.net.edges}
         assert aug.net.fixed_threshold[relay] <= w[aug.roots[0], relay] + w[0, relay]
         chi = np.full((1, aug.net.node_count), 0.99)
@@ -272,7 +279,7 @@ def test_relayed_influence_arrives_two_steps_after_the_source():
         ChannelPlan(product=1, alpha=0.0, beta=(0.0,)),
     ]
     aug = build_augmented(net, products, plans)
-    relay = aug.gadget_node(0, 0, 1)
+    relay = aug.gadgets.get((0, 0, 1))
     chi = np.full(aug.net.node_count, 0.0)
     chi[0] = 0.5
     chi[1] = 0.5
@@ -288,10 +295,10 @@ def test_no_relay_without_similarity_or_alpha():
     aug = build_augmented(
         net, [P_AXIS], [ChannelPlan(product=0, alpha=2.0, beta=(0.5,))]
     )
-    assert aug.gadget_node(0, 0, 1) is None
+    assert aug.gadgets.get((0, 0, 1)) is None
     net2 = two_node_net(weight=0.1, h=0.9)
     aug2 = build_augmented(net2, [P_AXIS], [ChannelPlan(product=0, alpha=0.0, beta=(0.5,))])
-    assert aug2.gadget_node(0, 0, 1) is None
+    assert aug2.gadgets.get((0, 0, 1)) is None
 
 
 def test_augmented_dump_files(tmp_path):
@@ -311,12 +318,13 @@ def test_augmented_dump_files(tmp_path):
         assert int(node) >= 2
 
 
-GOLDEN_PSEUDO = Path(__file__).parent / "data" / "augmented_pseudo.json"
+GOLDEN = Path(__file__).parent / "data"
 
 
 def test_augmented_dump_matches_the_golden_file(tmp_path):
     # two products with ids unlike their indices, media chains of length 3
-    # and relays for both products: every pseudonode role is pinned
+    # and relays for both products: every pseudonode role, edge weight and
+    # scaling ratio is pinned
     p = Product(id=7, features=(1.0, 0.0), null_index=1)
     q = Product(id=3, features=(0.0, 1.0), null_index=0)
     net = Network.from_edges(
@@ -330,4 +338,7 @@ def test_augmented_dump_matches_the_golden_file(tmp_path):
     aug = build_augmented(net, [p, q], plans)
     e, s, ps = tmp_path / "e.txt", tmp_path / "s.txt", tmp_path / "pseudo.json"
     save_augmented(aug, str(e), str(s), str(ps))
-    assert ps.read_bytes() == GOLDEN_PSEUDO.read_bytes()
+    assert ps.read_bytes() == (GOLDEN / "augmented_pseudo.json").read_bytes()
+    # every node number and weight bit: weights are written with repr
+    assert e.read_bytes() == (GOLDEN / "augmented_edges.txt").read_bytes()
+    assert aug.scale.tobytes() == (GOLDEN / "augmented_scale.bin").read_bytes()

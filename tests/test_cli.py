@@ -202,6 +202,19 @@ def test_invalid_network_exits_3(fixture_dir, tmp_path, capsys):
     assert "sum to" in err["error"]["message"]
 
 
+@pytest.mark.filterwarnings("error")  # stderr carries the JSON error line alone
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_product_feature_exits_3(fixture_dir, tmp_path, capsys, value):
+    products = tmp_path / "products.txt"
+    products.write_text(f"0 {value} 1.0 null=1\n1 1.0 0.0 null=1\n")
+    args = demo_args(fixture_dir)
+    args[args.index("--products") + 1] = products
+    code = run(["simulate", *args, "--reps", 10, "--out", tmp_path / "x.json"])
+    assert code == 3
+    assert "non-finite" in json.loads(capsys.readouterr().err)["error"]["message"]
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_non_finite_plan_budget_exits_3(fixture_dir, tmp_path, capsys):
     # JSON parsers accept Infinity; an infinite spend would zero every scaling ratio
     payload = json.loads((fixture_dir / "blocking_demo" / "plans.json").read_text())

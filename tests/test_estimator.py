@@ -111,6 +111,23 @@ def test_worker_count_does_not_change_results():
     assert serial.means.tolist() == pooled.means.tolist()
 
 
+def test_single_tile_estimate_starts_no_process_pool(monkeypatch):
+    import campaignsim.estimator as estimator
+
+    net, products, plans = preference_shift()
+    aug = build_augmented(net, products, plans)
+    serial = estimate_spread(aug, products, TILE_SIZE, 9)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a single tile started a process pool")
+
+    monkeypatch.setattr(estimator, "ProcessPoolExecutor", no_pool)
+    pooled = estimate_spread(aug, products, TILE_SIZE, 9, workers=2)
+    assert np.array_equal(serial.spread_sums, pooled.spread_sums)
+    assert np.array_equal(serial.spread_sumsq, pooled.spread_sumsq)
+    assert np.array_equal(serial.node_counts, pooled.node_counts)
+
+
 def test_batch_rows_are_independent_replications():
     # running replications one by one with matching offsets reproduces the batch
     net, products, plans = preference_shift()

@@ -24,6 +24,13 @@ def test_product_must_be_unit_norm_and_non_negative():
         Product(id=0, features=(-0.6, 0.8), null_index=1)
     with pytest.raises(ProductError, match="null index"):
         Product(id=0, features=(1.0, 0.0), null_index=2)
+    # a NaN norm fails no comparison, so these need their own test
+    for bad in ((np.nan, 1.0), (np.inf, 0.0)):
+        with pytest.raises(ProductError, match="non-finite"):
+            Product(id=0, features=bad, null_index=1)
+    for raw in ((np.nan, 1.0), (np.inf, 1.0)):
+        with pytest.raises(ProductError, match="non-finite"):
+            normalize_product(raw, null_index=1)
 
 
 def test_single_feature_product_allowed():

@@ -42,7 +42,7 @@ def test_sampled_plans_always_fit_the_budget():
     state = _initial_state(candidates, UNIT, gamma, horizon=2)
     rng = np.random.default_rng(2)
     for _ in range(500):
-        plan = sample_plan(state, UNIT, gamma, 2, 0, candidates, rng)
+        plan = sample_plan(state, UNIT, gamma, 0, candidates, rng)
         assert UNIT.plan_cost(plan) <= gamma + 1e-9
 
 
@@ -57,7 +57,7 @@ def test_oversized_continuous_draws_scale_exactly_to_budget():
     rng = np.random.default_rng(1)
     gamma = 2.0
     for _ in range(50):
-        plan = sample_plan(state, UNIT, gamma, 2, 0, [0, 1, 2], rng)
+        plan = sample_plan(state, UNIT, gamma, 0, [0, 1, 2], rng)
         assert plan.seeds == frozenset()
         # the scale-down lands exactly on the budget
         assert UNIT.plan_cost(plan) == pytest.approx(gamma, abs=1e-9)
@@ -73,7 +73,7 @@ def test_unaffordable_seed_distribution_is_infeasible():
     )
     rng = np.random.default_rng(0)
     with pytest.raises(InfeasiblePlanError):
-        sample_plan(state, UNIT, 2.0, 1, 0, list(range(5)), rng, retry_limit=50)
+        sample_plan(state, UNIT, 2.0, 0, list(range(5)), rng, retry_limit=50)
 
 
 def test_cost_model_rejects_bad_unit_costs():
@@ -196,7 +196,7 @@ def test_pure_refit_matches_elite_statistics_exactly():
     scored = []
     for s in range(6):
         rng = np.random.default_rng(derive_seed(seed, 1, s))
-        plan = sample_plan(state0, UNIT, gamma, 2, 0, candidates, rng, retry_limit=100)
+        plan = sample_plan(state0, UNIT, gamma, 0, candidates, rng, retry_limit=100)
         aug = build_augmented(net, products, fixed + [plan])
         value = estimate_spread(aug, products, 200, derive_seed(seed, 7001, s)).mean_of(0)
         scored.append((value, s, plan))

@@ -173,7 +173,7 @@ def build_augmented(
         node += len(steps) - 1
         chain.update({(i, t): c for t, c in enumerate(steps[1:], start=2)})
         edges += [Edge(a, b, 1.0) for a, b in zip(steps, steps[1:])]
-        edges += [Edge(steps[t], v, w) for v, t, w in zip(v_idx.tolist(), ts, media[v_idx, t_idx])]
+        edges += [Edge(steps[t], v, w) for v, t, w in zip(v_idx.tolist(), ts, media[v_idx, t_idx].tolist())]
     chain_count = node - n - k
 
     # one relay per (edge, product) with a recommendation weight, numbered
@@ -185,10 +185,11 @@ def build_augmented(
     # lands on the equality branch of >= for every product geometry
     relay_thr = np.array([relay_threshold(b_root, eps, p) for p in products], dtype=float)
     gadgets: dict[tuple[int, int, int], int] = {}
-    for relay, (j, i) in enumerate(zip(e_idx.tolist(), p_idx.tolist()), start=node):
+    relays = zip(e_idx.tolist(), p_idx.tolist(), rec[e_idx, p_idx].tolist())
+    for relay, (j, i, w) in enumerate(relays, start=node):
         e = net.edges[j]
         gadgets[(i, e.src, e.dst)] = relay
-        edges += (Edge(roots[i], relay, b_root), Edge(e.src, relay, eps), Edge(relay, e.dst, rec[j, i]))
+        edges += (Edge(roots[i], relay, b_root), Edge(e.src, relay, eps), Edge(relay, e.dst, w))
 
     aug_net = Network(
         node_count=node + len(gadgets),

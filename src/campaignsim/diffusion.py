@@ -26,10 +26,14 @@ network's CSR arrays.  Only cells touched that step can newly cross their
 threshold, so norms, thresholds and purchases are evaluated for those cells
 alone.  An aggregate is therefore summed in activation-step order, and
 within a step in frontier order (ascending cell) then CSR edge order,
-without BLAS; its norm sums the squared features in feature order.  Every
-purchase tie of a step is broken by one keyed-hash call over all tied
-cells.  Memory is O(R * n * f) for R replications, n nodes and f features,
-plus O(E) for the edge arrays; there is no n x n matrix.
+without BLAS; its norm sums the squared features in feature order.  A
+newly activated cell's dot product with each product is summed the same way,
+per product in feature order and without BLAS, so purchases do not depend on
+the BLAS vendor or its thread count; the first maximal dot wins unless
+another lies within COS_TIE_TOL * norm of it.  Every purchase tie of a step
+is broken by one keyed-hash call over all tied cells.  Memory is
+O(R * n * f) for R replications, n nodes and f features, plus O(E) for the
+edge arrays; there is no n x n matrix.
 """
 
 from __future__ import annotations
@@ -207,24 +211,37 @@ def simulate_batch(
         front = cells[newly]
         if not front.size:
             break
-        if k == 1:
-            choice = np.zeros(front.size, dtype=np.intp)
-        else:
-            dots = agg.T[front] @ pmat.T  # (m, k)
-            choice = dots.argmax(axis=1)
-            tie_mask = dots >= (np.maximum.reduce(dots, axis=1) - COS_TIE_TOL * norms[newly])[:, None]
-            if np.count_nonzero(tie_mask) > front.size:  # some cell has more than one candidate
-                multi = (tie_mask.sum(axis=1) > 1).nonzero()[0]
+        choice = np.zeros(front.size, dtype=np.intp)
+        if k > 1:
+            # dots[j] = <aggregate, p_j>, summed in feature order like norm2
+            dots = np.zeros((k, front.size))
+            for i in range(f):
+                x = agg[i][front]
+                for j in range(k):
+                    dots[j] += x * pmat[j, i]
+            # cut is the running maximum, then the lowest dot that still ties it;
+            # only a strictly greater dot replaces the choice, so the first maximum wins
+            cut = dots[0].copy()
+            for j in range(1, k):
+                choice[dots[j] > cut] = j
+                np.maximum(cut, dots[j], out=cut)
+            cut -= COS_TIE_TOL * norms[newly]
+            count = np.zeros(front.size, dtype=np.min_scalar_type(k))
+            for j in range(k):
+                count += dots[j] >= cut
+            multi = (count > 1).nonzero()[0]
+            if multi.size:  # some cell has more than one candidate
                 rows, cols = np.divmod(front[multi], n)
                 if on_tie == "raise":
                     raise PurchaseTieError(
                         f"purchase tie at node {cols[0]}, step {t}, replication {rep_offset + rows[0]}"
                     )
                 # the i-th tied candidate, i = floor(u01 * count), hashed per (rep, node, step)
-                cand = tie_mask[multi]
                 u01 = key_uniform(master_seed, rep_offset + rows, cols, t)
-                pick = (u01 * cand.sum(axis=1)).astype(np.intp)
-                choice[multi] = (cand.cumsum(axis=1) > pick[:, None]).argmax(axis=1)
+                pick = (u01 * count[multi]).astype(np.intp)
+                # it is the first product whose running candidate count exceeds pick
+                seen = (dots[:, multi] >= cut[multi]).cumsum(axis=0)  # (k, len(multi))
+                choice[multi] = (seen <= pick).sum(axis=0)
         front_prod = choice
         purchased[front] = choice
         activation_time[front] = t

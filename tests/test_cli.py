@@ -10,7 +10,7 @@ from campaignsim.cli import main, parse_config_file
 from campaignsim.diffusion import simulate_batch
 from campaignsim.estimator import estimate_spread
 from campaignsim.feature_space import Product, load_products, save_products
-from campaignsim.network import Network, load_network, save_network
+from campaignsim.network import Network, load_network, parse_edge_file, save_network
 from campaignsim.rng import TILE_SIZE, tile_rng
 
 
@@ -169,6 +169,60 @@ def test_simulate_optional_outputs(fixture_dir, tmp_path):
     )
     assert code == 0
     assert_replication_zero(ties, 3, t_traj)
+
+
+def test_simulate_with_media_and_social_channels(tmp_path):
+    # alpha > 0 and beta > 0 for two off-axis products, so the run compiles
+    # media chains and relays; the dump must read back bit for bit
+    d = tmp_path / "channels"
+    d.mkdir()
+    net = Network.from_edges(
+        6,
+        [(0, 1, 0.3), (1, 2, 0.25), (2, 3, 0.3), (3, 4, 0.2), (4, 5, 0.3), (5, 0, 0.1), (0, 3, 0.2), (2, 5, 0.15)],
+        similarities={(0, 1): 0.6, (1, 2): 0.7, (2, 3): 0.3, (3, 4): 0.9, (0, 3): 0.4},
+    )
+    save_network(net, str(d / "edges.txt"), str(d / "similarity.txt"))
+    products = [
+        Product(id=4, features=(0.6, 0.8, 0.0), null_index=2),
+        Product(id=9, features=(0.0, 0.28, 0.96), null_index=0),
+    ]
+    save_products(products, str(d / "products.txt"))
+    plans = [
+        ChannelPlan(product=4, seeds={0}, alpha=0.7, beta=(0.2, 0.0, 0.3)),
+        ChannelPlan(product=9, seeds={4}, alpha=0.3, beta=(0.1, 0.25, 0.0)),
+    ]
+    save_plans(plans, str(d / "plans.json"))
+    args = ["--net", d / "edges.txt", "--sim", d / "similarity.txt", "--products", d / "products.txt"]
+    outs = []
+    for tag in ("a", "b"):
+        files = [tmp_path / f"{tag}.json", tmp_path / f"{tag}.csv", tmp_path / f"{tag}_traj.csv"]
+        dump = tmp_path / f"{tag}_aug"
+        code = run(
+            [
+                "simulate", *args, "--plans", d / "plans.json", "--seed", 11, "--reps", 300,
+                "--out", files[0], "--node-probs", files[1], "--trajectory", files[2], "--dump-augmented", dump,
+            ]
+        )
+        assert code == 0
+        files += [dump / "edges.txt", dump / "similarity.txt", dump / "pseudo.json"]
+        outs.append([f.read_bytes() for f in files])
+    assert outs[0] == outs[1]
+
+    aug = build_augmented(
+        load_network(str(d / "edges.txt"), str(d / "similarity.txt")),
+        load_products(str(d / "products.txt")),
+        load_plans(str(d / "plans.json")),
+    )
+    roles = {r["kind"] for r in json.loads((tmp_path / "a_aug" / "pseudo.json").read_text())["pseudonodes"].values()}
+    assert {"media_chain", "social_gadget"} <= roles
+    dumped = parse_edge_file(str(tmp_path / "a_aug" / "edges.txt"))
+    in_memory = sorted(aug.net.edges, key=lambda e: (e.src, e.dst))
+    assert [(e.src, e.dst) for e in dumped] == [(e.src, e.dst) for e in in_memory]
+    assert [e.weight.hex() for e in dumped] == [float(e.weight).hex() for e in in_memory]
+    # the dumped graph loads as a base network again
+    code = run(["simulate", "--net", tmp_path / "a_aug" / "edges.txt", "--products", d / "products.txt",
+                "--plans", d / "plans.json", "--reps", 10, "--out", tmp_path / "again.json"])
+    assert code == 0
 
 
 def test_missing_input_exits_3(fixture_dir, tmp_path, capsys):

@@ -7,7 +7,7 @@ import pytest
 
 from campaignsim.channels import ChannelPlan, build_augmented
 from campaignsim.diffusion import PurchaseTieError, SeedAssignment, simulate_batch
-from campaignsim.feature_space import Product, normalize_product
+from campaignsim.feature_space import COS_TIE_TOL, Product, normalize_product
 from campaignsim.fixtures import (
     BRIDGE,
     COMPETITOR_SEED,
@@ -21,6 +21,7 @@ from campaignsim.fixtures import (
     preference_shift,
 )
 from campaignsim.network import Edge, Network
+from campaignsim.rng import key_uniform
 from lt_reference import classical_lt, random_lt_instance
 from scalar_reference import DiffusionNotConverged, initial_state, run_diffusion, sample_thresholds, step
 
@@ -327,6 +328,83 @@ def test_purchase_tie_raise_and_keyed_break():
     assert picks == again
     assert set(picks) == {0, 1}
     assert 40 < sum(picks) < 160
+
+
+# three cyclic permutations of one off-axis vector: every pair of products has
+# the same inner product c, so weights w0 = w2 tie products 0 and 2 exactly
+# and w0 = w1 = w2 ties all three
+_A = normalize_product((3.0, 1.0, 2.0), null_index=1).features
+CYCLIC = [Product(id=j, features=_A[-j:] + _A[:-j], null_index=(1 + j) % 3) for j in range(3)]
+
+
+def fed_by_seeds(weights):
+    """Seeds 0, 1, 2 and one target per weight triple, fed by seed s at weight[s]."""
+    return Network.from_edges(3 + len(weights), [(s, v, ws[s]) for v, ws in enumerate(weights, start=3) for s in range(3)])
+
+
+def reference_purchases(weights, products, master_seed, rep):
+    """Purchases of targets fed by seeds 0, 1, 2 (products 0, 1, 2) at step 1.
+
+    Python floats throughout: each aggregate feature adds the seeds' weight *
+    feature in seed order, norm and dots sum in feature order, and ties within
+    COS_TIE_TOL * norm take the floor(u01 * count)-th candidate.
+    """
+    out = []
+    for v, ws in enumerate(weights, start=3):
+        agg = [0.0] * 3
+        for w, p in zip(ws, products):
+            agg = [a + x * w for a, x in zip(agg, p.features)]
+        norm2 = 0.0
+        for a in agg:
+            norm2 = norm2 + a * a
+        dots = []
+        for p in products:
+            d = agg[0] * p.features[0]
+            for a, x in zip(agg[1:], p.features[1:]):
+                d = d + a * x
+            dots.append(d)
+        floor = max(dots) - COS_TIE_TOL * math.sqrt(norm2)
+        cand = [j for j, d in enumerate(dots) if d >= floor]
+        out.append(cand[int(key_uniform(master_seed, rep, v, 1) * len(cand))])
+    return out
+
+
+def test_purchase_choice_matches_a_feature_order_reference():
+    rng = np.random.default_rng(8)
+    w, lo = 0.3, 0.1
+    c = sum(a * b for a, b in zip(CYCLIC[0].features, CYCLIC[2].features))
+    weights = [tuple(rng.uniform(0.01, 0.33, 3)) for _ in range(40)]
+    weights += [(w, lo, w)] * 6  # exact tie between products 0 and 2
+    weights += [(w, w, w)] * 6  # three-way tie
+    weights += [(lo, w, w)] * 3  # exact tie between products 1 and 2
+    # product 2 ahead of product 0 by factor * COS_TIE_TOL * norm
+    norm = float(np.linalg.norm(w * CYCLIC[0].vector + lo * CYCLIC[1].vector + w * CYCLIC[2].vector))
+    near = [
+        (w, lo, w * (1 + factor * COS_TIE_TOL * norm / (w * (1 - c))))
+        for factor in (0.5, 0.9, 1.1, 1.5, 3.0, 10.0, -1.1, -3.0)
+    ]
+    weights += near
+    n = 3 + len(weights)
+    net = fed_by_seeds(weights)
+    seeds = SeedAssignment(tuple(frozenset({j}) for j in range(3)))
+    R, offset, master = 6, 40, 9
+    at, pu = simulate_batch(net, CYCLIC, seeds, np.zeros((R, n)), master_seed=master, rep_offset=offset)
+    assert (at[:, 3:] == 1).all()
+    ref = np.array([reference_purchases(weights, CYCLIC, master, offset + r) for r in range(R)])
+    assert np.array_equal(pu[:, 3:], ref)
+    # ties broke every way there is; near-ties outside the tolerance did not tie
+    assert set(pu[:, 43:49].ravel().tolist()) == {0, 2}
+    assert set(pu[:, 49:55].ravel().tolist()) == {0, 1, 2}
+    near_cols = pu[:, n - len(near):]
+    assert set(near_cols[:, :2].ravel().tolist()) == {0, 2}
+    assert (near_cols[:, 2:6] == 2).all() and (near_cols[:, 6:] == 0).all()
+
+    with pytest.raises(PurchaseTieError, match=f"purchase tie at node 43, step 1, replication {offset}$"):
+        simulate_batch(net, CYCLIC, seeds, np.zeros((R, n)), master_seed=master, rep_offset=offset, on_tie="raise")
+    # without the ties, raise mode runs through and agrees
+    untied = weights[:40] + near[2:]
+    _, pu = simulate_batch(fed_by_seeds(untied), CYCLIC, seeds, np.zeros((1, 3 + len(untied))), on_tie="raise")
+    assert pu[0, 3:].tolist() == reference_purchases(untied, CYCLIC, 0, 0)
 
 
 def test_not_converged_raised_when_capped_below_activity():

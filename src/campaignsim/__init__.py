@@ -1,8 +1,9 @@
 """Simulation and budget optimization for competing multi-channel campaigns.
 
 Products diffuse over a weighted social network under a multi-feature
-linear-threshold rule; mass-media and social-advertising channels are
-compiled into pseudonode gadgets so one engine covers every channel mix.
+linear-threshold rule; mass media compiles into pseudonodes and social
+advertising into delayed recommendation edges, so one engine covers every
+channel mix.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ __version__ = "0.1.0"
 from .channels import (
     AugmentedNetwork,
     ChannelPlan,
-    GadgetParams,
     PlanError,
     build_augmented,
     load_plans,
@@ -20,6 +20,7 @@ from .channels import (
 )
 from .diffusion import (
     PurchaseTieError,
+    Recommendations,
     SeedAssignment,
     simulate_batch,
 )
@@ -42,7 +43,6 @@ __all__ = [
     "CostModel",
     "Edge",
     "EnumerationCapError",
-    "GadgetParams",
     "GridSpec",
     "InfeasiblePlanError",
     "Network",
@@ -52,6 +52,7 @@ __all__ = [
     "Product",
     "ProductError",
     "PurchaseTieError",
+    "Recommendations",
     "SeedAssignment",
     "SpreadEstimate",
     "ValidationError",

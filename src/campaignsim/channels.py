@@ -1,44 +1,48 @@
-"""Marketing channels compiled onto the network as pseudonode gadgets.
+"""Marketing channels compiled onto the network: pseudonodes for mass media,
+delayed edges for social advertising.
 
 A channel plan per product carries direct seeds, a social-advertising rate
 alpha, and a mass-media schedule beta over a shared horizon.  Augmentation
 adds, per product, a root pseudonode (the campaign source, seeded at step 0)
 and a chain of media pseudonodes linked by weight-1 edges so that the t-th
 chain node is influenced at step t-1.  Media reach is a pseudoedge from the
-t-th chain node to each real node; social advertising adds one relay
-pseudonode per (directed edge, product) that fires only when the edge's
-source buys exactly that product, then recommends it to the target two steps
-after the source activates.
+t-th chain node to each real node.
 
-Channel pseudoedge weights into a real node are scaled by a common ratio so
-that they exactly fill the node's residual incoming capacity 1 - sum(b_uv):
+Social advertising on an edge (u, v) becomes one recommendation per product
+p with a non-zero weight: a delayed edge that adds w * p to v's aggregate
+two steps after u activates, and only if u bought p
+(diffusion.Recommendations).  The paper builds it as a relay pseudonode per
+(edge, product) that hears chi_w - eps from p's root and eps from u, so that
+by the non-strict threshold comparison it fires exactly when u buys p, one
+step after u, and passes w * p on to v one step later.  The compiled edge
+adds the same vector at the same step without the relay's cells.
+
+Channel weights into a real node are scaled by a common ratio so that they
+exactly fill the node's residual incoming capacity 1 - sum(b_uv):
 
     ratio(v) = (1 - sum_u b_uv) / sum_p (alpha_p * sum_u h_uv + sum_t beta_p[t])
 
 with ratio 0 when the denominator is 0.  One array pass computes it for
 every base node: both sums over u run in ascending source order, and the
-denominator adds the plans in plan order.  Relay activation relies on the
-non-strict threshold comparison: with incoming weights (chi_w - eps) from the
-root and eps from the source, a source buying the same product lands the
-relay's aggregate norm on chi_w, and a source buying any other product leaves
-it strictly below.  Rounding can put the kernel's float norm of the
-same-product aggregate a few ulps below the float sum of the two weights, so
-the relay's stored threshold is that sum, lowered to the norm when the norm
-is smaller (diffusion.relay_threshold).
+denominator adds the plans in plan order.  A media pseudoedge weighs
+ratio(v) * beta_p[t] and a recommendation ratio(v) * alpha_p * h_uv.
 
-Node numbers are a contract, because seeded outputs depend on the node count
-and on the order of relay ids:
+Node numbers are a contract, because seeded outputs depend on the node
+count:
 
 1. real nodes 0..n-1;
 2. roots n..n+k-1, one per product in product order;
 3. media chain nodes, product by product and step by step, up to the last
-   step that sends a media pseudoedge (none when every ratio is 0);
-4. relays in base edge-list order, product-minor.
+   step that sends a media pseudoedge (none when every ratio is 0).
 
-The order of the edge list is not part of the contract: each (src, dst) pair
-has at most one edge, and the kernel adds each step's contributions to an
-aggregate in source order.  Each pseudonode's role is recorded once: in
-roots, chain or gadgets.
+Recommendations are listed in (source, target, product) order.  The kernel
+adds a step's recommendations to an aggregate after that step's direct
+contributions, in ascending source order: the order of the paper's relays
+numbered in base edge-list order, product-minor, whenever the edge list is
+source-sorted, as save_network writes it.  The order of the edge list is
+not otherwise part of the contract: each (src, dst) pair has at most one
+edge, and the kernel adds each step's contributions to an aggregate in
+source order.  Each pseudonode's role is recorded once: in roots or chain.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffusion import SeedAssignment, relay_threshold
+from .diffusion import Recommendations, SeedAssignment
 from .feature_space import Product
 from .network import Edge, Network, NodeKind, ValidationError
 
@@ -79,18 +83,6 @@ class ChannelPlan:
         return len(self.beta)
 
 
-@dataclass(frozen=True)
-class GadgetParams:
-    """Relay pseudonode geometry; requires 0 < epsilon < chi_w <= 1."""
-
-    chi_w: float = 0.5
-    epsilon: float = 0.25
-
-    def __post_init__(self):
-        if not (0.0 < self.epsilon < self.chi_w <= 1.0):
-            raise PlanError(f"invalid gadget parameters chi_w={self.chi_w}, epsilon={self.epsilon}")
-
-
 @dataclass
 class AugmentedNetwork:
     net: Network
@@ -100,7 +92,7 @@ class AugmentedNetwork:
     roots: tuple[int, ...]  # root pseudonode per product index
     scale: np.ndarray  # per-base-node channel scaling ratio
     chain: dict[tuple[int, int], int]  # (product index, t >= 2) -> media chain node
-    gadgets: dict[tuple[int, int, int], int]  # (product index, u, v) -> relay node
+    recommendations: Recommendations  # social advertising, in (source, target, product) order
 
     def seed_assignment(self) -> SeedAssignment:
         by_product = tuple(
@@ -110,16 +102,15 @@ class AugmentedNetwork:
 
 
 # node kinds in numbering order
-_KINDS = np.array([NodeKind.REAL, NodeKind.PRODUCT_ROOT, NodeKind.MEDIA_CHAIN, NodeKind.SOCIAL_GADGET], dtype=np.int8)
+_KINDS = np.array([NodeKind.REAL, NodeKind.PRODUCT_ROOT, NodeKind.MEDIA_CHAIN], dtype=np.int8)
 
 
 def build_augmented(
     net: Network,
     products: list[Product],
     plans: list[ChannelPlan],
-    gadget: GadgetParams = GadgetParams(),
 ) -> AugmentedNetwork:
-    """Compile channel plans into pseudonodes over a validated base network."""
+    """Compile channel plans into pseudonodes and recommendations over a validated base network."""
     if net.node_kind.any():  # NodeKind.REAL is 0
         raise PlanError("base network already contains pseudonodes")
     by_id = {plan.product: plan for plan in plans}
@@ -150,10 +141,11 @@ def build_augmented(
     dst = np.array([e.dst for e in net.edges], dtype=np.intp)
     weight = np.array([e.weight for e in net.edges], dtype=float)
     h = np.array([net.similarity_of(e.src, e.dst) for e in net.edges], dtype=float)
-    # sums per target in ascending-source order
-    by_src = np.argsort(src, kind="stable")
-    in_sum = np.bincount(dst[by_src], weight[by_src], minlength=n)
-    h_sum = np.bincount(dst[by_src], h[by_src], minlength=n)
+    # edges in (source, target) order, so sums per target run in ascending source order
+    by_src = np.lexsort((dst, src))
+    src, dst, weight, h = src[by_src], dst[by_src], weight[by_src], h[by_src]
+    in_sum = np.bincount(dst, weight, minlength=n)
+    h_sum = np.bincount(dst, h, minlength=n)
     load = np.zeros(n)
     for plan in ordered:
         load += plan.alpha * h_sum + sum(plan.beta)
@@ -176,29 +168,20 @@ def build_augmented(
         edges += [Edge(steps[t], v, w) for v, t, w in zip(v_idx.tolist(), ts, media[v_idx, t_idx].tolist())]
     chain_count = node - n - k
 
-    # one relay per (edge, product) with a recommendation weight, numbered
-    # in edge-list order, product-minor
+    # one recommendation per (edge, product) with a non-zero weight, in
+    # (source, target, product) order
     rec = scale[dst][:, None] * np.array([plan.alpha for plan in ordered], dtype=float) * h[:, None]
     e_idx, p_idx = (rec > 0.0).nonzero()
-    b_root, eps = gadget.chi_w - gadget.epsilon, gadget.epsilon
-    # at most the kernel's norm of the same-product aggregate, so that case
-    # lands on the equality branch of >= for every product geometry
-    relay_thr = np.array([relay_threshold(b_root, eps, p) for p in products], dtype=float)
-    gadgets: dict[tuple[int, int, int], int] = {}
-    relays = zip(e_idx.tolist(), p_idx.tolist(), rec[e_idx, p_idx].tolist())
-    for relay, (j, i, w) in enumerate(relays, start=node):
-        e = net.edges[j]
-        gadgets[(i, e.src, e.dst)] = relay
-        edges += (Edge(roots[i], relay, b_root), Edge(e.src, relay, eps), Edge(relay, e.dst, w))
+    recommendations = Recommendations(src=src[e_idx], dst=dst[e_idx], product=p_idx, weight=rec[e_idx, p_idx])
 
     aug_net = Network(
-        node_count=node + len(gadgets),
+        node_count=node,
         edges=edges,
         similarity=dict(net.similarity),
-        node_kind=np.repeat(_KINDS, [n, k, chain_count, len(gadgets)]),
-        fixed_threshold=np.concatenate([net.fixed_threshold, np.full(k + chain_count, 0.5), relay_thr[p_idx]]),
+        node_kind=np.repeat(_KINDS, [n, k, chain_count]),
+        fixed_threshold=np.concatenate([net.fixed_threshold, np.full(k + chain_count, 0.5)]),
     )
-    violations = aug_net.validate()
+    violations = aug_net.validate(delayed=recommendations.edges())
     if violations:
         raise ValidationError(violations)
     return AugmentedNetwork(
@@ -209,7 +192,7 @@ def build_augmented(
         roots=roots,
         scale=scale,
         chain=chain,
-        gadgets=gadgets,
+        recommendations=recommendations,
     )
 
 
@@ -281,7 +264,8 @@ def save_plans(plans: list[ChannelPlan], path: str) -> None:
 
 
 def save_augmented(aug: AugmentedNetwork, edge_path: str, similarity_path: str, pseudo_path: str) -> None:
-    """Write the augmented graph plus a JSON sidecar mapping pseudonodes to roles."""
+    """Write the augmented graph plus a JSON sidecar mapping pseudonodes to
+    roles and listing the recommendations."""
     from .network import save_network
 
     save_network(aug.net, edge_path, similarity_path)
@@ -289,15 +273,18 @@ def save_augmented(aug: AugmentedNetwork, edge_path: str, similarity_path: str, 
     roles = {node: {"kind": "product_root", "product": pids[i]} for i, node in enumerate(aug.roots)}
     for (i, t), node in aug.chain.items():
         roles[node] = {"kind": "media_chain", "product": pids[i], "step": t}
-    for (i, u, v), node in aug.gadgets.items():
-        roles[node] = {"kind": "social_gadget", "product": pids[i], "edge": [u, v]}
     entries = {
         str(node): role | {"fixed_threshold": float(aug.net.fixed_threshold[node])}
         for node, role in roles.items()
     }
+    rec = aug.recommendations
     payload = {
         "base_node_count": aug.base_node_count,
         "pseudonodes": entries,
+        "recommendations": [
+            {"kind": "recommendation", "product": pids[i], "edge": [u, v], "weight": w}
+            for u, v, i, w in zip(rec.src.tolist(), rec.dst.tolist(), rec.product.tolist(), rec.weight.tolist())
+        ],
     }
     with open(pseudo_path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)

@@ -372,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_oracle)
 
-    p = sub.add_parser("gadget-check", help="randomized relay-pseudonode verification")
+    p = sub.add_parser("gadget-check", help="randomized check of social-advertising recommendations")
     p.add_argument("--trials", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)

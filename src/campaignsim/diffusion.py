@@ -13,40 +13,52 @@ components are non-negative, aggregate norms are non-decreasing over time
 and first-crossing detection coincides with the two-sided formulation
 (crossed now, not crossed one step earlier).
 
+Social advertising arrives through recommendations: delayed edges
+(u, v, i, w) that add w * products[i] to v's aggregate at step t_u + 2, and
+only if u bought product i.  They stand for the paper's relay gadget, a
+pseudonode per (edge, product) that fires one step after its source buys
+the product and passes the recommendation on one step later; the kernel
+adds exactly what such a relay would, in the same order, without the relay
+cells.
+
 The kernel advances many replications at once; a single run is a batch of
 one.  A node whose aggregate is exactly the zero vector never activates,
-whatever its threshold.  A step that activates no cell ends the batch, so
-every batch ends within n - 1 steps.
+whatever its threshold.  A step that activates no cell ends the batch unless
+a recommendation is still in flight.  So without recommendations every
+batch ends within n - 1 steps; with them a replication activates a node at
+least every second step until it settles, and activation times stay within
+2 * (n - 1).
 
 Influence is permanent and purchases are immutable, so the kernel keeps a
 running aggregate per (replication, node) cell and updates it
 incrementally: at step t only the cells activated at step t-1 (the
 frontier) add weight * product-vector along their out-edges, read from the
-network's CSR arrays.  Only cells touched that step can newly cross their
-threshold, so norms, thresholds and purchases are evaluated for those cells
-alone.  An aggregate is therefore summed in activation-step order, and
-within a step in frontier order (ascending cell) then CSR edge order,
-without BLAS; its norm sums the squared features in feature order.  A
+network's CSR arrays, and the cells activated at step t-2 along their
+recommendations, in one scatter.  Only cells touched that step can newly
+cross their threshold, so norms, thresholds and purchases are evaluated for
+those cells alone.  An aggregate is therefore summed in activation-step
+order, and within a step in frontier order (ascending cell) then CSR edge
+order, then the step's recommendations in ascending source order, without
+BLAS; its norm sums the squared features in feature order.  A
 newly activated cell's dot product with each product is summed the same way,
 per product in feature order and without BLAS, so purchases do not depend on
 the BLAS vendor or its thread count; the first maximal dot wins unless
 another lies within COS_TIE_TOL * norm of it.  Every purchase tie of a step
 is broken by one keyed-hash call over all tied cells.  Memory is
 O(R * n * f) for R replications, n nodes and f features, plus O(E) for the
-edge arrays; there is no n x n matrix.
+edge and recommendation arrays; there is no n x n matrix.
 """
 
 from __future__ import annotations
 
 import ctypes
-import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .feature_space import COS_TIE_TOL, Product, product_matrix
-from .network import Network, NodeKind
+from .network import Edge, Network, NodeKind
 from .rng import key_uniform
 
 # glibc mallopt parameters and the ceilings its dynamic rule moves towards
@@ -120,20 +132,25 @@ class SeedAssignment:
         return np.array(nodes, dtype=np.int64), np.array(prods, dtype=np.int64)
 
 
-def relay_threshold(root_weight: float, source_weight: float, product: Product) -> float:
-    """Threshold of a relay whose in-edges weigh root_weight and source_weight.
+@dataclass(frozen=True)
+class Recommendations:
+    """Delayed edges: weight[j] * products[product[j]] reaches dst[j] two
+    steps after src[j] activates, and only if src[j] bought that product.
 
-    The sum of the weights, lowered to the float norm simulate_batch computes
-    for root_weight * p + source_weight * p where rounding puts that norm
-    below the sum: per feature x * root_weight + x * source_weight, squares
-    summed in feature order, then the square root.  So a source that bought p
-    fires the relay for every direction of p; an axis product gives the sum.
+    Aligned arrays of product indices, node numbers and weights.
     """
-    norm2 = 0.0
-    for x in product.features:
-        a = x * root_weight + x * source_weight
-        norm2 = norm2 + a * a
-    return min(root_weight + source_weight, math.sqrt(norm2))
+
+    src: np.ndarray
+    dst: np.ndarray
+    product: np.ndarray
+    weight: np.ndarray
+
+    def __len__(self) -> int:
+        return self.src.size
+
+    def edges(self) -> list[Edge]:
+        """(source, target, weight) per recommendation, for capacity checks."""
+        return [Edge(u, v, w) for u, v, w in zip(self.src.tolist(), self.dst.tolist(), self.weight.tolist())]
 
 
 def simulate_batch(
@@ -142,6 +159,7 @@ def simulate_batch(
     seeds: SeedAssignment,
     thresholds: np.ndarray,
     *,
+    recommendations: Recommendations | None = None,
     master_seed: int = 0,
     rep_offset: int = 0,
     on_tie: str = "random",
@@ -163,14 +181,30 @@ def simulate_batch(
     n_edges = out_dst.size
     pmat = product_matrix(products)
     k, f = pmat.shape
-    # edge e carrying product j has key j * E + e; its weighted features by key
-    key_dst = np.concatenate([out_dst] * k)
+    # edge e carrying product j has key j * E + e; its weighted features by key.
+    # A cell of node u that bought product j sends along group j * n + u (slot
+    # j): its out-edges, keys group_lo[g] to group_lo[g] + group_deg[g] - 1
+    key_dst = [out_dst] * k
     key_contrib = (pmat.T[:, :, None] * out_w).reshape(f, k * n_edges)
+    group_lo = [indptr[:-1] + j * n_edges for j in range(k)]
+    group_deg = [indptr[1:] - indptr[:-1]] * k
+    recommending = recommendations is not None and len(recommendations) > 0
+    if recommending:
+        rec = recommendations
+        # and one step later along group (k + j) * n + u (slot k + j): its
+        # recommendations of product j, keys from k * E on
+        group = rec.product * n + rec.src
+        order = group.argsort(kind="stable")
+        rec_lo = k * n_edges + group[order].searchsorted(np.arange(k * n + 1))
+        group_lo.append(rec_lo[:-1])
+        group_deg.append(rec_lo[1:] - rec_lo[:-1])
+        key_dst.append(rec.dst[order])
+        key_contrib = np.concatenate([key_contrib, pmat.T[:, rec.product[order]] * rec.weight[order]], axis=1)
+    key_dst, group_lo, group_deg = np.concatenate(key_dst), np.concatenate(group_lo), np.concatenate(group_deg)
     # per-replication arrays are flat over cells r * n + v; agg is feature-major
     # fixed before the floor, so a fixed threshold of 0 still needs a non-zero aggregate
     thr = np.array(thresholds, dtype=float)
-    fixed = ~np.isnan(net.fixed_threshold)
-    thr[:, fixed] = net.fixed_threshold[fixed]
+    np.copyto(thr, net.fixed_threshold, where=~np.isnan(net.fixed_threshold))
     thr = thr.reshape(-1)
     np.maximum(thr, _TINY, out=thr)
     purchased = np.full(R * n, -1, dtype=np.int16)
@@ -184,19 +218,29 @@ def simulate_batch(
     front = (activation_time == 0).nonzero()[0]  # cells activated last step, ascending
     front_prod = purchased[front].astype(np.intp)
     thr[front] = np.inf  # an influenced cell never activates again
+    held = None  # (cell, slot) of the step before last's activations
     t = 0
-    while front.size:
+    while front.size or held is not None:
         t += 1
-        # out-edges of last step's activations, in frontier then CSR order
-        u = front % n
-        lo = indptr[u]
-        deg = indptr[u + 1] - lo
+        # out-edges of last step's activations, in frontier then CSR order,
+        # then the recommendations of the step before last's, in the same order
+        sender, slot = front, front_prod
+        if held is not None and front.size:
+            sender, slot = np.concatenate([front, held[0]]), np.concatenate([front_prod, held[1]])
+        elif held is not None:
+            sender, slot = held
+        if recommending:
+            held = (front, front_prod + k) if front.size else None
+        u = sender % n
+        group = slot * n + u
+        deg = group_deg[group]
         ends = deg.cumsum()
-        if not ends[-1]:
-            break
-        key = np.repeat(front_prod * n_edges + lo - ends + deg, deg) + np.arange(ends[-1])
-        cell = np.repeat(front - u, deg) + key_dst[key]
-        for i in range(f):  # unbuffered: adds in edge order onto the running sums
+        if not (ends.size and ends[-1]):  # nothing reaches any cell this step
+            front = front_prod = ends[:0]
+            continue
+        key = np.repeat(group_lo[group] - ends + deg, deg) + np.arange(ends[-1])
+        cell = np.repeat(sender - u, deg) + key_dst[key]
+        for i in range(f):  # unbuffered: adds in key order onto the running sums
             np.add.at(agg[i], cell, key_contrib[i][key])
         # only cells whose aggregate changed can newly cross their threshold
         touched[cell] = True
@@ -210,7 +254,8 @@ def simulate_batch(
         newly = norms >= thr[cells]
         front = cells[newly]
         if not front.size:
-            break
+            front_prod = front
+            continue
         choice = np.zeros(front.size, dtype=np.intp)
         if k > 1:
             # dots[j] = <aggregate, p_j>, summed in feature order like norm2

@@ -9,7 +9,9 @@ the CLI's single-replication trajectory, goes through it.  Per-replication
 purchase counts are accumulated as exact integers and tiles are reduced in
 index order, which makes every estimate bit-identical for any worker count.
 
-Spread counts real nodes only; pseudonodes are bookkeeping.
+Spread counts real nodes only; pseudonodes are bookkeeping.  Threshold rows
+have one column per node of the compiled network, so recommendations cost
+no draws.
 """
 
 from __future__ import annotations
@@ -79,7 +81,8 @@ def simulate_tile(
     # Philox fills rows in order: these are the first tile_len rows of the full tile
     chi = tile_rng(seed, tile_idx).random((tile_len, aug.net.node_count))
     return simulate_batch(
-        aug.net, products, aug.seed_assignment(), chi, master_seed=seed, rep_offset=tile_idx * TILE_SIZE
+        aug.net, products, aug.seed_assignment(), chi,
+        recommendations=aug.recommendations, master_seed=seed, rep_offset=tile_idx * TILE_SIZE,
     )
 
 
@@ -174,14 +177,15 @@ def activation_time_histogram(
 ) -> np.ndarray:
     """Counts of replications in which the node activated at each step.
 
-    Index t, for t < node count, holds the count for activation at exactly
-    step t; replications where the node never activates are not counted
-    anywhere.
+    Index t holds the count for activation at exactly step t; replications
+    where the node never activates are not counted anywhere.  The length is
+    the latest possible step plus one: n, or 2n - 1 with recommendations
+    (see diffusion).
     """
     _check_count("replications", replications)
-    hist = np.zeros(aug.net.node_count, dtype=np.int64)
+    n = aug.net.node_count
+    hist = np.zeros(2 * n - 1 if len(aug.recommendations) else n, dtype=np.int64)
     for tile_idx, tile_len in _tile_bounds(replications):
         times = simulate_tile(aug, products, seed, tile_idx, tile_len)[0][:, node]
-        # every step activates a node, so no activation comes later than step n - 1
         hist += np.bincount(times[times >= 0], minlength=hist.size)
     return hist

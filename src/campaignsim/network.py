@@ -11,6 +11,8 @@ activation threshold; base networks built from files contain only real nodes.
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from enum import IntEnum
 
@@ -23,7 +25,7 @@ class NodeKind(IntEnum):
     REAL = 0
     PRODUCT_ROOT = 1
     MEDIA_CHAIN = 2
-    SOCIAL_GADGET = 3
+    SOCIAL_GADGET = 3  # the paper's relay pseudonode; build_augmented compiles relays into recommendations
 
 
 @dataclass(frozen=True)
@@ -131,15 +133,19 @@ class Network:
         return self.similarity.get((min(u, v), max(u, v)), 0.0)
 
     def real_nodes(self) -> np.ndarray:
-        return np.flatnonzero(self.node_kind == NodeKind.REAL)
+        return (self.node_kind == 0).nonzero()[0]  # NodeKind.REAL is 0
 
     # -- validation -----------------------------------------------------
 
-    def validate(self) -> list[str]:
-        """Return all invariant violations (empty list means valid)."""
+    def validate(self, delayed: Iterable[Edge] = ()) -> list[str]:
+        """Return all invariant violations (empty list means valid).
+
+        delayed holds in-edges kept outside the edge list (compiled
+        recommendations); they count toward each target's incoming weight.
+        """
         violations = []
         in_sums = np.zeros(self.node_count)
-        for e in self.edges:
+        for e in itertools.chain(self.edges, delayed):
             if e.src == e.dst:
                 violations.append(f"self-loop at node {e.src}")
             if not (0.0 < e.weight <= 1.0):
@@ -153,7 +159,7 @@ class Network:
             if u == v:
                 violations.append(f"similarity ({u},{v}) is a self-pair")
         fixed = ~np.isnan(self.fixed_threshold)
-        pseudo = self.node_kind != NodeKind.REAL
+        pseudo = self.node_kind != 0  # NodeKind.REAL is 0
         for v in np.flatnonzero(pseudo & ~fixed):
             violations.append(f"pseudonode {v} lacks a fixed threshold")
         for v in np.flatnonzero(fixed):

@@ -64,19 +64,28 @@ def _source_products(aug: AugmentedNetwork) -> dict[int, int]:
     """Product index each pseudonode can ever purchase; real nodes are absent."""
     owner = {node: i for i, node in enumerate(aug.roots)}
     owner.update((node, key[0]) for key, node in aug.chain.items())
-    owner.update((node, key[0]) for key, node in aug.gadgets.items())
     return owner
 
 
-def _breakpoint_norms(
-    aug: AugmentedNetwork, products: list[Product], v: int, owner: dict[int, int]
-) -> np.ndarray | None:
-    """Norms of all aggregate vectors v could receive (superset of reachable)."""
+def _recommendations_into(aug: AugmentedNetwork) -> dict[int, list[tuple[float, int]]]:
+    """(weight, product index) of each recommendation per target, in source order."""
+    rec = aug.recommendations
+    into: dict[int, list[tuple[float, int]]] = {}
+    for v, w, i in zip(rec.dst.tolist(), rec.weight.tolist(), rec.product.tolist()):
+        into.setdefault(v, []).append((w, i))
+    return into
+
+
+def _breakpoint_norms(products: list[Product], ins: list[tuple[float, int | None]]) -> np.ndarray | None:
+    """Norms of all aggregate vectors a node could receive (superset of reachable).
+
+    ins holds (weight, product index the source can ever buy, or None for
+    any) per in-edge.
+    """
     pmat = product_matrix(products)
     options: list[np.ndarray] = []
     total = 1
-    for u, w in aug.net.in_neighbors(v):
-        pi = owner.get(u)
+    for w, pi in ins:
         if pi is None:
             opts = np.vstack([np.zeros(pmat.shape[1]), w * pmat])
         else:
@@ -91,11 +100,11 @@ def _breakpoint_norms(
     return np.unique(np.sqrt(np.sum(acc * acc, axis=1)))
 
 
-def _cells_for_node(aug, products, v, grid: GridSpec, owner) -> list[tuple[float, int]]:
+def _cells_for_node(products, ins, grid: GridSpec) -> list[tuple[float, int]]:
     """(representative midpoint, midpoint count) per constant-outcome piece."""
     m = grid.resolution
     mids = (np.arange(m) + 0.5) / m
-    norms = _breakpoint_norms(aug, products, v, owner)
+    norms = _breakpoint_norms(products, ins)
     if norms is None:
         return [(float(x), 1) for x in mids]
     piece = np.searchsorted(norms, mids, side="left")
@@ -142,7 +151,13 @@ def exact_spread_grid(
         and len(net.in_neighbors(v)) > 0
     ]
     owner = _source_products(aug)
-    cell_lists = [_cells_for_node(aug, products, v, grid, owner) for v in free]
+    into = _recommendations_into(aug)
+    # in-edges in ascending source order, then recommendations, which is
+    # where the paper's relay pseudonodes would sit
+    cell_lists = [
+        _cells_for_node(products, [(w, owner.get(u)) for u, w in net.in_neighbors(v)] + into.get(v, []), grid)
+        for v in free
+    ]
     total = math.prod(len(c) for c in cell_lists) if cell_lists else 1
     if total > grid.max_tuples:
         raise EnumerationCapError(f"{total} threshold tuples exceed the cap {grid.max_tuples}")
@@ -166,7 +181,8 @@ def exact_spread_grid(
                 chi[r, free[slot]] = rep
                 weights[r] *= count / m
         _, purchased = simulate_batch(
-            net, products, seeds, chi, master_seed=0, rep_offset=evaluated, on_tie="raise"
+            net, products, seeds, chi, recommendations=aug.recommendations,
+            master_seed=0, rep_offset=evaluated, on_tie="raise",
         )
         for j in range(k):
             bought = purchased[:, real] == j

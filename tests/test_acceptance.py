@@ -7,8 +7,10 @@ Eight criteria, each with a single printed PASS/FAIL verdict:
 2. seeding non-monotonicity: adding a helper seed lowers the focal spread
    below 6.61, by more than three combined standard errors, while the
    bridge activation probability rises to 0.721 +- 0.003.
-3. relay gadget: over ten thousand random geometries the gadget pseudonode
-   fires on schedule iff the watched friend buys exactly the relay product.
+3. social-advertising recommendation: over ten thousand random geometries
+   the relay gadget's norm inequality holds, and the compiled recommendation
+   edge delivers its weight times the product to the target two steps after
+   the watched friend activates iff the friend buys exactly that product.
 4. classical threshold degeneration: with a single product the batch
    kernel and the per-node scalar reference (tests/scalar_reference.py)
    both match an independent textbook implementation exactly on 100 random
@@ -335,7 +337,7 @@ def test_criterion_2_extra_seed_nonmonotonicity(payloads):
 def test_criterion_3_gadget_fires_iff_product_matches(payloads):
     got = payloads["gadget_property"]
     ok = got["trials"] == 10_000 and got["counterexamples"] == 0
-    verdict(3, "relay gadget", ok,
+    verdict(3, "recommendation edge", ok,
             f"{got['counterexamples']} counterexamples in {got['trials']} trials")
     assert ok
 

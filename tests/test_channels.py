@@ -7,7 +7,6 @@ import pytest
 
 from campaignsim.channels import (
     ChannelPlan,
-    GadgetParams,
     PlanError,
     build_augmented,
     load_plans,
@@ -19,6 +18,7 @@ from campaignsim.diffusion import simulate_batch
 from campaignsim.feature_space import Product, normalize_product
 from campaignsim.network import Edge, Network, NodeKind, ValidationError
 from campaignsim.rng import tile_rng
+from gadget_reference import GadgetParams, gadget_network
 from scalar_reference import run_diffusion, sample_thresholds
 
 P_AXIS = Product(id=0, features=(1.0, 0.0), null_index=1)
@@ -143,10 +143,12 @@ def test_channel_weights_never_break_capacity_random_sweep():
             for plan in plans:
                 load += plan.alpha * h_sum + sum(plan.beta)
             assert aug.scale[v] == (max(0.0, 1.0 - in_sum) / load if load > 0.0 else 0.0)
-        # pseudoedges into each base node fill the residual exactly when scaled
+        # pseudoedges and recommendations into each base node fill the
+        # residual exactly when scaled
+        rec = aug.recommendations
         for v in range(n):
             base_in = sum(wt for _, wt in net.in_neighbors(v))
-            total_in = sum(e.weight for e in aug.net.edges if e.dst == v)
+            total_in = sum(e.weight for e in aug.net.edges if e.dst == v) + rec.weight[rec.dst == v].sum()
             if aug.scale[v] > 0:
                 assert total_in == pytest.approx(1.0, abs=1e-9)
             else:
@@ -227,7 +229,31 @@ def test_media_pseudoedge_weight_is_ratio_times_beta():
     assert w[second, 0] == pytest.approx(0.3 / 0.5)
 
 
+def test_recommendation_per_similar_edge_and_product_in_source_order():
+    # edge (u, v) with similarity h gives product p the weight ratio(v) * alpha_p * h
+    net = Network.from_edges(
+        4, [(2, 1, 0.2), (0, 1, 0.1), (3, 0, 0.3), (1, 3, 0.2), (0, 3, 0.1)],
+        similarities={(1, 2): 0.5, (0, 1): 0.25, (0, 3): 0.8},
+    )
+    plans = [ChannelPlan(product=0, alpha=1.0, beta=(0.1,)), ChannelPlan(product=1, alpha=0.5, beta=(0.0,))]
+    aug = build_augmented(net, [P_AXIS, Q_AXIS], plans)
+    rec = aug.recommendations
+    got = list(zip(rec.src.tolist(), rec.dst.tolist(), rec.product.tolist(), rec.weight.tolist()))
+    want = []
+    for u, v in sorted((e.src, e.dst) for e in net.edges):
+        for i, plan in enumerate(plans):
+            w = aug.scale[v] * plan.alpha * net.similarity_of(u, v)
+            if w > 0.0:
+                want.append((u, v, i, w))
+    assert got == want
+    assert {(u, v) for u, v, _, _ in got} == {(2, 1), (0, 1), (3, 0), (0, 3)}
+    # no relay pseudonodes: real nodes, roots, and no chain without a step-2 slot
+    assert aug.net.node_count == 4 + 2
+    assert aug.net.validate(delayed=rec.edges()) == []
+
+
 def test_relay_fires_only_for_its_own_product():
+    # the paper's relay pseudonode, as the test-side reference builds it
     net = two_node_net(weight=0.1, h=0.5)
     products = [P_AXIS, Q_AXIS]
     for source_product in (0, 1):
@@ -236,10 +262,10 @@ def test_relay_fires_only_for_its_own_product():
             ChannelPlan(product=1, seeds=frozenset({0}) if source_product == 1 else frozenset(), alpha=0.0, beta=(0.0,)),
         ]
         aug = build_augmented(net, products, plans)
-        relay = aug.gadgets.get((0, 0, 1))
-        assert relay is not None
-        chi = np.full(aug.net.node_count, 0.99)
-        out = run_diffusion(aug.net, products, aug.seed_assignment(), chi)
+        ref, relays = gadget_network(aug, products)
+        relay = relays[(0, 0, 1)]
+        chi = np.full(ref.node_count, 0.99)
+        out = run_diffusion(ref, products, aug.seed_assignment(), chi)
         if source_product == 0:
             # equality case: (chi_w - eps) + eps lands exactly on the threshold
             assert out.activation_time[relay] == 1
@@ -249,29 +275,28 @@ def test_relay_fires_only_for_its_own_product():
 
 
 def test_relay_fires_on_schedule_for_non_axis_products():
-    # a seeded source that bought p must fire p's relay at step 1 whatever
-    # p's direction; rounding in the aggregate's norm used to leave some unfired
+    # in the reference, a seeded source that bought p must fire p's relay at
+    # step 1 whatever p's direction; rounding in the aggregate's norm must
+    # not leave it unfired
     rng = np.random.default_rng(13)
     net = two_node_net(weight=0.1, h=0.7)
     for _ in range(200):
         chi_w = float(rng.uniform(0.05, 0.95))
         eps = float(chi_w * rng.uniform(0.05, 0.95))
         p = normalize_product(rng.random(3), null_index=2, product_id=0)
-        aug = build_augmented(
-            net, [p], [ChannelPlan(product=0, seeds=frozenset({0}), alpha=0.5)],
-            gadget=GadgetParams(chi_w=chi_w, epsilon=eps),
-        )
-        relay = aug.gadgets.get((0, 0, 1))
-        w = {(e.src, e.dst): e.weight for e in aug.net.edges}
-        assert aug.net.fixed_threshold[relay] <= w[aug.roots[0], relay] + w[0, relay]
-        chi = np.full((1, aug.net.node_count), 0.99)
-        at, bought = simulate_batch(aug.net, [p], aug.seed_assignment(), chi)
+        aug = build_augmented(net, [p], [ChannelPlan(product=0, seeds=frozenset({0}), alpha=0.5)])
+        ref, relays = gadget_network(aug, [p], GadgetParams(chi_w=chi_w, epsilon=eps))
+        relay = relays[(0, 0, 1)]
+        w = {(e.src, e.dst): e.weight for e in ref.edges}
+        assert ref.fixed_threshold[relay] <= w[aug.roots[0], relay] + w[0, relay]
+        chi = np.full((1, ref.node_count), 0.99)
+        at, bought = simulate_batch(ref, [p], aug.seed_assignment(), chi)
         assert (at[0, relay], bought[0, relay]) == (1, 0), (p.features, chi_w, eps)
 
 
 def test_relayed_influence_arrives_two_steps_after_the_source():
-    # source activates at step 1 via media; the relay hears it at 2 and the
-    # neighbor node hears the recommendation at 3
+    # source activates at step 1 via media; its relay would fire at 2, and
+    # the neighbor hears the recommendation at 3
     net = two_node_net(weight=0.1, h=1.0)
     products = [P_AXIS, Q_AXIS]
     plans = [
@@ -279,15 +304,14 @@ def test_relayed_influence_arrives_two_steps_after_the_source():
         ChannelPlan(product=1, alpha=0.0, beta=(0.0,)),
     ]
     aug = build_augmented(net, products, plans)
-    relay = aug.gadgets.get((0, 0, 1))
-    chi = np.full(aug.net.node_count, 0.0)
-    chi[0] = 0.5
-    chi[1] = 0.5
-    out = run_diffusion(aug.net, products, aug.seed_assignment(), chi)
-    assert out.activation_time[0] == 1  # media reaches node 0 at step 1
-    assert out.activation_time[relay] == 2
+    chi = np.full((1, aug.net.node_count), 0.5)
+    at, bought = simulate_batch(aug.net, products, aug.seed_assignment(), chi, recommendations=aug.recommendations)
+    assert at[0, 0] == 1  # media reaches node 0 at step 1
+    assert (at[0, 1], bought[0, 1]) == (3, 0)
+    ref, relays = gadget_network(aug, products)
+    out = run_diffusion(ref, products, aug.seed_assignment(), np.full(ref.node_count, 0.5))
+    assert out.activation_time[relays[(0, 0, 1)]] == 2
     assert out.activation_time[1] == 3
-    assert out.purchased[1] == 0
 
 
 def test_no_relay_without_similarity_or_alpha():
@@ -295,10 +319,10 @@ def test_no_relay_without_similarity_or_alpha():
     aug = build_augmented(
         net, [P_AXIS], [ChannelPlan(product=0, alpha=2.0, beta=(0.5,))]
     )
-    assert aug.gadgets.get((0, 0, 1)) is None
+    assert len(aug.recommendations) == 0
     net2 = two_node_net(weight=0.1, h=0.9)
     aug2 = build_augmented(net2, [P_AXIS], [ChannelPlan(product=0, alpha=0.0, beta=(0.5,))])
-    assert aug2.gadgets.get((0, 0, 1)) is None
+    assert len(aug2.recommendations) == 0
 
 
 def test_augmented_dump_files(tmp_path):
@@ -312,10 +336,12 @@ def test_augmented_dump_files(tmp_path):
     payload = json.loads(ps.read_text())
     assert payload["base_node_count"] == 2
     kinds = {entry["kind"] for entry in payload["pseudonodes"].values()}
-    assert "product_root" in kinds and "social_gadget" in kinds
+    assert kinds == {"product_root"}
     for node, entry in payload["pseudonodes"].items():
         assert 0.0 <= entry["fixed_threshold"] <= 1.0
         assert int(node) >= 2
+    w = aug.recommendations.weight[0]
+    assert payload["recommendations"] == [{"kind": "recommendation", "product": 0, "edge": [0, 1], "weight": w}]
 
 
 GOLDEN = Path(__file__).parent / "data"
@@ -323,8 +349,8 @@ GOLDEN = Path(__file__).parent / "data"
 
 def test_augmented_dump_matches_the_golden_file(tmp_path):
     # two products with ids unlike their indices, media chains of length 3
-    # and relays for both products: every pseudonode role, edge weight and
-    # scaling ratio is pinned
+    # and recommendations for both products: every pseudonode role,
+    # recommendation, edge weight and scaling ratio is pinned
     p = Product(id=7, features=(1.0, 0.0), null_index=1)
     q = Product(id=3, features=(0.0, 1.0), null_index=0)
     net = Network.from_edges(

@@ -11,24 +11,24 @@ def at_angle(theta):
 
 
 def test_relay_fires_exactly_on_matching_purchase():
-    fired, on_time = _behavioral_trial(0.5, 0.25, P_AXIS, at_angle(0.9), same_product=True)
-    assert fired and on_time
-    fired, on_time = _behavioral_trial(0.5, 0.25, P_AXIS, at_angle(0.9), same_product=False)
-    assert not fired and on_time
-    # off the axes: the float norm of 0.25 p + 0.25 p rounds below 0.5 here
+    for source_step in (0, 1):
+        trial = _behavioral_trial(P_AXIS, at_angle(0.9), same_product=True, source_step=source_step)
+        assert trial == (True, True)
+        trial = _behavioral_trial(P_AXIS, at_angle(0.9), same_product=False, source_step=source_step)
+        assert trial == (False, True)
+    # off the axes, where the float norm of b * p + w * p is not b + w
     p = normalize_product((0.3, 0.7, 0.3), null_index=2, product_id=0)
     q = normalize_product((0.7, 0.3, 0.2), null_index=2, product_id=1)
-    assert _behavioral_trial(0.5, 0.25, p, q, same_product=True) == (True, True)
-    assert _behavioral_trial(0.5, 0.25, p, q, same_product=False) == (False, True)
+    for source_step in (0, 1):
+        assert _behavioral_trial(p, q, same_product=True, source_step=source_step) == (True, True)
+        assert _behavioral_trial(p, q, same_product=False, source_step=source_step) == (False, True)
 
 
 def test_relay_holds_for_extreme_geometry():
-    # near-degenerate parameter corners
-    for chi_w, eps in ((0.9, 0.85), (0.1, 0.005), (0.95, 0.05)):
-        fired, on_time = _behavioral_trial(chi_w, eps, P_AXIS, at_angle(math.pi / 2), same_product=True)
-        assert fired and on_time
-        fired, on_time = _behavioral_trial(chi_w, eps, P_AXIS, at_angle(math.pi / 2), same_product=False)
-        assert not fired
+    # q orthogonal to p, 0.01 rad from it, and in between
+    for q in (at_angle(math.pi / 2), at_angle(0.01), at_angle(1.5)):
+        for same in (True, False):
+            assert _behavioral_trial(P_AXIS, q, same_product=same, source_step=1) == (same, True)
 
 
 def test_random_sweep_has_no_counterexamples():

@@ -117,7 +117,9 @@ def assert_replication_zero(d, seed, traj):
     aug = build_augmented(net, products, load_plans(str(d / "plans.json")))
     n = aug.net.node_count
     chi = tile_rng(seed, 0).random((TILE_SIZE, n))[:1]
-    act, bought = simulate_batch(aug.net, products, aug.seed_assignment(), chi, master_seed=seed, rep_offset=0)
+    act, bought = simulate_batch(
+        aug.net, products, aug.seed_assignment(), chi, recommendations=aug.recommendations, master_seed=seed
+    )
     ids = [p.id for p in products]
     expected = [f"{v},{act[0, v]},{ids[bought[0, v]] if bought[0, v] >= 0 else -1}" for v in range(n)]
     assert traj.read_text().strip().splitlines()[1:] == expected
@@ -173,7 +175,7 @@ def test_simulate_optional_outputs(fixture_dir, tmp_path):
 
 def test_simulate_with_media_and_social_channels(tmp_path):
     # alpha > 0 and beta > 0 for two off-axis products, so the run compiles
-    # media chains and relays; the dump must read back bit for bit
+    # media chains and recommendations; the dump must read back bit for bit
     d = tmp_path / "channels"
     d.mkdir()
     net = Network.from_edges(
@@ -213,8 +215,15 @@ def test_simulate_with_media_and_social_channels(tmp_path):
         load_products(str(d / "products.txt")),
         load_plans(str(d / "plans.json")),
     )
-    roles = {r["kind"] for r in json.loads((tmp_path / "a_aug" / "pseudo.json").read_text())["pseudonodes"].values()}
-    assert {"media_chain", "social_gadget"} <= roles
+    pseudo = json.loads((tmp_path / "a_aug" / "pseudo.json").read_text())
+    assert {r["kind"] for r in pseudo["pseudonodes"].values()} == {"product_root", "media_chain"}
+    rec = aug.recommendations
+    assert len(rec) and pseudo["recommendations"] == [
+        {"kind": "recommendation", "product": aug.product_ids[i], "edge": [u, v], "weight": w}
+        for u, v, i, w in zip(rec.src.tolist(), rec.dst.tolist(), rec.product.tolist(), rec.weight.tolist())
+    ]
+    # one trajectory row per compiled node, so no relay rows
+    assert_replication_zero(d, 11, tmp_path / "a_traj.csv")
     dumped = parse_edge_file(str(tmp_path / "a_aug" / "edges.txt"))
     in_memory = sorted(aug.net.edges, key=lambda e: (e.src, e.dst))
     assert [(e.src, e.dst) for e in dumped] == [(e.src, e.dst) for e in in_memory]

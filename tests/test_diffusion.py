@@ -22,6 +22,7 @@ from campaignsim.fixtures import (
 )
 from campaignsim.network import Edge, Network
 from campaignsim.rng import key_uniform
+from gadget_reference import gadget_network
 from lt_reference import classical_lt, random_lt_instance
 from scalar_reference import DiffusionNotConverged, initial_state, run_diffusion, sample_thresholds, step
 
@@ -206,22 +207,46 @@ def test_batch_equals_scalar_on_augmented_instances_with_ties():
     ]
     for products in (mirror, cyclic):
         aug = channel_instance(products, rng)
-        net, seeds = aug.net, aug.seed_assignment()
-        assert aug.chain and aug.gadgets  # media chain nodes and relay gadgets
+        net, seeds, recs = aug.net, aug.seed_assignment(), aug.recommendations
+        assert aug.chain and len(recs)  # media chain nodes and recommendations
+        # the scalar engine runs the paper's relay gadget in their place
+        ref, _ = gadget_network(aug, products)
+        n = net.node_count
         media_only = [aug.base_node_count - 2, aug.base_node_count - 1]
         bought = set()
         for R, master, offset in ((1, 0, 0), (1, 2**63 + 7, 2**32 + 3), (17, 5, 4096), (17, 2**64 - 1, 2**40 + 1)):
-            chi = rng.random((R, net.node_count))
+            chi = rng.random((R, ref.node_count))
             with pytest.raises(PurchaseTieError):
-                simulate_batch(net, products, seeds, chi, on_tie="raise")
-            at, pu = simulate_batch(net, products, seeds, chi, master_seed=master, rep_offset=offset)
+                simulate_batch(net, products, seeds, chi[:, :n], recommendations=recs, on_tie="raise")
+            at, pu = simulate_batch(
+                net, products, seeds, chi[:, :n], recommendations=recs, master_seed=master, rep_offset=offset
+            )
             for r in range(R):
-                out = run_diffusion(net, products, seeds, chi[r], tie_key=(master, offset + r))
-                assert np.array_equal(out.activation_time, at[r]), (len(products), R, r)
-                assert np.array_equal(out.purchased, pu[r]), (len(products), R, r)
+                out = run_diffusion(ref, products, seeds, chi[r], tie_key=(master, offset + r))
+                assert np.array_equal(out.activation_time[:n], at[r]), (len(products), R, r)
+                assert np.array_equal(out.purchased[:n], pu[r]), (len(products), R, r)
             bought |= set(pu[:, media_only].ravel().tolist()) - {-1}
         # the media-only nodes broke their ties every way there is
         assert bought == set(range(len(products)))
+
+
+def test_recommendations_add_after_direct_contributions_in_source_order():
+    # seeds 0 and 1 recommend to node 4 at step 2, when nodes 2 and 3 (fed
+    # by seed 0) also reach it directly; the float sum depends on the order,
+    # and a threshold on the contract's sum is met only in that order
+    net = Network.from_edges(
+        5, [(0, 2, 1.0), (0, 3, 1.0), (0, 4, 0.05), (1, 4, 0.05), (2, 4, 0.05), (3, 4, 0.15)],
+        similarities={(0, 4): 0.9, (1, 4): 0.7},
+    )
+    aug = build_augmented(net, [P_AXIS], [ChannelPlan(product=0, seeds=frozenset({0, 1}), alpha=1.0)])
+    w0, w1 = aug.recommendations.weight.tolist()
+    contract = 0.05 + 0.05 + 0.05 + 0.15 + w0 + w1  # step 1, then step 2: direct, then recommendations
+    assert contract > 0.05 + 0.05 + w0 + w1 + 0.05 + 0.15  # recommendations first
+    assert contract > 0.05 + 0.05 + 0.05 + 0.15 + w1 + w0  # descending source
+    chi = np.full((2, aug.net.node_count), 0.5)
+    chi[:, 4] = [contract, math.nextafter(contract, math.inf)]
+    at, _ = simulate_batch(aug.net, [P_AXIS], aug.seed_assignment(), chi, recommendations=aug.recommendations)
+    assert at[:, 4].tolist() == [2, -1]
 
 
 def test_kernel_applies_the_fixed_pseudonode_thresholds():
@@ -238,8 +263,9 @@ def test_kernel_applies_the_fixed_pseudonode_thresholds():
     fixed[:, pseudo] = net.fixed_threshold[pseudo]
     assert pseudo.any() and not np.array_equal(raw[:, pseudo], fixed[:, pseudo])
     kept = raw.copy()
-    got = simulate_batch(net, products, seeds, raw, master_seed=3, rep_offset=11)
-    want = simulate_batch(net, products, seeds, fixed, master_seed=3, rep_offset=11)
+    recs = aug.recommendations
+    got = simulate_batch(net, products, seeds, raw, recommendations=recs, master_seed=3, rep_offset=11)
+    want = simulate_batch(net, products, seeds, fixed, recommendations=recs, master_seed=3, rep_offset=11)
     assert np.array_equal(got[0], want[0])
     assert np.array_equal(got[1], want[1])
     assert np.array_equal(raw, kept)  # the caller's thresholds are left alone

@@ -71,10 +71,29 @@ def test_activation_time_histogram_hits_the_scheduled_step():
     for t in (1, 2, 3):
         aug = media_instance(t=t)
         hist = activation_time_histogram(aug, [P_AXIS], 1, 20_000, 50 + t)
-        assert hist.size == aug.net.node_count  # no activation comes after step n - 1
+        assert hist.size == aug.net.node_count  # without recommendations no activation comes after step n - 1
         active = int(hist.sum())
         assert hist[t] == active  # never at any other step
         assert active / 20_000 == pytest.approx(0.37, abs=0.01)
+
+
+def test_activation_time_histogram_reaches_past_n_through_recommendations():
+    # a similarity path 0 -> 1 -> 2 -> 3 seeded at 0: each edge carries 0.1
+    # and its recommendation the other 0.9, so a node whose threshold is
+    # above 0.1 waits for the recommendation, two steps after its source;
+    # node 3 then activates at step 6 although the compiled n is 5
+    net = Network.from_edges(
+        4, [(0, 1, 0.1), (1, 2, 0.1), (2, 3, 0.1)], similarities={(0, 1): 0.5, (1, 2): 0.5, (2, 3): 0.5}
+    )
+    aug = build_augmented(net, [P_AXIS], [ChannelPlan(product=0, seeds=frozenset({0}), alpha=1.0)])
+    assert aug.net.node_count == 5 and len(aug.recommendations) == 3
+    reps = 4000
+    hist = activation_time_histogram(aug, [P_AXIS], 3, reps, 9)
+    assert hist.size == 2 * 5 - 1
+    assert hist[:3].sum() == 0 and hist[7:].sum() == 0
+    # steps 2, 4 and 6 for all three thresholds above 0.1: probability 0.9^3
+    assert hist[6] / reps == pytest.approx(0.729, abs=0.03)
+    assert hist.sum() == reps
 
 
 def test_spread_sum_equals_node_count_total():

@@ -78,6 +78,9 @@ def test_validate_flags_each_violation():
 def test_validate_accepts_incoming_sum_exactly_one():
     net = Network.from_edges(3, [(0, 2, 0.6), (1, 2, 0.4)])
     assert net.validate() == []
+    # delayed in-edges (compiled recommendations) count toward the sum
+    assert net.validate(delayed=[Edge(0, 1, 0.7)]) == []
+    assert any("node 2 sum to 1.1" in s for s in net.validate(delayed=[Edge(0, 2, 0.1)]))
 
 
 def test_validate_requires_fixed_thresholds_on_pseudonodes():

@@ -1,13 +1,15 @@
+import dataclasses
 import itertools
 import math
 
 import numpy as np
 import pytest
 
+from campaignsim import oracle
 from campaignsim.channels import ChannelPlan, build_augmented
-from campaignsim.diffusion import PurchaseTieError, SeedAssignment
-from campaignsim.feature_space import Product
-from campaignsim.fixtures import BRIDGE, TARGET, blocking_demo, preference_shift
+from campaignsim.diffusion import PurchaseTieError, Recommendations, SeedAssignment
+from campaignsim.feature_space import Product, normalize_product
+from campaignsim.fixtures import BRIDGE, TARGET, blocking_demo, ce_toy, preference_shift
 from campaignsim.network import Edge, Network, NodeKind
 from campaignsim.oracle import (
     EnumerationCapError,
@@ -15,6 +17,7 @@ from campaignsim.oracle import (
     analytic_blocking_demo,
     exact_spread_grid,
 )
+from gadget_reference import gadget_network
 from scalar_reference import run_diffusion
 
 P_AXIS = Product(id=0, features=(1.0, 0.0), null_index=1)
@@ -97,8 +100,9 @@ def test_pinned_threshold_overrides_enumeration():
 
 
 def brute_force_grid(aug, products, m):
-    """Independent route: enumerate the full m^n grid with the scalar engine."""
-    net = aug.net
+    """Independent route: enumerate the full m^n grid with the scalar engine
+    on the paper's relay gadget."""
+    net, _ = gadget_network(aug, products)
     seeds = aug.seed_assignment()
     seeded = set()
     for ns in seeds.by_product:
@@ -183,3 +187,49 @@ def test_oracle_refuses_tied_instances():
     aug = build_augmented(net, [P_AXIS, Q_AXIS], plans)
     with pytest.raises(PurchaseTieError):
         exact_spread_grid(aug, [P_AXIS, Q_AXIS], GridSpec(resolution=10))
+
+
+def gadget_oracle(aug, products, grid, monkeypatch):
+    """exact_spread_grid on the paper's relay gadget: relays are pseudonodes
+    that can only ever buy their own product."""
+    ref, relays = gadget_network(aug, products)
+    empty = np.zeros(0, dtype=np.intp)
+    ref_aug = dataclasses.replace(aug, net=ref, recommendations=Recommendations(empty, empty, empty, np.zeros(0)))
+    owners = oracle._source_products
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "_source_products", lambda a: owners(a) | {node: key[0] for key, node in relays.items()})
+        return exact_spread_grid(ref_aug, products, grid)
+
+
+def test_oracle_on_recommendations_equals_the_oracle_on_relays(monkeypatch):
+    # each recommendation in-edge brings its breakpoints {0, w * p}; without
+    # them the piece collapsing merges midpoints whose outcomes differ
+    net, products, _ = ce_toy()
+    instances = [
+        (net, products, [ChannelPlan(product=0, seeds=frozenset({0}), alpha=0.5, beta=(0.25, 0.25))]),
+        (net, products, [ChannelPlan(product=0, seeds=frozenset({3}), alpha=1.25, beta=(0.0, 0.5))]),
+        (
+            Network.from_edges(
+                4, [(0, 1, 0.4), (1, 2, 0.35), (0, 3, 0.2), (3, 2, 0.3)], similarities={(1, 2): 0.6, (0, 3): 0.9}
+            ),
+            [
+                normalize_product((0.9, 0.3), null_index=1, product_id=0),
+                normalize_product((0.2, 0.8), null_index=1, product_id=1),
+            ],
+            [
+                ChannelPlan(product=0, seeds=frozenset({0}), alpha=0.8, beta=(0.3, 0.0)),
+                ChannelPlan(product=1, seeds=frozenset(), alpha=0.6, beta=(0.0, 0.4)),
+            ],
+        ),
+    ]
+    for net, products, plans in instances:
+        aug = build_augmented(net, products, plans)
+        assert len(aug.recommendations)
+        n = aug.net.node_count
+        for m in (7, 20):
+            got = exact_spread_grid(aug, products, GridSpec(resolution=m))
+            want = gadget_oracle(aug, products, GridSpec(resolution=m), monkeypatch)
+            assert got.tuples_evaluated == want.tuples_evaluated
+            assert np.array_equal(got.spread, want.spread)
+            assert np.array_equal(got.node_probability, want.node_probability[:, :n])
+            assert not want.node_probability[:, n:].any()

@@ -1,9 +1,9 @@
 """Simulation and budget optimization for competing multi-channel campaigns.
 
 Products diffuse over a weighted social network under a multi-feature
-linear-threshold rule; mass media compiles into pseudonodes and social
-advertising into delayed recommendation edges, so one engine covers every
-channel mix.
+linear-threshold rule; mass media compiles into scheduled edges and social
+advertising into delayed recommendation edges beside the base network, so
+one engine covers every channel mix without pseudonodes.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from .channels import (
     save_plans,
 )
 from .diffusion import (
+    Media,
     PurchaseTieError,
     Recommendations,
     SeedAssignment,
@@ -45,6 +46,7 @@ __all__ = [
     "EnumerationCapError",
     "GridSpec",
     "InfeasiblePlanError",
+    "Media",
     "Network",
     "NetworkError",
     "ParseError",

@@ -1,12 +1,17 @@
-"""Marketing channels compiled onto the network: pseudonodes for mass media,
-delayed edges for social advertising.
+"""Marketing channels compiled into edges beside the network: scheduled
+edges for mass media, delayed edges for social advertising.
 
 A channel plan per product carries direct seeds, a social-advertising rate
-alpha, and a mass-media schedule beta over a shared horizon.  Augmentation
-adds, per product, a root pseudonode (the campaign source, seeded at step 0)
-and a chain of media pseudonodes linked by weight-1 edges so that the t-th
-chain node is influenced at step t-1.  Media reach is a pseudoedge from the
-t-th chain node to each real node.
+alpha, and a mass-media schedule beta over a shared horizon.  The compiled
+network is the base network itself; channels add no nodes.
+
+Mass media at step t becomes one scheduled edge per real node v with a
+non-zero weight: it adds w * p to v's aggregate at step t in every
+replication (diffusion.Media).  The paper builds it as a root pseudonode
+per product, seeded at step 0, and a chain of media pseudonodes linked by
+weight-1 edges so that the t-th chain node is influenced at step t-1 and
+its pseudoedge to v fires at step t.  The scheduled edge adds the same
+vector at the same step without the chain's cells.
 
 Social advertising on an edge (u, v) becomes one recommendation per product
 p with a non-zero weight: a delayed edge that adds w * p to v's aggregate
@@ -24,25 +29,25 @@ exactly fill the node's residual incoming capacity 1 - sum(b_uv):
 
 with ratio 0 when the denominator is 0.  One array pass computes it for
 every base node: both sums over u run in ascending source order, and the
-denominator adds the plans in plan order.  A media pseudoedge weighs
+denominator adds the plans in plan order.  A media edge weighs
 ratio(v) * beta_p[t] and a recommendation ratio(v) * alpha_p * h_uv.
 
-Node numbers are a contract, because seeded outputs depend on the node
-count:
+Media edges are listed in (step, product, target) order and recommendations
+in (source, target, product) order.  Within a step the kernel adds the
+direct contributions to an aggregate first, then the media in product
+order, then the recommendations in ascending source order: the order of the
+paper's pseudonodes, numbered after the real nodes (roots, then chains
+product by product, then relays in base edge-list order, product-minor,
+whenever the edge list is source-sorted, as save_network writes it).  The
+order of the edge list is not otherwise part of the contract: each
+(src, dst) pair has at most one edge, and the kernel adds each step's
+contributions to an aggregate in source order.
 
-1. real nodes 0..n-1;
-2. roots n..n+k-1, one per product in product order;
-3. media chain nodes, product by product and step by step, up to the last
-   step that sends a media pseudoedge (none when every ratio is 0).
-
-Recommendations are listed in (source, target, product) order.  The kernel
-adds a step's recommendations to an aggregate after that step's direct
-contributions, in ascending source order: the order of the paper's relays
-numbered in base edge-list order, product-minor, whenever the edge list is
-source-sorted, as save_network writes it.  The order of the edge list is
-not otherwise part of the contract: each (src, dst) pair has at most one
-edge, and the kernel adds each step's contributions to an aggregate in
-source order.  Each pseudonode's role is recorded once: in roots or chain.
+Threshold rows have a width that is a contract, because seeded outputs
+depend on it: threshold_width is the node count of the paper's media
+construction, n real nodes plus one root per product plus one chain node
+per step after the first, up to each product's last step with a media
+edge.  The kernel reads the first n columns of each row.
 """
 
 from __future__ import annotations
@@ -53,9 +58,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffusion import Recommendations, SeedAssignment
+from .diffusion import Media, Recommendations, SeedAssignment
 from .feature_space import Product
-from .network import Edge, Network, NodeKind, ValidationError
+from .network import Network, ValidationError
 
 
 class PlanError(Exception):
@@ -85,24 +90,16 @@ class ChannelPlan:
 
 @dataclass
 class AugmentedNetwork:
-    net: Network
-    base_node_count: int
+    net: Network  # the base network
     plans: tuple[ChannelPlan, ...]  # aligned with the products list
     product_ids: tuple[int, ...]
-    roots: tuple[int, ...]  # root pseudonode per product index
-    scale: np.ndarray  # per-base-node channel scaling ratio
-    chain: dict[tuple[int, int], int]  # (product index, t >= 2) -> media chain node
+    scale: np.ndarray  # per-node channel scaling ratio
+    media: Media  # mass media, in (step, product, target) order
     recommendations: Recommendations  # social advertising, in (source, target, product) order
+    threshold_width: int  # columns per threshold row
 
     def seed_assignment(self) -> SeedAssignment:
-        by_product = tuple(
-            frozenset(plan.seeds) | {self.roots[i]} for i, plan in enumerate(self.plans)
-        )
-        return SeedAssignment(by_product)
-
-
-# node kinds in numbering order
-_KINDS = np.array([NodeKind.REAL, NodeKind.PRODUCT_ROOT, NodeKind.MEDIA_CHAIN], dtype=np.int8)
+        return SeedAssignment(tuple(plan.seeds for plan in self.plans))
 
 
 def build_augmented(
@@ -110,9 +107,7 @@ def build_augmented(
     products: list[Product],
     plans: list[ChannelPlan],
 ) -> AugmentedNetwork:
-    """Compile channel plans into pseudonodes and recommendations over a validated base network."""
-    if net.node_kind.any():  # NodeKind.REAL is 0
-        raise PlanError("base network already contains pseudonodes")
+    """Compile channel plans into media and recommendations over a validated base network."""
     by_id = {plan.product: plan for plan in plans}
     if len(by_id) != len(plans):
         raise PlanError("more than one plan for the same product")
@@ -152,21 +147,12 @@ def build_augmented(
     scale = np.zeros(n)
     np.divide(np.maximum(0.0, 1.0 - in_sum), load, out=scale, where=load > 0.0)
 
-    roots = tuple(range(n, n + k))
-    edges = list(net.edges)
-    chain: dict[tuple[int, int], int] = {}
-    node = n + k
-    for i, plan in enumerate(ordered):
-        media = scale[:, None] * np.array(plan.beta)  # (v, t - 1) -> weight
-        v_idx, t_idx = (media > 0.0).nonzero()
-        ts = t_idx.tolist()
-        # steps[t - 1] sends step t's media; the chain ends at the last step used
-        steps = [roots[i], *range(node, node + max(ts, default=0))]
-        node += len(steps) - 1
-        chain.update({(i, t): c for t, c in enumerate(steps[1:], start=2)})
-        edges += [Edge(a, b, 1.0) for a, b in zip(steps, steps[1:])]
-        edges += [Edge(steps[t], v, w) for v, t, w in zip(v_idx.tolist(), ts, media[v_idx, t_idx].tolist())]
-    chain_count = node - n - k
+    # one media edge per (step, product, target) with a non-zero weight, in that order
+    reach = np.array([plan.beta for plan in ordered], dtype=float).T[:, :, None] * scale
+    t_idx, p_idx, v_idx = (reach > 0.0).nonzero()
+    media = Media(step=t_idx + 1, dst=v_idx, product=p_idx, weight=reach[t_idx, p_idx, v_idx])
+    last_step = np.zeros(k, dtype=np.intp)
+    np.maximum.at(last_step, media.product, media.step)
 
     # one recommendation per (edge, product) with a non-zero weight, in
     # (source, target, product) order
@@ -174,25 +160,19 @@ def build_augmented(
     e_idx, p_idx = (rec > 0.0).nonzero()
     recommendations = Recommendations(src=src[e_idx], dst=dst[e_idx], product=p_idx, weight=rec[e_idx, p_idx])
 
-    aug_net = Network(
-        node_count=node,
-        edges=edges,
-        similarity=dict(net.similarity),
-        node_kind=np.repeat(_KINDS, [n, k, chain_count]),
-        fixed_threshold=np.concatenate([net.fixed_threshold, np.full(k + chain_count, 0.5)]),
-    )
-    violations = aug_net.validate(delayed=recommendations.edges())
+    violations = net.validate(channel_in=(
+        np.concatenate([media.dst, recommendations.dst]), np.concatenate([media.weight, recommendations.weight])
+    ))
     if violations:
         raise ValidationError(violations)
     return AugmentedNetwork(
-        net=aug_net,
-        base_node_count=n,
+        net=net,
         plans=tuple(ordered),
         product_ids=tuple(p.id for p in products),
-        roots=roots,
         scale=scale,
-        chain=chain,
+        media=media,
         recommendations=recommendations,
+        threshold_width=n + k + int(np.maximum(last_step - 1, 0).sum()),
     )
 
 
@@ -264,23 +244,18 @@ def save_plans(plans: list[ChannelPlan], path: str) -> None:
 
 
 def save_augmented(aug: AugmentedNetwork, edge_path: str, similarity_path: str, pseudo_path: str) -> None:
-    """Write the augmented graph plus a JSON sidecar mapping pseudonodes to
-    roles and listing the recommendations."""
+    """Write the base network plus a JSON sidecar listing the media edges and
+    the recommendations."""
     from .network import save_network
 
     save_network(aug.net, edge_path, similarity_path)
     pids = aug.product_ids
-    roles = {node: {"kind": "product_root", "product": pids[i]} for i, node in enumerate(aug.roots)}
-    for (i, t), node in aug.chain.items():
-        roles[node] = {"kind": "media_chain", "product": pids[i], "step": t}
-    entries = {
-        str(node): role | {"fixed_threshold": float(aug.net.fixed_threshold[node])}
-        for node, role in roles.items()
-    }
-    rec = aug.recommendations
+    media, rec = aug.media, aug.recommendations
     payload = {
-        "base_node_count": aug.base_node_count,
-        "pseudonodes": entries,
+        "media": [
+            {"product": pids[i], "step": t, "node": v, "weight": w}
+            for t, v, i, w in zip(media.step.tolist(), media.dst.tolist(), media.product.tolist(), media.weight.tolist())
+        ],
         "recommendations": [
             {"kind": "recommendation", "product": pids[i], "edge": [u, v], "weight": w}
             for u, v, i, w in zip(rec.src.tolist(), rec.dst.tolist(), rec.product.tolist(), rec.weight.tolist())

@@ -73,9 +73,7 @@ def _behavioral_trial(p: Product, q: Product, same_product: bool, source_step: i
     full = _norm([x * _SOURCE_EDGE + x * w for x in p.features])
     chi = np.full((3, aug.net.node_count), 0.5)
     chi[:, 1] = [math.nextafter(direct, math.inf), full, math.nextafter(full, math.inf)]
-    act, purchased = simulate_batch(
-        aug.net, products, aug.seed_assignment(), chi, recommendations=rec
-    )
+    act, purchased = simulate_batch(aug.net, products, aug.seed_assignment(), chi, recommendations=rec)
     arrival = source_step + 2
     received = bool(act[0, 1] >= 0)
     if same_product:

@@ -186,8 +186,8 @@ def cmd_simulate(args) -> int:
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["node"] + [f"product_{pid}" for pid in est.product_ids])
-        for v in est.real_nodes:
-            row = [int(v)] + [est.node_probability(int(v), pid) for pid in est.product_ids]
+        for v in range(aug.net.node_count):
+            row = [v] + [est.node_probability(v, pid) for pid in est.product_ids]
             writer.writerow(row)
         _atomic_write(args.node_probs, buf.getvalue())
     if args.trajectory:

@@ -3,9 +3,9 @@
 Each influenced node u contributes weight * product-vector to the aggregate
 of its out-neighbors.  An uninfluenced node v activates at step t when the
 Euclidean norm of its aggregate over nodes influenced by the end of t-1
-reaches its threshold (non-strict >=; pseudonode constructions rely on the
-equality case).  On activation the node purchases the product at minimal
-angular distance from that same aggregate, immutably.
+reaches its threshold (non-strict >=; the paper's relay gadget relies on
+the equality case).  On activation the node purchases the product at
+minimal angular distance from that same aggregate, immutably.
 
 All updates within a step read only the previous step's influenced set, so
 the outcome is independent of node iteration order.  Because product
@@ -13,40 +13,41 @@ components are non-negative, aggregate norms are non-decreasing over time
 and first-crossing detection coincides with the two-sided formulation
 (crossed now, not crossed one step earlier).
 
-Social advertising arrives through recommendations: delayed edges
-(u, v, i, w) that add w * products[i] to v's aggregate at step t_u + 2, and
-only if u bought product i.  They stand for the paper's relay gadget, a
-pseudonode per (edge, product) that fires one step after its source buys
-the product and passes the recommendation on one step later; the kernel
-adds exactly what such a relay would, in the same order, without the relay
-cells.
+Channels arrive through two kinds of edges kept beside the network, which
+stand for the paper's pseudonodes (see channels).  Mass media are scheduled
+edges (t, v, i, w) that add w * products[i] to v's aggregate at step t in
+every replication.  Recommendations are delayed edges (u, v, i, w) that add
+w * products[i] to v's aggregate at step t_u + 2, and only if u bought
+product i.  The kernel adds exactly what the pseudonodes would, in the same
+order, without their cells.
 
 The kernel advances many replications at once; a single run is a batch of
 one.  A node whose aggregate is exactly the zero vector never activates,
-whatever its threshold.  A step that activates no cell ends the batch unless
-a recommendation is still in flight.  So without recommendations every
-batch ends within n - 1 steps; with them a replication activates a node at
-least every second step until it settles, and activation times stay within
-2 * (n - 1).
+whatever its threshold.  A batch runs at least to its last media step; past
+it, a step that activates no cell ends the batch unless a recommendation is
+still in flight.  So with media up to step L, activation times stay within
+L + n - 1, and with recommendations a replication activates a node at
+least every second step until it settles, within L + 2 * (n - 1).
 
 Influence is permanent and purchases are immutable, so the kernel keeps a
 running aggregate per (replication, node) cell and updates it
 incrementally: at step t only the cells activated at step t-1 (the
 frontier) add weight * product-vector along their out-edges, read from the
-network's CSR arrays, and the cells activated at step t-2 along their
-recommendations, in one scatter.  Only cells touched that step can newly
-cross their threshold, so norms, thresholds and purchases are evaluated for
-those cells alone.  An aggregate is therefore summed in activation-step
-order, and within a step in frontier order (ascending cell) then CSR edge
-order, then the step's recommendations in ascending source order, without
-BLAS; its norm sums the squared features in feature order.  A
+network's CSR arrays, every replication adds the media of step t, and the
+cells activated at step t-2 add their recommendations, in one scatter.
+Only cells touched that step can newly cross their threshold, so norms,
+thresholds and purchases are evaluated for those cells alone.  An aggregate
+is therefore summed in activation-step order, and within a step in
+frontier order (ascending cell) then CSR edge order, then the step's media
+in product order, then its recommendations in ascending source order,
+without BLAS; its norm sums the squared features in feature order.  A
 newly activated cell's dot product with each product is summed the same way,
 per product in feature order and without BLAS, so purchases do not depend on
 the BLAS vendor or its thread count; the first maximal dot wins unless
 another lies within COS_TIE_TOL * norm of it.  Every purchase tie of a step
 is broken by one keyed-hash call over all tied cells.  Memory is
 O(R * n * f) for R replications, n nodes and f features, plus O(E) for the
-edge and recommendation arrays; there is no n x n matrix.
+edge, media and recommendation arrays; there is no n x n matrix.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .feature_space import COS_TIE_TOL, Product, product_matrix
-from .network import Edge, Network, NodeKind
+from .network import Network
 from .rng import key_uniform
 
 # glibc mallopt parameters and the ceilings its dynamic rule moves towards
@@ -97,8 +98,6 @@ class PurchaseTieError(Exception):
     """An exact purchase tie occurred where the caller forbade randomness."""
 
 
-_SEEDABLE = frozenset({NodeKind.REAL, NodeKind.PRODUCT_ROOT})
-
 # smallest positive double: a threshold floor that makes "norm >= threshold"
 # also demand "norm > 0", so a zero aggregate never activates
 _TINY = np.nextafter(0.0, 1.0)
@@ -116,9 +115,6 @@ class SeedAssignment:
             for v in nodes:
                 if not (0 <= v < net.node_count):
                     raise ValueError(f"seed {v} is not a node")
-                if int(net.node_kind[v]) not in _SEEDABLE:
-                    kind = NodeKind(net.node_kind[v])
-                    raise ValueError(f"seed {v} has kind {kind.name}; only real nodes and product roots may be seeded")
                 if v in seen:
                     raise ValueError(f"node {v} seeded for more than one product")
                 seen.add(v)
@@ -148,9 +144,23 @@ class Recommendations:
     def __len__(self) -> int:
         return self.src.size
 
-    def edges(self) -> list[Edge]:
-        """(source, target, weight) per recommendation, for capacity checks."""
-        return [Edge(u, v, w) for u, v, w in zip(self.src.tolist(), self.dst.tolist(), self.weight.tolist())]
+
+@dataclass(frozen=True)
+class Media:
+    """Scheduled edges: weight[j] * products[product[j]] reaches dst[j] at
+    step[j] >= 1 in every replication.
+
+    Aligned arrays of steps, node numbers, product indices and weights, in
+    (step, product, target) order.
+    """
+
+    step: np.ndarray
+    dst: np.ndarray
+    product: np.ndarray
+    weight: np.ndarray
+
+    def __len__(self) -> int:
+        return self.step.size
 
 
 def simulate_batch(
@@ -159,6 +169,7 @@ def simulate_batch(
     seeds: SeedAssignment,
     thresholds: np.ndarray,
     *,
+    media: Media | None = None,
     recommendations: Recommendations | None = None,
     master_seed: int = 0,
     rep_offset: int = 0,
@@ -166,11 +177,9 @@ def simulate_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Advance R replications at once over a shared network.
 
-    thresholds is (R, n); pseudonode columns are replaced, in the kernel's
-    own copy, by the thresholds the network fixes for them, so the caller's
-    values there do not matter.  Replication r in the batch is globally
-    indexed rep_offset + r for tie-break hashing, which keeps outcomes
-    identical however the replications are batched.
+    thresholds is (R, n).  Replication r in the batch is globally indexed
+    rep_offset + r for tie-break hashing, which keeps outcomes identical
+    however the replications are batched.
     Returns (activation_time, purchased), both (R, n).
     """
     seeds.validate(net)
@@ -185,27 +194,39 @@ def simulate_batch(
     # A cell of node u that bought product j sends along group j * n + u (slot
     # j): its out-edges, keys group_lo[g] to group_lo[g] + group_deg[g] - 1
     key_dst = [out_dst] * k
-    key_contrib = (pmat.T[:, :, None] * out_w).reshape(f, k * n_edges)
+    key_contrib = [(pmat.T[:, :, None] * out_w).reshape(f, k * n_edges)]
     group_lo = [indptr[:-1] + j * n_edges for j in range(k)]
     group_deg = [indptr[1:] - indptr[:-1]] * k
+    n_keys, n_groups = k * n_edges, k * n
     recommending = recommendations is not None and len(recommendations) > 0
     if recommending:
         rec = recommendations
         # and one step later along group (k + j) * n + u (slot k + j): its
-        # recommendations of product j, keys from k * E on
+        # recommendations of product j
         group = rec.product * n + rec.src
         order = group.argsort(kind="stable")
-        rec_lo = k * n_edges + group[order].searchsorted(np.arange(k * n + 1))
+        rec_lo = n_keys + group[order].searchsorted(np.arange(k * n + 1))
         group_lo.append(rec_lo[:-1])
         group_deg.append(rec_lo[1:] - rec_lo[:-1])
         key_dst.append(rec.dst[order])
-        key_contrib = np.concatenate([key_contrib, pmat.T[:, rec.product[order]] * rec.weight[order]], axis=1)
+        key_contrib.append(pmat.T[:, rec.product[order]] * rec.weight[order])
+        n_keys, n_groups = n_keys + len(rec), n_groups + k * n
+    last_step = 0
+    if media is not None and len(media):
+        # every replication's first cell sends, at step t, along group
+        # step_group + t: the media of step t
+        last_step = int(media.step[-1])
+        step_lo = n_keys + media.step.searchsorted(np.arange(1, last_step + 2))
+        group_lo.append(step_lo[:-1])
+        group_deg.append(step_lo[1:] - step_lo[:-1])
+        key_dst.append(media.dst)
+        key_contrib.append(pmat.T[:, media.product] * media.weight)
+        step_group = n_groups - 1
+        first_cells = np.arange(0, R * n, n)
     key_dst, group_lo, group_deg = np.concatenate(key_dst), np.concatenate(group_lo), np.concatenate(group_deg)
+    key_contrib = np.concatenate(key_contrib, axis=1)
     # per-replication arrays are flat over cells r * n + v; agg is feature-major
-    # fixed before the floor, so a fixed threshold of 0 still needs a non-zero aggregate
-    thr = np.array(thresholds, dtype=float)
-    np.copyto(thr, net.fixed_threshold, where=~np.isnan(net.fixed_threshold))
-    thr = thr.reshape(-1)
+    thr = np.array(thresholds, dtype=float).reshape(-1)
     np.maximum(thr, _TINY, out=thr)
     purchased = np.full(R * n, -1, dtype=np.int16)
     activation_time = np.full(R * n, -1, dtype=np.int32)
@@ -218,28 +239,32 @@ def simulate_batch(
     front = (activation_time == 0).nonzero()[0]  # cells activated last step, ascending
     front_prod = purchased[front].astype(np.intp)
     thr[front] = np.inf  # an influenced cell never activates again
-    held = None  # (cell, slot) of the step before last's activations
+    held = None  # (first cell, group) of the step before last's recommendations
     t = 0
-    while front.size or held is not None:
+    while front.size or held is not None or t < last_step:
         t += 1
         # out-edges of last step's activations, in frontier then CSR order,
-        # then the recommendations of the step before last's, in the same order
-        sender, slot = front, front_prod
-        if held is not None and front.size:
-            sender, slot = np.concatenate([front, held[0]]), np.concatenate([front_prod, held[1]])
-        elif held is not None:
-            sender, slot = held
+        # then this step's media, then the recommendations of the step
+        # before last's activations, in frontier order
+        u = front % n
+        base, group = front - u, front_prod * n + u
+        later = []
+        if t <= last_step:
+            later.append((first_cells, np.full(R, step_group + t)))
+        if held is not None:
+            later.append(held)
         if recommending:
-            held = (front, front_prod + k) if front.size else None
-        u = sender % n
-        group = slot * n + u
+            held = (base, group + k * n) if front.size else None
+        if later:
+            base = np.concatenate([base, *(b for b, _ in later)])
+            group = np.concatenate([group, *(g for _, g in later)])
         deg = group_deg[group]
         ends = deg.cumsum()
         if not (ends.size and ends[-1]):  # nothing reaches any cell this step
             front = front_prod = ends[:0]
             continue
         key = np.repeat(group_lo[group] - ends + deg, deg) + np.arange(ends[-1])
-        cell = np.repeat(sender - u, deg) + key_dst[key]
+        cell = np.repeat(base, deg) + key_dst[key]
         for i in range(f):  # unbuffered: adds in key order onto the running sums
             np.add.at(agg[i], cell, key_contrib[i][key])
         # only cells whose aggregate changed can newly cross their threshold

@@ -9,9 +9,9 @@ the CLI's single-replication trajectory, goes through it.  Per-replication
 purchase counts are accumulated as exact integers and tiles are reduced in
 index order, which makes every estimate bit-identical for any worker count.
 
-Spread counts real nodes only; pseudonodes are bookkeeping.  Threshold rows
-have one column per node of the compiled network, so recommendations cost
-no draws.
+Threshold rows are aug.threshold_width wide, the node count of the
+paper's media construction (see channels), and the kernel reads their first
+n columns; media and recommendations cost no draws of their own.
 """
 
 from __future__ import annotations
@@ -32,13 +32,12 @@ from .rng import TILE_SIZE, tile_rng
 @dataclass
 class SpreadEstimate:
     product_ids: tuple[int, ...]
-    means: np.ndarray  # (k,) expected real-node purchasers per product
+    means: np.ndarray  # (k,) expected purchasers per product
     stderrs: np.ndarray  # (k,)
     replications: int
     spread_sums: np.ndarray  # (k,) int64, exact
     spread_sumsq: np.ndarray  # (k,) int64, exact
     node_counts: np.ndarray  # (k, n) int64 purchase counts
-    real_nodes: np.ndarray
 
     def mean_of(self, product_id: int) -> float:
         return float(self.means[self.product_ids.index(product_id)])
@@ -79,10 +78,10 @@ def simulate_tile(
     tile_rng(seed, tile_idx) as its thresholds and (seed, r) as its tie key.
     """
     # Philox fills rows in order: these are the first tile_len rows of the full tile
-    chi = tile_rng(seed, tile_idx).random((tile_len, aug.net.node_count))
+    chi = tile_rng(seed, tile_idx).random((tile_len, aug.threshold_width))
     return simulate_batch(
-        aug.net, products, aug.seed_assignment(), chi,
-        recommendations=aug.recommendations, master_seed=seed, rep_offset=tile_idx * TILE_SIZE,
+        aug.net, products, aug.seed_assignment(), chi[:, : aug.net.node_count],
+        media=aug.media, recommendations=aug.recommendations, master_seed=seed, rep_offset=tile_idx * TILE_SIZE,
     )
 
 
@@ -106,18 +105,16 @@ def _tile_task(args):
 
 def _run_tile(aug, products, seed, tile_idx, tile_len):
     _, purchased = simulate_tile(aug, products, seed, tile_idx, tile_len)
-    n = aug.net.node_count
-    real = aug.net.real_nodes()
     k = len(products)
     sums = np.zeros(k, dtype=np.int64)
     sumsq = np.zeros(k, dtype=np.int64)
-    node_counts = np.zeros((k, n), dtype=np.int64)
+    node_counts = np.zeros((k, aug.net.node_count), dtype=np.int64)
     for j in range(k):
-        bought = purchased[:, real] == j  # (R, n_real)
+        bought = purchased == j  # (R, n)
         per_rep = bought.sum(axis=1).astype(np.int64)
         sums[j] = per_rep.sum()
         sumsq[j] = np.dot(per_rep, per_rep)
-        node_counts[j, real] = bought.sum(axis=0)
+        node_counts[j] = bought.sum(axis=0)
     return sums, sumsq, node_counts
 
 
@@ -129,7 +126,7 @@ def estimate_spread(
     *,
     workers: int = 1,
 ) -> SpreadEstimate:
-    """Mean and standard error of per-product real-node purchase counts."""
+    """Mean and standard error of per-product purchase counts."""
     _check_count("replications", replications)
     _check_count("workers", workers)
     k = len(products)
@@ -164,7 +161,6 @@ def estimate_spread(
         spread_sums=sums,
         spread_sumsq=sumsq,
         node_counts=node_counts,
-        real_nodes=aug.net.real_nodes(),
     )
 
 
@@ -178,13 +174,13 @@ def activation_time_histogram(
     """Counts of replications in which the node activated at each step.
 
     Index t holds the count for activation at exactly step t; replications
-    where the node never activates are not counted anywhere.  The length is
-    the latest possible step plus one: n, or 2n - 1 with recommendations
-    (see diffusion).
+    where the node never activates are not counted anywhere.  With w the
+    threshold width, the length is w, or 2w - 1 with recommendations: at
+    least the latest possible step plus one (see diffusion).
     """
     _check_count("replications", replications)
-    n = aug.net.node_count
-    hist = np.zeros(2 * n - 1 if len(aug.recommendations) else n, dtype=np.int64)
+    w = aug.threshold_width
+    hist = np.zeros(2 * w - 1 if len(aug.recommendations) else w, dtype=np.int64)
     for tile_idx, tile_len in _tile_bounds(replications):
         times = simulate_tile(aug, products, seed, tile_idx, tile_len)[0][:, node]
         hist += np.bincount(times[times >= 0], minlength=hist.size)

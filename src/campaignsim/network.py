@@ -3,16 +3,12 @@
 Node ids are dense integers 0..n-1.  An edge (u, v, b) means u exerts
 influence b on v; the incoming weights of every node must sum to at most 1
 (tolerance 1e-9).  Similarities are symmetric, stored once per unordered
-pair, and default to 0 for absent pairs.
-
-Pseudonodes introduced by channel augmentation carry a kind tag and a fixed
-activation threshold; base networks built from files contain only real nodes.
+pair, and default to 0 for absent pairs.  Every node is a real node:
+channels compile into edge lists kept beside the network (see channels).
 """
 
 from __future__ import annotations
 
-import itertools
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 from enum import IntEnum
 
@@ -22,10 +18,10 @@ WEIGHT_SUM_TOL = 1e-9
 
 
 class NodeKind(IntEnum):
+    # only for benchmarks/run.py, which counts SOCIAL_GADGET nodes in
+    # Network.node_kind; channels compile to edges, so every node is REAL
     REAL = 0
-    PRODUCT_ROOT = 1
-    MEDIA_CHAIN = 2
-    SOCIAL_GADGET = 3  # the paper's relay pseudonode; build_augmented compiles relays into recommendations
+    SOCIAL_GADGET = 3
 
 
 @dataclass(frozen=True)
@@ -51,25 +47,20 @@ class ValidationError(NetworkError):
 
 @dataclass
 class Network:
-    """Weighted directed graph plus similarities and per-node kind tags.
-
-    fixed_threshold is NaN for real nodes (thresholds are sampled) and a
-    constant in [0, 1] for pseudonodes.
-    """
+    """Weighted directed graph plus similarities."""
 
     node_count: int
     edges: list[Edge]
     similarity: dict[tuple[int, int], float] = field(default_factory=dict)
-    node_kind: np.ndarray = None  # int8, one entry per node
-    fixed_threshold: np.ndarray = None  # float64, NaN where sampled
 
     def __post_init__(self):
-        if self.node_kind is None:
-            self.node_kind = np.zeros(self.node_count, dtype=np.int8)
-        if self.fixed_threshold is None:
-            self.fixed_threshold = np.full(self.node_count, np.nan)
         self._in = None
         self._csr = None
+
+    @property
+    def node_kind(self) -> np.ndarray:
+        """NodeKind per node, all REAL; kept for benchmarks/run.py."""
+        return np.zeros(self.node_count, dtype=np.int8)
 
     # -- construction ---------------------------------------------------
 
@@ -80,7 +71,7 @@ class Network:
         edges: list[Edge] | list[tuple],
         similarities: dict[tuple[int, int], float] | None = None,
     ) -> "Network":
-        """Build a base network of real nodes.
+        """Build a network from edges and similarities.
 
         Duplicate directed edges are a hard error; everything else is left to
         validate() so callers can inspect the full violation list.
@@ -132,25 +123,29 @@ class Network:
     def similarity_of(self, u: int, v: int) -> float:
         return self.similarity.get((min(u, v), max(u, v)), 0.0)
 
-    def real_nodes(self) -> np.ndarray:
-        return (self.node_kind == 0).nonzero()[0]  # NodeKind.REAL is 0
-
     # -- validation -----------------------------------------------------
 
-    def validate(self, delayed: Iterable[Edge] = ()) -> list[str]:
+    def validate(self, channel_in: tuple[np.ndarray, np.ndarray] | None = None) -> list[str]:
         """Return all invariant violations (empty list means valid).
 
-        delayed holds in-edges kept outside the edge list (compiled
-        recommendations); they count toward each target's incoming weight.
+        channel_in holds (target, weight) arrays of in-weights kept outside
+        the edge list (compiled channels); they count toward each target's
+        incoming weight after the edges, in array order.
         """
         violations = []
         in_sums = np.zeros(self.node_count)
-        for e in itertools.chain(self.edges, delayed):
+        for e in self.edges:
             if e.src == e.dst:
                 violations.append(f"self-loop at node {e.src}")
             if not (0.0 < e.weight <= 1.0):
                 violations.append(f"edge ({e.src},{e.dst}) weight {e.weight} outside (0, 1]")
             in_sums[e.dst] += e.weight
+        if channel_in is not None:
+            dst, weight = channel_in
+            bad = ~((weight > 0.0) & (weight <= 1.0))
+            for v, w in zip(dst[bad].tolist(), weight[bad].tolist()):
+                violations.append(f"channel weight {w} into node {v} outside (0, 1]")
+            np.add.at(in_sums, dst, weight)
         for v in np.flatnonzero(in_sums > 1.0 + WEIGHT_SUM_TOL):
             violations.append(f"incoming weights of node {v} sum to {in_sums[v]:.12g} > 1")
         for (u, v), h in sorted(self.similarity.items()):
@@ -158,14 +153,6 @@ class Network:
                 violations.append(f"similarity ({u},{v}) value {h} outside [0, 1]")
             if u == v:
                 violations.append(f"similarity ({u},{v}) is a self-pair")
-        fixed = ~np.isnan(self.fixed_threshold)
-        pseudo = self.node_kind != 0  # NodeKind.REAL is 0
-        for v in np.flatnonzero(pseudo & ~fixed):
-            violations.append(f"pseudonode {v} lacks a fixed threshold")
-        for v in np.flatnonzero(fixed):
-            t = self.fixed_threshold[v]
-            if not (0.0 <= t <= 1.0):
-                violations.append(f"fixed threshold of node {v} is {t}, outside [0, 1]")
         return violations
 
 

@@ -217,7 +217,7 @@ def ce_optimize(
         for p in products
         if p.id != focal_product and p.id not in covered
     ]
-    candidates = [int(v) for v in net.real_nodes() if v not in taken]
+    candidates = [v for v in range(net.node_count) if v not in taken]
     index = {c: i for i, c in enumerate(candidates)}
     n_samples = config.n_samples or max(100, 2 * len(candidates))
     n_elite = max(1, math.ceil(config.elite_frac * n_samples))

@@ -27,7 +27,6 @@ import numpy as np
 from .channels import AugmentedNetwork
 from .diffusion import simulate_batch
 from .feature_space import Product, product_matrix
-from .network import NodeKind
 
 
 class EnumerationCapError(Exception):
@@ -60,19 +59,13 @@ class OracleResult:
         return float(self.spread[self.product_ids.index(product_id)])
 
 
-def _source_products(aug: AugmentedNetwork) -> dict[int, int]:
-    """Product index each pseudonode can ever purchase; real nodes are absent."""
-    owner = {node: i for i, node in enumerate(aug.roots)}
-    owner.update((node, key[0]) for key, node in aug.chain.items())
-    return owner
-
-
-def _recommendations_into(aug: AugmentedNetwork) -> dict[int, list[tuple[float, int]]]:
-    """(weight, product index) of each recommendation per target, in source order."""
-    rec = aug.recommendations
+def _channels_into(aug: AugmentedNetwork) -> dict[int, list[tuple[float, int]]]:
+    """(weight, product index) of each channel edge per target: media in
+    (step, product) order, then recommendations in source order."""
     into: dict[int, list[tuple[float, int]]] = {}
-    for v, w, i in zip(rec.dst.tolist(), rec.weight.tolist(), rec.product.tolist()):
-        into.setdefault(v, []).append((w, i))
+    for edges in (aug.media, aug.recommendations):
+        for v, w, i in zip(edges.dst.tolist(), edges.weight.tolist(), edges.product.tolist()):
+            into.setdefault(v, []).append((w, i))
     return into
 
 
@@ -100,19 +93,29 @@ def _breakpoint_norms(products: list[Product], ins: list[tuple[float, int | None
     return np.unique(np.sqrt(np.sum(acc * acc, axis=1)))
 
 
-def _cells_for_node(products, ins, grid: GridSpec) -> list[tuple[float, int]]:
-    """(representative midpoint, midpoint count) per constant-outcome piece."""
-    m = grid.resolution
-    mids = (np.arange(m) + 0.5) / m
-    norms = _breakpoint_norms(products, ins)
+def _piece_starts(norms: np.ndarray | None, m: int) -> np.ndarray | None:
+    """First midpoint index of each constant-outcome piece, then m; None when
+    the breakpoints are skipped and every midpoint is a piece of its own.
+
+    Midpoint i is (i + 0.5) / m and a breakpoint x starts a piece at the
+    count of midpoints <= x, so memory follows the breakpoints, not m.
+    """
     if norms is None:
-        return [(float(x), 1) for x in mids]
-    piece = np.searchsorted(norms, mids, side="left")
-    cells = []
-    for pid in np.unique(piece):
-        idx = np.flatnonzero(piece == pid)
-        cells.append((float(mids[idx[0]]), int(idx.size)))
-    return cells
+        return None
+    count = np.clip(np.floor(norms * m + 0.5), 0, m).astype(np.int64)
+    while True:  # correct the rounded estimate by exact comparison with the midpoints
+        down = (count > 0) & ((count - 0.5) / m > norms)
+        up = (count < m) & ((count + 0.5) / m <= norms)
+        if not (down.any() or up.any()):
+            return np.unique(np.concatenate([[0, m], count]))
+        count += up.astype(np.int64) - down
+
+
+def _cells(starts: np.ndarray | None, m: int) -> list[tuple[float, int]]:
+    """(representative midpoint, midpoint count) per constant-outcome piece."""
+    if starts is None:
+        return [((i + 0.5) / m, 1) for i in range(m)]
+    return list(zip(((starts[:-1] + 0.5) / m).tolist(), np.diff(starts).tolist()))
 
 
 def exact_spread_grid(
@@ -138,34 +141,26 @@ def exact_spread_grid(
     for ns in seeds.by_product:
         seeded |= ns
 
-    base_chi = np.full(n, 2.0)  # the kernel fixes pseudonode columns
+    base_chi = np.full(n, 2.0)
     for node, value in pinned.items():
         base_chi[node] = value
 
-    free = [
-        v
-        for v in range(n)
-        if net.node_kind[v] == NodeKind.REAL
-        and v not in seeded
-        and v not in pinned
-        and len(net.in_neighbors(v)) > 0
-    ]
-    owner = _source_products(aug)
-    into = _recommendations_into(aug)
-    # in-edges in ascending source order, then recommendations, which is
-    # where the paper's relay pseudonodes would sit
-    cell_lists = [
-        _cells_for_node(products, [(w, owner.get(u)) for u, w in net.in_neighbors(v)] + into.get(v, []), grid)
+    into = _channels_into(aug)
+    free = [v for v in range(n) if v not in seeded and v not in pinned and (net.in_neighbors(v) or v in into)]
+    m = grid.resolution
+    # in-edges in ascending source order, then media and recommendations,
+    # which is where the paper's pseudonodes would sit
+    starts = [
+        _piece_starts(_breakpoint_norms(products, [(w, None) for _, w in net.in_neighbors(v)] + into.get(v, [])), m)
         for v in free
     ]
-    total = math.prod(len(c) for c in cell_lists) if cell_lists else 1
+    total = math.prod(m if s is None else s.size - 1 for s in starts)
     if total > grid.max_tuples:
         raise EnumerationCapError(f"{total} threshold tuples exceed the cap {grid.max_tuples}")
+    cell_lists = [_cells(s, m) for s in starts]
 
-    m = grid.resolution
     spread = np.zeros(k)
     node_prob = np.zeros((k, n))
-    real = net.real_nodes()
     chunk = 4096
     combos = itertools.product(*cell_lists) if cell_lists else iter([()])
     evaluated = 0
@@ -181,13 +176,13 @@ def exact_spread_grid(
                 chi[r, free[slot]] = rep
                 weights[r] *= count / m
         _, purchased = simulate_batch(
-            net, products, seeds, chi, recommendations=aug.recommendations,
+            net, products, seeds, chi, media=aug.media, recommendations=aug.recommendations,
             master_seed=0, rep_offset=evaluated, on_tie="raise",
         )
         for j in range(k):
-            bought = purchased[:, real] == j
+            bought = purchased == j
             spread[j] += float(np.dot(weights, bought.sum(axis=1)))
-            node_prob[j, real] += weights @ bought
+            node_prob[j] += weights @ bought
         evaluated += R
     return OracleResult(
         product_ids=aug.product_ids,

@@ -1,14 +1,27 @@
-"""The paper's social-advertising relay gadget, the reference that compiled
-recommendations are checked against.
+"""The paper's channel construction, the reference that compiled channels
+are checked against.
 
-build_augmented compiles social advertising into delayed recommendation
-edges.  gadget_network expands them back into the paper's construction: per
-recommendation (u, v, product i, weight w) a relay pseudonode that hears
-chi_w - eps from product i's root and eps from u, fires by the non-strict
-threshold comparison when u buys exactly i (one step after u), and passes
-w * p_i on to v one step later.  Relays are numbered after the compiled
-nodes in (source, target, product) order, so their contributions reach an
-aggregate after the step's other contributions, in ascending source order.
+build_augmented compiles mass media into scheduled edges and social
+advertising into delayed recommendation edges, beside the base network.
+paper_network expands them back into the paper's pseudonodes:
+
+- a root per product, seeded with it at step 0;
+- per product, a chain of media nodes linked by weight-1 edges, the t-th
+  influenced at step t - 1, up to the product's last media step; the root
+  and the t-th chain node send step t's media edges (t, v, i, w) as
+  pseudoedges of weight w to v, which fire at step t;
+- per recommendation (u, v, product i, weight w) a relay that hears
+  chi_w - eps from product i's root and eps from u, fires by the non-strict
+  threshold comparison when u buys exactly i (one step after u), and passes
+  w * p_i on to v one step later.
+
+Pseudonodes are numbered after the real nodes: roots in product order, then
+the chains product by product and step by step, then the relays in
+(source, target, product) order.  So within a step their contributions
+reach an aggregate after the direct ones, media in product order, then
+recommendations in ascending source order, and the node count before the
+relays is the compiled threshold width.  Pseudonode thresholds are fixed:
+thresholds() writes them into a caller's threshold rows.
 """
 
 from __future__ import annotations
@@ -19,8 +32,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from campaignsim.channels import AugmentedNetwork, PlanError
+from campaignsim.diffusion import SeedAssignment
 from campaignsim.feature_space import Product
-from campaignsim.network import Edge, Network, NodeKind
+from campaignsim.network import Edge, Network
+
+CHAIN_THRESHOLD = 0.5  # chain nodes hear weight 1 times a unit product
 
 
 @dataclass(frozen=True)
@@ -51,28 +67,56 @@ def relay_threshold(root_weight: float, source_weight: float, product: Product) 
     return min(root_weight + source_weight, math.sqrt(norm2))
 
 
-def gadget_network(
+@dataclass
+class PaperNetwork:
+    net: Network  # real nodes, then roots, media chains and relays
+    base_node_count: int
+    seeds: SeedAssignment  # the plans' seeds plus each product's root
+    fixed: np.ndarray  # threshold of pseudonode base_node_count + j at j
+    roots: tuple[int, ...]  # per product index
+    chain: dict[tuple[int, int], int]  # (product index, t >= 2) -> media chain node
+    relays: dict[tuple[int, int, int], int]  # (product index, u, v) -> relay node
+
+    def thresholds(self, chi: np.ndarray) -> np.ndarray:
+        """chi's rows, node_count wide, with every pseudonode's fixed threshold."""
+        out = np.array(chi, dtype=float)
+        out[..., self.base_node_count :] = self.fixed
+        return out
+
+
+def paper_network(
     aug: AugmentedNetwork, products: list[Product], gadget: GadgetParams = GadgetParams()
-) -> tuple[Network, dict[tuple[int, int, int], int]]:
-    """aug's network with every recommendation expanded into a relay
-    pseudonode, and the relay node of each (product index, u, v)."""
-    net = aug.net
-    rec = aug.recommendations
+) -> PaperNetwork:
+    """aug's network with its media and recommendations expanded into the
+    paper's pseudonodes."""
+    n, k = aug.net.node_count, len(products)
+    media, rec = aug.media, aug.recommendations
+    edges = list(aug.net.edges)
+    roots = tuple(range(n, n + k))
+    chain: dict[tuple[int, int], int] = {}
+    node = n + k
+    for i in range(k):
+        last = int(media.step[media.product == i].max(initial=0))
+        steps = [roots[i], *range(node, node + max(last - 1, 0))]  # steps[t - 1] sends step t's media
+        chain.update({(i, t): c for t, c in enumerate(steps[1:], start=2)})
+        edges += [Edge(a, b, 1.0) for a, b in zip(steps, steps[1:])]
+        sent = media.product == i
+        edges += [
+            Edge(steps[t - 1], v, w)
+            for t, v, w in zip(media.step[sent].tolist(), media.dst[sent].tolist(), media.weight[sent].tolist())
+        ]
+        node += len(steps) - 1
+    assert node == aug.threshold_width
+    fixed = [CHAIN_THRESHOLD] * (node - n)
     b_root, eps = gadget.chi_w - gadget.epsilon, gadget.epsilon
-    entries = sorted(zip(rec.src.tolist(), rec.dst.tolist(), rec.product.tolist(), rec.weight.tolist()))
-    edges = list(net.edges)
     relays: dict[tuple[int, int, int], int] = {}
-    thresholds = []
-    for relay, (u, v, i, w) in enumerate(entries, start=net.node_count):
+    for relay, (u, v, i, w) in enumerate(
+        sorted(zip(rec.src.tolist(), rec.dst.tolist(), rec.product.tolist(), rec.weight.tolist())), start=node
+    ):
         relays[(i, u, v)] = relay
-        edges += (Edge(aug.roots[i], relay, b_root), Edge(u, relay, eps), Edge(relay, v, w))
-        thresholds.append(relay_threshold(b_root, eps, products[i]))
-    ref = Network(
-        node_count=net.node_count + len(entries),
-        edges=edges,
-        similarity=dict(net.similarity),
-        node_kind=np.concatenate([net.node_kind, np.full(len(entries), NodeKind.SOCIAL_GADGET, dtype=np.int8)]),
-        fixed_threshold=np.concatenate([net.fixed_threshold, np.array(thresholds, dtype=float)]),
-    )
+        edges += (Edge(roots[i], relay, b_root), Edge(u, relay, eps), Edge(relay, v, w))
+        fixed.append(relay_threshold(b_root, eps, products[i]))
+    ref = Network(node_count=node + len(relays), edges=edges, similarity=dict(aug.net.similarity))
     assert ref.validate() == []
-    return ref, relays
+    seeds = SeedAssignment(tuple(frozenset(plan.seeds) | {roots[i]} for i, plan in enumerate(aug.plans)))
+    return PaperNetwork(ref, n, seeds, np.array(fixed, dtype=float), roots, chain, relays)

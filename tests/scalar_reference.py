@@ -39,14 +39,6 @@ class DiffusionOutcome:
     steps: int
 
 
-def sample_thresholds(net: Network, rng: np.random.Generator) -> np.ndarray:
-    """Uniform[0,1) thresholds for real nodes, fixed values for pseudonodes."""
-    chi = rng.random(net.node_count)
-    fixed = ~np.isnan(net.fixed_threshold)
-    chi[fixed] = net.fixed_threshold[fixed]
-    return chi
-
-
 def tied_candidates(aggregate: np.ndarray, products: list[Product]) -> list[int]:
     """Indices of products at the minimal angular distance.
 
@@ -129,16 +121,9 @@ def run_diffusion(
     max_steps: int | None = None,
     node_order=None,
 ) -> DiffusionOutcome:
-    """Run to the fixed point; raises DiffusionNotConverged past max_steps.
-
-    As in the kernel, pseudonode entries of thresholds are replaced by the
-    values the network fixes for them.
-    """
+    """Run to the fixed point; raises DiffusionNotConverged past max_steps."""
     if max_steps is None:
         max_steps = net.node_count + 2
-    thresholds = np.array(thresholds, dtype=float)
-    fixed = ~np.isnan(net.fixed_threshold)
-    thresholds[fixed] = net.fixed_threshold[fixed]
     state = initial_state(net, products, seeds)
     while True:
         nxt = step(net, products, state, thresholds, tie_key=tie_key, node_order=node_order)

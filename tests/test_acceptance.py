@@ -18,7 +18,7 @@ Eight criteria, each with a single printed PASS/FAIL verdict:
 5. estimator versus enumeration oracle: Monte Carlo at 1e5 reps agrees
    with the exact grid oracle (m = 64) within 4*stderr + 2n/m on 50
    random tie-free channel instances.
-6. media timing: a node whose only live influence is one pseudoedge of
+6. media timing: a node whose only live influence is one media edge of
    weight 0.37 scheduled at step t activates exactly at t with empirical
    probability 0.37 +- 0.005, for t in {1, 2, 3}.
 7. cross-entropy sanity: on a 5-node toy the optimizer at default

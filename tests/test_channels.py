@@ -16,10 +16,10 @@ from campaignsim.channels import (
 )
 from campaignsim.diffusion import simulate_batch
 from campaignsim.feature_space import Product, normalize_product
-from campaignsim.network import Edge, Network, NodeKind, ValidationError
+from campaignsim.network import Edge, Network
 from campaignsim.rng import tile_rng
-from gadget_reference import GadgetParams, gadget_network
-from scalar_reference import run_diffusion, sample_thresholds
+from gadget_reference import CHAIN_THRESHOLD, GadgetParams, paper_network
+from scalar_reference import run_diffusion
 
 P_AXIS = Product(id=0, features=(1.0, 0.0), null_index=1)
 Q_AXIS = Product(id=1, features=(0.0, 1.0), null_index=0)
@@ -143,12 +143,12 @@ def test_channel_weights_never_break_capacity_random_sweep():
             for plan in plans:
                 load += plan.alpha * h_sum + sum(plan.beta)
             assert aug.scale[v] == (max(0.0, 1.0 - in_sum) / load if load > 0.0 else 0.0)
-        # pseudoedges and recommendations into each base node fill the
-        # residual exactly when scaled
-        rec = aug.recommendations
+        # media and recommendations into each node fill the residual
+        # exactly when scaled
+        media, rec = aug.media, aug.recommendations
         for v in range(n):
             base_in = sum(wt for _, wt in net.in_neighbors(v))
-            total_in = sum(e.weight for e in aug.net.edges if e.dst == v) + rec.weight[rec.dst == v].sum()
+            total_in = base_in + media.weight[media.dst == v].sum() + rec.weight[rec.dst == v].sum()
             if aug.scale[v] > 0:
                 assert total_in == pytest.approx(1.0, abs=1e-9)
             else:
@@ -159,24 +159,21 @@ def test_channel_weights_never_break_capacity_random_sweep():
 
 
 def test_zero_budget_plans_add_only_isolated_roots():
+    # compiled: the base network alone, threshold rows two real nodes plus
+    # one root per product wide; in the paper's construction the roots are
+    # seeded and isolated
     net = two_node_net()
     plans = [ChannelPlan(product=0, seeds=frozenset({0})), ChannelPlan(product=1)]
     aug = build_augmented(net, [P_AXIS, Q_AXIS], plans)
-    assert aug.net.node_count == 4  # two real + one root per product
-    assert aug.base_node_count == 2
-    assert sorted(aug.roots) == [2, 3]
-    assert len(aug.net.edges) == len(net.edges)
-    kinds = aug.net.node_kind
-    assert kinds[2] == NodeKind.PRODUCT_ROOT and kinds[3] == NodeKind.PRODUCT_ROOT
-    seeds = aug.seed_assignment()
-    assert seeds.by_product == (frozenset({0, 2}), frozenset({3}))
-
-
-def test_base_network_with_pseudonodes_is_rejected():
-    net = two_node_net()
-    aug = build_augmented(net, [P_AXIS, Q_AXIS], [ChannelPlan(product=0), ChannelPlan(product=1)])
-    with pytest.raises(PlanError, match="already contains pseudonodes"):
-        build_augmented(aug.net, [P_AXIS, Q_AXIS], [ChannelPlan(product=0), ChannelPlan(product=1)])
+    assert aug.net is net
+    assert not len(aug.media) and not len(aug.recommendations)
+    assert aug.threshold_width == 4
+    assert aug.seed_assignment().by_product == (frozenset({0}), frozenset())
+    assert not net.node_kind.any()  # NodeKind.REAL is 0
+    ref = paper_network(aug, [P_AXIS, Q_AXIS])
+    assert ref.roots == (2, 3) and ref.net.node_count == 4 and not ref.chain
+    assert ref.net.edges == net.edges
+    assert ref.seeds.by_product == (frozenset({0, 2}), frozenset({3}))
 
 
 def test_plan_set_must_cover_products_exactly():
@@ -202,31 +199,42 @@ def test_plan_set_must_cover_products_exactly():
 
 
 def test_media_chain_nodes_activate_one_step_before_their_slot():
-    # horizon 4 with spend only at t=4 still materializes the full chain
+    # horizon 4 with spend only at t=4: the compiled media all sit at step 4,
+    # and the paper's construction still materializes the full chain
     net = two_node_net(weight=0.1, h=0.0)
     plans = [ChannelPlan(product=0, beta=(0.0, 0.0, 0.0, 0.5))]
     aug = build_augmented(net, [P_AXIS], plans)
-    chi = sample_thresholds(aug.net, tile_rng(0, 0))
-    out = run_diffusion(aug.net, [P_AXIS], aug.seed_assignment(), chi)
-    assert out.activation_time[aug.roots[0]] == 0  # the chain starts at the root
+    assert aug.media.step.tolist() == [4, 4] and aug.media.dst.tolist() == [0, 1]
+    assert aug.threshold_width == 2 + 1 + 3
+    ref = paper_network(aug, [P_AXIS])
+    chi = ref.thresholds(tile_rng(0, 0).random(ref.net.node_count))
+    assert chi[2:].tolist() == [CHAIN_THRESHOLD] * 4
+    out = run_diffusion(ref.net, [P_AXIS], ref.seeds, chi)
+    assert out.activation_time[ref.roots[0]] == 0  # the chain starts at the root
     for t in (2, 3, 4):
-        assert out.activation_time[aug.chain[(0, t)]] == t - 1
+        assert out.activation_time[ref.chain[(0, t)]] == t - 1
+    at, _ = simulate_batch(aug.net, [P_AXIS], aug.seed_assignment(), chi[None, :2], media=aug.media)
+    assert at[0].tolist() == out.activation_time[:2].tolist()
 
 
 def test_media_pseudoedge_weight_is_ratio_times_beta():
     net = two_node_net(weight=0.6, h=0.0)
     plans = [ChannelPlan(product=0, beta=(0.2, 0.3))]
     aug = build_augmented(net, [P_AXIS], plans)
-    w = {(e.src, e.dst): e.weight for e in aug.net.edges}
-    root = aug.roots[0]
-    second = aug.chain[(0, 2)]
+    media = aug.media
+    w = dict(zip(zip(media.step.tolist(), media.dst.tolist()), media.weight.tolist()))
     # ratio = residual / nominal load = 0.4 / 0.5
-    assert w[root, 1] == pytest.approx(0.8 * 0.2)
-    assert w[second, 1] == pytest.approx(0.8 * 0.3)
-    assert w[root, 1] + w[second, 1] == pytest.approx(0.4)
+    assert w[1, 1] == pytest.approx(0.8 * 0.2)
+    assert w[2, 1] == pytest.approx(0.8 * 0.3)
+    assert w[1, 1] + w[2, 1] == pytest.approx(0.4)
     # node 0 has full residual 1.0 and the same nominal load
-    assert w[root, 0] == pytest.approx(0.2 / 0.5)
-    assert w[second, 0] == pytest.approx(0.3 / 0.5)
+    assert w[1, 0] == pytest.approx(0.2 / 0.5)
+    assert w[2, 0] == pytest.approx(0.3 / 0.5)
+    # each is the paper's pseudoedge from the root or chain node of its step
+    ref = paper_network(aug, [P_AXIS])
+    pseudo = {(e.src, e.dst): e.weight for e in ref.net.edges}
+    sender = {1: ref.roots[0], 2: ref.chain[(0, 2)]}
+    assert w == {(t, v): pseudo[sender[t], v] for t, v in w}
 
 
 def test_recommendation_per_similar_edge_and_product_in_source_order():
@@ -247,9 +255,10 @@ def test_recommendation_per_similar_edge_and_product_in_source_order():
                 want.append((u, v, i, w))
     assert got == want
     assert {(u, v) for u, v, _, _ in got} == {(2, 1), (0, 1), (3, 0), (0, 3)}
-    # no relay pseudonodes: real nodes, roots, and no chain without a step-2 slot
-    assert aug.net.node_count == 4 + 2
-    assert aug.net.validate(delayed=rec.edges()) == []
+    # no pseudonodes; the threshold width counts the real nodes, the roots,
+    # and no chain without a step-2 slot
+    assert aug.net is net and aug.threshold_width == 4 + 2
+    assert net.validate(channel_in=(rec.dst, rec.weight)) == []
 
 
 def test_relay_fires_only_for_its_own_product():
@@ -262,10 +271,10 @@ def test_relay_fires_only_for_its_own_product():
             ChannelPlan(product=1, seeds=frozenset({0}) if source_product == 1 else frozenset(), alpha=0.0, beta=(0.0,)),
         ]
         aug = build_augmented(net, products, plans)
-        ref, relays = gadget_network(aug, products)
-        relay = relays[(0, 0, 1)]
-        chi = np.full(ref.node_count, 0.99)
-        out = run_diffusion(ref, products, aug.seed_assignment(), chi)
+        ref = paper_network(aug, products)
+        relay = ref.relays[(0, 0, 1)]
+        chi = ref.thresholds(np.full(ref.net.node_count, 0.99))
+        out = run_diffusion(ref.net, products, ref.seeds, chi)
         if source_product == 0:
             # equality case: (chi_w - eps) + eps lands exactly on the threshold
             assert out.activation_time[relay] == 1
@@ -285,12 +294,12 @@ def test_relay_fires_on_schedule_for_non_axis_products():
         eps = float(chi_w * rng.uniform(0.05, 0.95))
         p = normalize_product(rng.random(3), null_index=2, product_id=0)
         aug = build_augmented(net, [p], [ChannelPlan(product=0, seeds=frozenset({0}), alpha=0.5)])
-        ref, relays = gadget_network(aug, [p], GadgetParams(chi_w=chi_w, epsilon=eps))
-        relay = relays[(0, 0, 1)]
-        w = {(e.src, e.dst): e.weight for e in ref.edges}
-        assert ref.fixed_threshold[relay] <= w[aug.roots[0], relay] + w[0, relay]
-        chi = np.full((1, ref.node_count), 0.99)
-        at, bought = simulate_batch(ref, [p], aug.seed_assignment(), chi)
+        ref = paper_network(aug, [p], GadgetParams(chi_w=chi_w, epsilon=eps))
+        relay = ref.relays[(0, 0, 1)]
+        w = {(e.src, e.dst): e.weight for e in ref.net.edges}
+        chi = ref.thresholds(np.full((1, ref.net.node_count), 0.99))
+        assert chi[0, relay] <= w[ref.roots[0], relay] + w[0, relay]
+        at, bought = simulate_batch(ref.net, [p], ref.seeds, chi)
         assert (at[0, relay], bought[0, relay]) == (1, 0), (p.features, chi_w, eps)
 
 
@@ -305,12 +314,14 @@ def test_relayed_influence_arrives_two_steps_after_the_source():
     ]
     aug = build_augmented(net, products, plans)
     chi = np.full((1, aug.net.node_count), 0.5)
-    at, bought = simulate_batch(aug.net, products, aug.seed_assignment(), chi, recommendations=aug.recommendations)
+    at, bought = simulate_batch(
+        aug.net, products, aug.seed_assignment(), chi, media=aug.media, recommendations=aug.recommendations
+    )
     assert at[0, 0] == 1  # media reaches node 0 at step 1
     assert (at[0, 1], bought[0, 1]) == (3, 0)
-    ref, relays = gadget_network(aug, products)
-    out = run_diffusion(ref, products, aug.seed_assignment(), np.full(ref.node_count, 0.5))
-    assert out.activation_time[relays[(0, 0, 1)]] == 2
+    ref = paper_network(aug, products)
+    out = run_diffusion(ref.net, products, ref.seeds, ref.thresholds(np.full(ref.net.node_count, 0.5)))
+    assert out.activation_time[ref.relays[(0, 0, 1)]] == 2
     assert out.activation_time[1] == 3
 
 
@@ -333,13 +344,13 @@ def test_augmented_dump_files(tmp_path):
     )
     e, s, ps = tmp_path / "e.txt", tmp_path / "s.txt", tmp_path / "pseudo.json"
     save_augmented(aug, str(e), str(s), str(ps))
+    assert e.read_text().splitlines()[1:] == ["0 1 0.3"]  # the base network
     payload = json.loads(ps.read_text())
-    assert payload["base_node_count"] == 2
-    kinds = {entry["kind"] for entry in payload["pseudonodes"].values()}
-    assert kinds == {"product_root"}
-    for node, entry in payload["pseudonodes"].items():
-        assert 0.0 <= entry["fixed_threshold"] <= 1.0
-        assert int(node) >= 2
+    media = aug.media.weight.tolist()
+    assert payload["media"] == [
+        {"product": 0, "step": 1, "node": 0, "weight": media[0]},
+        {"product": 0, "step": 1, "node": 1, "weight": media[1]},
+    ]
     w = aug.recommendations.weight[0]
     assert payload["recommendations"] == [{"kind": "recommendation", "product": 0, "edge": [0, 1], "weight": w}]
 
@@ -348,9 +359,9 @@ GOLDEN = Path(__file__).parent / "data"
 
 
 def test_augmented_dump_matches_the_golden_file(tmp_path):
-    # two products with ids unlike their indices, media chains of length 3
-    # and recommendations for both products: every pseudonode role,
-    # recommendation, edge weight and scaling ratio is pinned
+    # two products with ids unlike their indices, media up to step 3 and
+    # recommendations for both products: every media edge, recommendation,
+    # edge weight and scaling ratio is pinned
     p = Product(id=7, features=(1.0, 0.0), null_index=1)
     q = Product(id=3, features=(0.0, 1.0), null_index=0)
     net = Network.from_edges(
@@ -365,6 +376,6 @@ def test_augmented_dump_matches_the_golden_file(tmp_path):
     e, s, ps = tmp_path / "e.txt", tmp_path / "s.txt", tmp_path / "pseudo.json"
     save_augmented(aug, str(e), str(s), str(ps))
     assert ps.read_bytes() == (GOLDEN / "augmented_pseudo.json").read_bytes()
-    # every node number and weight bit: weights are written with repr
+    # every weight bit: weights are written with repr
     assert e.read_bytes() == (GOLDEN / "augmented_edges.txt").read_bytes()
     assert aug.scale.tobytes() == (GOLDEN / "augmented_scale.bin").read_bytes()

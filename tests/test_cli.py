@@ -116,17 +116,17 @@ def assert_replication_zero(d, seed, traj):
     net = load_network(str(d / "edges.txt"), str(d / "similarity.txt"))
     aug = build_augmented(net, products, load_plans(str(d / "plans.json")))
     n = aug.net.node_count
-    chi = tile_rng(seed, 0).random((TILE_SIZE, n))[:1]
+    chi = tile_rng(seed, 0).random((TILE_SIZE, aug.threshold_width))[:1, :n]
     act, bought = simulate_batch(
-        aug.net, products, aug.seed_assignment(), chi, recommendations=aug.recommendations, master_seed=seed
+        aug.net, products, aug.seed_assignment(), chi, media=aug.media, recommendations=aug.recommendations,
+        master_seed=seed,
     )
     ids = [p.id for p in products]
     expected = [f"{v},{act[0, v]},{ids[bought[0, v]] if bought[0, v] >= 0 else -1}" for v in range(n)]
     assert traj.read_text().strip().splitlines()[1:] == expected
     one = estimate_spread(aug, products, 1, seed)
-    real = aug.net.real_nodes()
     for j in range(len(ids)):
-        assert np.array_equal(one.node_counts[j, real], bought[0, real] == j)
+        assert np.array_equal(one.node_counts[j], bought[0] == j)
 
 
 def test_simulate_optional_outputs(fixture_dir, tmp_path):
@@ -144,7 +144,7 @@ def test_simulate_optional_outputs(fixture_dir, tmp_path):
     assert code == 0
     header, *rows = probs.read_text().strip().splitlines()
     assert header == "node,product_0,product_1"
-    assert len(rows) == 5  # real nodes only
+    assert len(rows) == 5  # one row per node
     t_header, *t_rows = traj.read_text().strip().splitlines()
     assert t_header == "node,activation_time,product"
     assert_replication_zero(fixture_dir / "preference_shift", 1, traj)
@@ -175,7 +175,7 @@ def test_simulate_optional_outputs(fixture_dir, tmp_path):
 
 def test_simulate_with_media_and_social_channels(tmp_path):
     # alpha > 0 and beta > 0 for two off-axis products, so the run compiles
-    # media chains and recommendations; the dump must read back bit for bit
+    # media and recommendations; the dump must read back bit for bit
     d = tmp_path / "channels"
     d.mkdir()
     net = Network.from_edges(
@@ -216,16 +216,20 @@ def test_simulate_with_media_and_social_channels(tmp_path):
         load_plans(str(d / "plans.json")),
     )
     pseudo = json.loads((tmp_path / "a_aug" / "pseudo.json").read_text())
-    assert {r["kind"] for r in pseudo["pseudonodes"].values()} == {"product_root", "media_chain"}
+    media = aug.media
+    assert len(media) and pseudo["media"] == [
+        {"product": aug.product_ids[i], "step": t, "node": v, "weight": w}
+        for t, v, i, w in zip(media.step.tolist(), media.dst.tolist(), media.product.tolist(), media.weight.tolist())
+    ]
     rec = aug.recommendations
     assert len(rec) and pseudo["recommendations"] == [
         {"kind": "recommendation", "product": aug.product_ids[i], "edge": [u, v], "weight": w}
         for u, v, i, w in zip(rec.src.tolist(), rec.dst.tolist(), rec.product.tolist(), rec.weight.tolist())
     ]
-    # one trajectory row per compiled node, so no relay rows
+    # one trajectory row per network node, so no pseudonode rows
     assert_replication_zero(d, 11, tmp_path / "a_traj.csv")
     dumped = parse_edge_file(str(tmp_path / "a_aug" / "edges.txt"))
-    in_memory = sorted(aug.net.edges, key=lambda e: (e.src, e.dst))
+    in_memory = sorted(aug.net.edges, key=lambda e: (e.src, e.dst))  # the base network
     assert [(e.src, e.dst) for e in dumped] == [(e.src, e.dst) for e in in_memory]
     assert [e.weight.hex() for e in dumped] == [float(e.weight).hex() for e in in_memory]
     # the dumped graph loads as a base network again

@@ -22,9 +22,9 @@ from campaignsim.fixtures import (
 )
 from campaignsim.network import Edge, Network
 from campaignsim.rng import key_uniform
-from gadget_reference import gadget_network
+from gadget_reference import CHAIN_THRESHOLD, paper_network
 from lt_reference import classical_lt, random_lt_instance
-from scalar_reference import DiffusionNotConverged, initial_state, run_diffusion, sample_thresholds, step
+from scalar_reference import DiffusionNotConverged, initial_state, run_diffusion, step
 
 P_AXIS = Product(id=0, features=(1.0, 0.0), null_index=1)
 Q_AXIS = Product(id=1, features=(0.0, 1.0), null_index=0)
@@ -207,22 +207,23 @@ def test_batch_equals_scalar_on_augmented_instances_with_ties():
     ]
     for products in (mirror, cyclic):
         aug = channel_instance(products, rng)
-        net, seeds, recs = aug.net, aug.seed_assignment(), aug.recommendations
-        assert aug.chain and len(recs)  # media chain nodes and recommendations
-        # the scalar engine runs the paper's relay gadget in their place
-        ref, _ = gadget_network(aug, products)
+        net, seeds, media, recs = aug.net, aug.seed_assignment(), aug.media, aug.recommendations
+        assert len(media) and len(recs)
+        # the scalar engine runs the paper's construction in their place
+        ref = paper_network(aug, products)
         n = net.node_count
-        media_only = [aug.base_node_count - 2, aug.base_node_count - 1]
+        media_only = [n - 2, n - 1]
         bought = set()
         for R, master, offset in ((1, 0, 0), (1, 2**63 + 7, 2**32 + 3), (17, 5, 4096), (17, 2**64 - 1, 2**40 + 1)):
-            chi = rng.random((R, ref.node_count))
+            chi = ref.thresholds(rng.random((R, ref.net.node_count)))
             with pytest.raises(PurchaseTieError):
-                simulate_batch(net, products, seeds, chi[:, :n], recommendations=recs, on_tie="raise")
+                simulate_batch(net, products, seeds, chi[:, :n], media=media, recommendations=recs, on_tie="raise")
             at, pu = simulate_batch(
-                net, products, seeds, chi[:, :n], recommendations=recs, master_seed=master, rep_offset=offset
+                net, products, seeds, chi[:, :n], media=media, recommendations=recs,
+                master_seed=master, rep_offset=offset,
             )
             for r in range(R):
-                out = run_diffusion(ref, products, seeds, chi[r], tie_key=(master, offset + r))
+                out = run_diffusion(ref.net, products, ref.seeds, chi[r], tie_key=(master, offset + r))
                 assert np.array_equal(out.activation_time[:n], at[r]), (len(products), R, r)
                 assert np.array_equal(out.purchased[:n], pu[r]), (len(products), R, r)
             bought |= set(pu[:, media_only].ravel().tolist()) - {-1}
@@ -249,33 +250,56 @@ def test_recommendations_add_after_direct_contributions_in_source_order():
     assert at[:, 4].tolist() == [2, -1]
 
 
-def test_kernel_applies_the_fixed_pseudonode_thresholds():
-    rng = np.random.default_rng(29)
-    products = [
-        normalize_product([0.8, 0.6, 0.0], 2, product_id=0),
-        normalize_product([0.6, 0.8, 0.0], 2, product_id=1),
+def kernel_norm(*contributions):
+    """Norm of the sum of weight * product in the given order, as the kernel
+    sums it: per feature onto a running total, squares in feature order."""
+    agg = [0.0] * len(contributions[0][1].features)
+    for w, p in contributions:
+        agg = [a + x * w for a, x in zip(agg, p.features)]
+    norm2 = 0.0
+    for a in agg:
+        norm2 = norm2 + a * a
+    return math.sqrt(norm2)
+
+
+def test_media_add_after_direct_contributions_and_before_recommendations():
+    # node 2 hears seed 0 directly at step 1; at step 2 it hears node 1
+    # directly, both products' media and seed 0's recommendation; the norm
+    # depends on the order, and a threshold on the contract's norm is met
+    # only in that order
+    p = normalize_product([0.8, 0.6], 1, product_id=0)
+    q = normalize_product([0.6, 0.8], 1, product_id=1)
+    net = Network.from_edges(3, [(0, 1, 1.0), (0, 2, 0.05), (1, 2, 0.1)], similarities={(0, 2): 0.7})
+    plans = [
+        ChannelPlan(product=0, seeds=frozenset({0}), alpha=0.5, beta=(0.0, 0.3)),
+        ChannelPlan(product=1, alpha=0.0, beta=(0.0, 0.2)),
     ]
-    aug = channel_instance(products, rng)
-    net, seeds = aug.net, aug.seed_assignment()
-    raw = rng.random((64, net.node_count))
-    pseudo = ~np.isnan(net.fixed_threshold)
-    fixed = raw.copy()
-    fixed[:, pseudo] = net.fixed_threshold[pseudo]
-    assert pseudo.any() and not np.array_equal(raw[:, pseudo], fixed[:, pseudo])
-    kept = raw.copy()
-    recs = aug.recommendations
-    got = simulate_batch(net, products, seeds, raw, recommendations=recs, master_seed=3, rep_offset=11)
-    want = simulate_batch(net, products, seeds, fixed, recommendations=recs, master_seed=3, rep_offset=11)
-    assert np.array_equal(got[0], want[0])
-    assert np.array_equal(got[1], want[1])
-    assert np.array_equal(raw, kept)  # the caller's thresholds are left alone
-    # the zero floor comes after the fixed value: a pseudonode fixed at 0 with
-    # a zero aggregate stays inactive, whatever the caller passed for it
-    net = Network.from_edges(3, [(0, 1, 1.0), (1, 2, 0.5)])
-    net.node_kind[2] = 2
-    net.fixed_threshold[2] = 0.0
-    at, _ = simulate_batch(net, [P_AXIS], SeedAssignment((frozenset(),)), np.full((1, 3), 0.7))
-    assert at.tolist() == [[-1, -1, -1]]
+    aug = build_augmented(net, [p, q], plans)
+    media = aug.media
+    w = dict(zip(zip(media.step.tolist(), media.dst.tolist(), media.product.tolist()), media.weight.tolist()))
+    m0, m1 = w[2, 2, 0], w[2, 2, 1]
+    (r,) = aug.recommendations.weight.tolist()
+    step1 = (0.05, p)
+    contract = kernel_norm(step1, (0.1, p), (m0, p), (m1, q), (r, p))
+    assert contract > kernel_norm(step1, (m0, p), (m1, q), (0.1, p), (r, p))  # media first
+    assert contract > kernel_norm(step1, (0.1, p), (r, p), (m0, p), (m1, q))  # recommendations first
+    assert contract > kernel_norm(step1, (0.1, p), (m1, q), (m0, p), (r, p))  # descending product
+    chi = np.full((2, 3), 0.5)
+    chi[:, 2] = [contract, math.nextafter(contract, math.inf)]
+    at, _ = simulate_batch(
+        net, [p, q], aug.seed_assignment(), chi, media=media, recommendations=aug.recommendations
+    )
+    assert at[:, 2].tolist() == [2, -1]
+
+
+def test_batch_runs_to_its_last_media_step():
+    # nothing is seeded and nothing activates before step 4, when media
+    # reach node 1; node 2 follows at step 5
+    net = Network.from_edges(3, [(1, 2, 1.0), (2, 0, 1.0), (0, 1, 0.5)])
+    aug = build_augmented(net, [P_AXIS], [ChannelPlan(product=0, beta=(0.0, 0.0, 0.0, 1.0))])
+    assert aug.media.step.tolist() == [4] and aug.media.dst.tolist() == [1]
+    at, pu = simulate_batch(net, [P_AXIS], aug.seed_assignment(), np.full((3, 3), 0.4), media=aug.media)
+    assert at.tolist() == [[6, 4, 5]] * 3 and pu.tolist() == [[0, 0, 0]] * 3
 
 
 def test_first_crossing_matches_two_sided_condition():
@@ -457,25 +481,27 @@ def test_seed_assignment_validation():
         SeedAssignment((frozenset({5}),)).validate(net)
     with pytest.raises(ValueError, match="more than one product"):
         SeedAssignment((frozenset({0}), frozenset({0}))).validate(net)
-    net.node_kind[1] = 2  # media pseudonode
-    with pytest.raises(ValueError, match="kind MEDIA_CHAIN"):
-        SeedAssignment((frozenset({1}),)).validate(net)
 
 
 def test_threshold_sampling_respects_fixed_values():
-    net = Network.from_edges(3, [(0, 1, 0.5), (1, 2, 0.5)])
-    net.node_kind[2] = 1
-    net.fixed_threshold[2] = 0.5
-    rng = np.random.default_rng(9)
-    chi = sample_thresholds(net, rng)
-    assert chi[2] == 0.5
-    assert 0.0 <= chi[0] < 1.0 and 0.0 <= chi[1] < 1.0
-    # both engines replace a caller's pseudonode threshold with the fixed one
-    chi = np.array([0.3, 0.3, 0.9])
-    seeds = SeedAssignment((frozenset({0}),))
-    assert run_diffusion(net, [P_AXIS], seeds, chi).activation_time.tolist() == [0, 1, 2]
-    at, _ = simulate_batch(net, [P_AXIS], seeds, chi[None, :])
-    assert at.tolist() == [[0, 1, 2]]
+    # the paper's construction writes its pseudonodes' fixed thresholds into
+    # a copy of the caller's rows and leaves the real columns as drawn
+    net = Network.from_edges(3, [(0, 1, 0.5), (1, 2, 0.5)], similarities={(0, 1): 0.5})
+    aug = build_augmented(net, [P_AXIS], [ChannelPlan(product=0, seeds=frozenset({0}), alpha=1.0, beta=(0.0, 0.2))])
+    ref = paper_network(aug, [P_AXIS])
+    assert ref.net.node_count == aug.threshold_width + 1 == 3 + 2 + 1  # root, one chain node, one relay
+    drawn = np.random.default_rng(9).random((4, ref.net.node_count))
+    kept = drawn.copy()
+    chi = ref.thresholds(drawn)
+    assert np.array_equal(drawn, kept)
+    assert np.array_equal(chi[:, :3], drawn[:, :3])
+    relay = ref.relays[(0, 0, 1)]
+    assert (chi[:, 3:5] == CHAIN_THRESHOLD).all() and (chi[:, relay] == 0.5).all()
+    for r in range(4):
+        out = run_diffusion(ref.net, [P_AXIS], ref.seeds, chi[r])
+        at, _ = simulate_batch(net, [P_AXIS], aug.seed_assignment(), chi[r : r + 1, :3], media=aug.media,
+                               recommendations=aug.recommendations)
+        assert out.activation_time[:3].tolist() == at[0].tolist()
 
 
 def test_single_feature_degeneration_spot_check():

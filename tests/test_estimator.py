@@ -21,7 +21,7 @@ def sure_chain():
 
 
 def media_instance(t, horizon=3):
-    """A node whose only live influence is one media pseudoedge of weight 0.37.
+    """A node whose only live influence is one media edge of weight 0.37.
 
     Nodes 0 and 2 hold each other's incoming capacity at 1.0 and are never
     seeded, so neither ever activates and node 1 sees channel weight
@@ -59,7 +59,7 @@ def test_replications_must_be_positive():
 def test_media_pseudoedge_probability_near_effective_weight():
     aug = media_instance(t=2)
     est = estimate_spread(aug, [P_AXIS], 100_000, 7)
-    # activation probability equals the pseudoedge weight 0.37;
+    # activation probability equals the media weight 0.37;
     # 0.0035 is ~2.3 binomial sigma but the seed is fixed, so this is stable
     assert est.mean_of(0) == pytest.approx(0.37, abs=0.0035)
     assert est.node_probability(1, 0) == est.mean_of(0)
@@ -71,7 +71,8 @@ def test_activation_time_histogram_hits_the_scheduled_step():
     for t in (1, 2, 3):
         aug = media_instance(t=t)
         hist = activation_time_histogram(aug, [P_AXIS], 1, 20_000, 50 + t)
-        assert hist.size == aug.net.node_count  # without recommendations no activation comes after step n - 1
+        # the threshold width: 3 real nodes, a root and t - 1 chain nodes
+        assert hist.size == aug.threshold_width == 3 + t
         active = int(hist.sum())
         assert hist[t] == active  # never at any other step
         assert active / 20_000 == pytest.approx(0.37, abs=0.01)
@@ -81,12 +82,12 @@ def test_activation_time_histogram_reaches_past_n_through_recommendations():
     # a similarity path 0 -> 1 -> 2 -> 3 seeded at 0: each edge carries 0.1
     # and its recommendation the other 0.9, so a node whose threshold is
     # above 0.1 waits for the recommendation, two steps after its source;
-    # node 3 then activates at step 6 although the compiled n is 5
+    # node 3 then activates at step 6 although the threshold width is 5
     net = Network.from_edges(
         4, [(0, 1, 0.1), (1, 2, 0.1), (2, 3, 0.1)], similarities={(0, 1): 0.5, (1, 2): 0.5, (2, 3): 0.5}
     )
     aug = build_augmented(net, [P_AXIS], [ChannelPlan(product=0, seeds=frozenset({0}), alpha=1.0)])
-    assert aug.net.node_count == 5 and len(aug.recommendations) == 3
+    assert aug.threshold_width == 5 and len(aug.recommendations) == 3
     reps = 4000
     hist = activation_time_histogram(aug, [P_AXIS], 3, reps, 9)
     assert hist.size == 2 * 5 - 1

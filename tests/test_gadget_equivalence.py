@@ -1,8 +1,10 @@
-"""Compiled recommendations against the paper's relay gadget, bit for bit.
+"""Compiled channels against the paper's construction, bit for bit.
 
-The kernel runs the compiled network with thresholds chi[:, :n] and the
-gadget reference (tests/gadget_reference.py) with chi; every column that
-is not a relay must hold the same activation times and purchases.
+The kernel runs the compiled network, with its media and recommendations,
+on thresholds chi[:, :n], and the paper's construction (roots, media chains
+and relays, tests/gadget_reference.py) on chi with every pseudonode's fixed
+threshold written in; every real column must hold the same activation
+times and purchases.
 """
 
 import importlib.util
@@ -14,21 +16,23 @@ from campaignsim.channels import ChannelPlan, build_augmented, load_plans
 from campaignsim.diffusion import simulate_batch
 from campaignsim.feature_space import angular_distance, load_products, normalize_product
 from campaignsim.network import Edge, Network, load_network
-from gadget_reference import gadget_network
+from gadget_reference import paper_network
 
 INSTANCES = Path(__file__).parents[1] / "benchmarks" / "instances.py"
 
 
 def assert_equivalent(aug, products, chi, master_seed=0, rep_offset=0):
-    ref, _ = gadget_network(aug, products)
+    """Pseudonode activation times of the paper's construction."""
+    ref = paper_network(aug, products)
     n = aug.net.node_count
-    assert ref.node_count == n + len(aug.recommendations) == chi.shape[1]
-    seeds = aug.seed_assignment()
+    assert ref.net.node_count == aug.threshold_width + len(aug.recommendations) == chi.shape[1]
     at, pu = simulate_batch(
-        aug.net, products, seeds, chi[:, :n], recommendations=aug.recommendations,
-        master_seed=master_seed, rep_offset=rep_offset,
+        aug.net, products, aug.seed_assignment(), chi[:, :n], media=aug.media,
+        recommendations=aug.recommendations, master_seed=master_seed, rep_offset=rep_offset,
     )
-    ref_at, ref_pu = simulate_batch(ref, products, seeds, chi, master_seed=master_seed, rep_offset=rep_offset)
+    ref_at, ref_pu = simulate_batch(
+        ref.net, products, ref.seeds, ref.thresholds(chi), master_seed=master_seed, rep_offset=rep_offset
+    )
     assert np.array_equal(at, ref_at[:, :n])
     assert np.array_equal(pu, ref_pu[:, :n])
     return ref_at[:, n:]
@@ -44,17 +48,18 @@ def test_synthetic_channel_instances(tmp_path):
         aug = build_augmented(
             load_network(paths["net"], paths["sim"]), products, load_plans(paths["plans"])
         )
-        assert len(aug.recommendations) > 2 * aug.net.node_count  # most of the gadget graph
+        assert len(aug.media) and len(aug.recommendations) > 2 * aug.net.node_count  # most of the paper's graph
         rng = np.random.default_rng(seed)
-        chi = rng.random((16, aug.net.node_count + len(aug.recommendations)))
-        relay_times = assert_equivalent(aug, products, chi, master_seed=seed, rep_offset=4096 * seed)
-        assert (relay_times >= 0).any()
+        chi = rng.random((16, aug.threshold_width + len(aug.recommendations)))
+        pseudo_times = assert_equivalent(aug, products, chi, master_seed=seed, rep_offset=4096 * seed)
+        assert (pseudo_times[:, aug.threshold_width - aug.net.node_count :] >= 0).any()  # relays fired
 
 
 def random_instance(rng):
     """Off-axis products at least 0.01 rad apart, seeds that are
-    recommendation sources, gaps in beta, an unsorted edge list."""
-    n = int(rng.integers(3, 10))
+    recommendation sources, horizons up to 4 with gaps in beta, nodes
+    without in-edges, an unsorted edge list."""
+    n = int(rng.integers(2, 10))
     edges = {}
     for v in range(n):
         deg = int(rng.integers(0, min(4, n)))
@@ -69,8 +74,6 @@ def random_instance(rng):
     for u, v in edges:
         if rng.random() < 0.6:
             sims[(min(u, v), max(u, v))] = float(rng.uniform(0.1, 1.0))
-    if not sims:
-        return None
     k = int(rng.integers(2, 4))
     products = []
     while len(products) < k:
@@ -80,7 +83,7 @@ def random_instance(rng):
     sources = sorted({u for u, v in edges if (min(u, v), max(u, v)) in sims})
     free = [v for v in rng.permutation(n).tolist() if v not in sources]
     pool = [int(s) for s in rng.permutation(sources)] + free
-    horizon = 3
+    horizon = int(rng.integers(1, 5))
     plans = []
     for i in range(k):
         seeds = {pool.pop(0)} if pool and rng.random() < 0.8 else set()
@@ -98,18 +101,23 @@ def random_instance(rng):
 
 def test_random_instances():
     rng = np.random.default_rng(2026)
-    kept = seeded_sources = gaps = relays_fired = 0
-    while kept < 200:
+    kept = seeded_sources = gaps = shared_steps = media_only = late_media = relays_fired = 0
+    while kept < 240:
         drawn = random_instance(rng)
-        if drawn is None or not len(drawn[0].recommendations):
+        if drawn is None or not (len(drawn[0].media) or len(drawn[0].recommendations)):
             continue
         aug, products = drawn
         kept += 1
-        rec = aug.recommendations
+        n, media, rec = aug.net.node_count, aug.media, aug.recommendations
         seeded = set().union(*(plan.seeds for plan in aug.plans))
         seeded_sources += bool(seeded & set(rec.src.tolist()))
         gaps += any(b == 0.0 and any(plan.beta[t:]) for plan in aug.plans for t, b in enumerate(plan.beta, 1))
-        chi = rng.random((8, aug.net.node_count + len(rec)))
-        relay_times = assert_equivalent(aug, products, chi, master_seed=kept, rep_offset=kept * 8)
-        relays_fired += bool((relay_times >= 0).any())
+        steps = set(zip(media.step.tolist(), media.product.tolist()))
+        shared_steps += any((t, j) in steps for t, i in steps for j in range(i + 1, len(products)))
+        media_only += any(not aug.net.in_neighbors(v) for v in set(media.dst.tolist()))
+        late_media += bool(len(media)) and int(media.step[-1]) > n - 1
+        chi = rng.random((8, aug.threshold_width + len(rec)))
+        pseudo_times = assert_equivalent(aug, products, chi, master_seed=kept, rep_offset=kept * 8)
+        relays_fired += bool((pseudo_times[:, aug.threshold_width - n :] >= 0).any())
     assert seeded_sources > 100 and gaps > 50 and relays_fired > 100
+    assert shared_steps > 100 and media_only > 100 and late_media > 30

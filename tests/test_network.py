@@ -43,7 +43,8 @@ def test_similarity_lookup_is_symmetric_with_zero_default():
 
 
 def test_real_nodes_initially_everything():
-    assert np.array_equal(small_net().real_nodes(), np.arange(4))
+    # channels compile to edges, so every node of every network is real
+    assert np.array_equal(small_net().node_kind, np.zeros(4, dtype=np.int8))  # NodeKind.REAL is 0
 
 
 def test_duplicate_edge_rejected():
@@ -78,19 +79,15 @@ def test_validate_flags_each_violation():
 def test_validate_accepts_incoming_sum_exactly_one():
     net = Network.from_edges(3, [(0, 2, 0.6), (1, 2, 0.4)])
     assert net.validate() == []
-    # delayed in-edges (compiled recommendations) count toward the sum
-    assert net.validate(delayed=[Edge(0, 1, 0.7)]) == []
-    assert any("node 2 sum to 1.1" in s for s in net.validate(delayed=[Edge(0, 2, 0.1)]))
+    # channel in-weights (compiled media and recommendations) count toward the sum
+    def channel_in(*pairs):
+        return np.array([v for v, _ in pairs], dtype=np.intp), np.array([w for _, w in pairs])
 
-
-def test_validate_requires_fixed_thresholds_on_pseudonodes():
-    net = Network.from_edges(2, [(0, 1, 0.5)])
-    net.node_kind[1] = 2
-    assert any("lacks a fixed threshold" in s for s in net.validate())
-    net.fixed_threshold[1] = 1.5
-    assert any("outside [0, 1]" in s for s in net.validate())
-    net.fixed_threshold[1] = 0.5
-    assert net.validate() == []
+    assert net.validate(channel_in=channel_in((1, 0.7), (1, 0.3))) == []
+    assert any("node 2 sum to 1.1" in s for s in net.validate(channel_in=channel_in((2, 0.1))))
+    # and each lies in (0, 1]
+    v = net.validate(channel_in=channel_in((1, 0.0), (0, 1.5), (1, 0.5)))
+    assert v[:2] == ["channel weight 0.0 into node 1 outside (0, 1]", "channel weight 1.5 into node 0 outside (0, 1]"]
 
 
 def test_parse_edge_file_comments_and_errors(tmp_path):

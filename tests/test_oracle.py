@@ -1,23 +1,28 @@
 import dataclasses
 import itertools
 import math
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from campaignsim import oracle
 from campaignsim.channels import ChannelPlan, build_augmented
-from campaignsim.diffusion import PurchaseTieError, Recommendations, SeedAssignment
+from campaignsim.diffusion import Media, PurchaseTieError, Recommendations
 from campaignsim.feature_space import Product, normalize_product
 from campaignsim.fixtures import BRIDGE, TARGET, blocking_demo, ce_toy, preference_shift
-from campaignsim.network import Edge, Network, NodeKind
+from campaignsim.network import Edge, Network
 from campaignsim.oracle import (
     EnumerationCapError,
     GridSpec,
     analytic_blocking_demo,
     exact_spread_grid,
 )
-from gadget_reference import gadget_network
+from gadget_reference import paper_network
 from scalar_reference import run_diffusion
 
 P_AXIS = Product(id=0, features=(1.0, 0.0), null_index=1)
@@ -101,22 +106,16 @@ def test_pinned_threshold_overrides_enumeration():
 
 def brute_force_grid(aug, products, m):
     """Independent route: enumerate the full m^n grid with the scalar engine
-    on the paper's relay gadget."""
-    net, _ = gadget_network(aug, products)
-    seeds = aug.seed_assignment()
+    on the paper's construction."""
+    ref = paper_network(aug, products)
+    net, seeds, n = ref.net, ref.seeds, aug.net.node_count
     seeded = set()
     for ns in seeds.by_product:
         seeded |= ns
-    base_chi = np.full(net.node_count, 2.0)
-    fixed = ~np.isnan(net.fixed_threshold)
-    base_chi[fixed] = net.fixed_threshold[fixed]
-    free = [
-        v
-        for v in range(net.node_count)
-        if net.node_kind[v] == NodeKind.REAL and v not in seeded and net.in_neighbors(v)
-    ]
+    base_chi = ref.thresholds(np.full(net.node_count, 2.0))
+    free = [v for v in range(n) if v not in seeded and net.in_neighbors(v)]
     mids = [(i + 0.5) / m for i in range(m)]
-    real = net.real_nodes()
+    real = np.arange(n)
     k = len(products)
     spread = np.zeros(k)
     count = 0
@@ -189,21 +188,28 @@ def test_oracle_refuses_tied_instances():
         exact_spread_grid(aug, [P_AXIS, Q_AXIS], GridSpec(resolution=10))
 
 
-def gadget_oracle(aug, products, grid, monkeypatch):
-    """exact_spread_grid on the paper's relay gadget: relays are pseudonodes
-    that can only ever buy their own product."""
-    ref, relays = gadget_network(aug, products)
+def paper_oracle(aug, products, grid):
+    """exact_spread_grid on the paper's construction: its pseudonodes are
+    pinned at their fixed thresholds and the roots seeded, with no channel
+    edges left; each pseudonode in-edge then brings the breakpoints of every
+    product, a superset of what it can carry."""
+    ref = paper_network(aug, products)
+    n = aug.net.node_count
     empty = np.zeros(0, dtype=np.intp)
-    ref_aug = dataclasses.replace(aug, net=ref, recommendations=Recommendations(empty, empty, empty, np.zeros(0)))
-    owners = oracle._source_products
-    with monkeypatch.context() as m:
-        m.setattr(oracle, "_source_products", lambda a: owners(a) | {node: key[0] for key, node in relays.items()})
-        return exact_spread_grid(ref_aug, products, grid)
+    ref_aug = dataclasses.replace(
+        aug,
+        net=ref.net,
+        plans=tuple(dataclasses.replace(plan, seeds=seeds) for plan, seeds in zip(aug.plans, ref.seeds.by_product)),
+        media=Media(empty, empty, empty, np.zeros(0)),
+        recommendations=Recommendations(empty, empty, empty, np.zeros(0)),
+    )
+    pinned = {int(v): float(t) for v, t in enumerate(ref.fixed, start=n)}
+    return exact_spread_grid(ref_aug, products, grid, pinned=pinned)
 
 
-def test_oracle_on_recommendations_equals_the_oracle_on_relays(monkeypatch):
-    # each recommendation in-edge brings its breakpoints {0, w * p}; without
-    # them the piece collapsing merges midpoints whose outcomes differ
+def test_oracle_on_recommendations_equals_the_oracle_on_relays():
+    # each media and recommendation in-edge brings its breakpoints {0, w * p};
+    # without them the piece collapsing merges midpoints whose outcomes differ
     net, products, _ = ce_toy()
     instances = [
         (net, products, [ChannelPlan(product=0, seeds=frozenset({0}), alpha=0.5, beta=(0.25, 0.25))]),
@@ -224,12 +230,70 @@ def test_oracle_on_recommendations_equals_the_oracle_on_relays(monkeypatch):
     ]
     for net, products, plans in instances:
         aug = build_augmented(net, products, plans)
-        assert len(aug.recommendations)
+        assert len(aug.recommendations) and len(aug.media)
         n = aug.net.node_count
         for m in (7, 20):
             got = exact_spread_grid(aug, products, GridSpec(resolution=m))
-            want = gadget_oracle(aug, products, GridSpec(resolution=m), monkeypatch)
-            assert got.tuples_evaluated == want.tuples_evaluated
-            assert np.array_equal(got.spread, want.spread)
-            assert np.array_equal(got.node_probability, want.node_probability[:, :n])
-            assert not want.node_probability[:, n:].any()
+            want = paper_oracle(aug, products, GridSpec(resolution=m))
+            assert got.tuples_evaluated <= want.tuples_evaluated
+            # real nodes only: the paper's pseudonodes also buy
+            assert np.allclose(got.node_probability, want.node_probability[:, :n], rtol=0, atol=1e-12)
+            assert np.allclose(got.spread, got.node_probability.sum(axis=1), rtol=0, atol=1e-12)
+
+
+def materialised_cells(norms, m):
+    """The collapsed cells built from every midpoint, as their definition
+    reads: midpoints in the same gap between breakpoints share a cell."""
+    mids = (np.arange(m) + 0.5) / m
+    piece = np.searchsorted(norms, mids, side="left")
+    cells = []
+    for pid in np.unique(piece):
+        idx = np.flatnonzero(piece == pid)
+        cells.append((float(mids[idx[0]]), int(idx.size)))
+    return cells
+
+
+def random_breakpoints(rng, m):
+    """Sorted distinct norms: random ones, some midpoints of m and their
+    float neighbours, 0, 1 and a norm just past 1."""
+    mids = (rng.integers(0, m, size=5) + 0.5) / m
+    return np.unique(np.concatenate([
+        rng.random(8), mids, np.nextafter(mids, 0.0), np.nextafter(mids, 2.0), [0.0, 1.0, 1.0 + 1e-10],
+    ]))
+
+
+def test_cells_from_breakpoints_equal_the_materialised_cells():
+    rng = np.random.default_rng(8)
+    for m in [*range(1, 201), 10**6]:
+        for _ in range(3):
+            norms = random_breakpoints(rng, m)
+            starts = oracle._piece_starts(norms, m)
+            assert oracle._cells(starts, m) == materialised_cells(norms, m)
+    # skipped breakpoints: every midpoint is a cell of its own
+    assert oracle._piece_starts(None, 9) is None
+    assert oracle._cells(None, 9) == [(float(x), 1) for x in (np.arange(9) + 0.5) / 9]
+
+
+def test_huge_resolution_runs_in_bounded_memory():
+    # 10^9 midpoints take 8 GB as one array; the cells come from the
+    # breakpoints alone, so the oracle runs within a 1 GiB address space
+    m = 10**9
+    code = (
+        "from campaignsim.channels import build_augmented\n"
+        "from campaignsim.fixtures import preference_shift\n"
+        "from campaignsim.oracle import GridSpec, exact_spread_grid\n"
+        "net, products, plans = preference_shift()\n"
+        f"res = exact_spread_grid(build_augmented(net, products, plans), products, GridSpec(resolution={m}))\n"
+        "print(res.tuples_evaluated, res.spread.tolist())\n"
+    )
+    src = str(Path(__file__).parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    limit = 1 << 30
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    net, products, plans = preference_shift()
+    res = exact_spread_grid(build_augmented(net, products, plans), products, GridSpec(resolution=m))
+    assert proc.stdout.split(maxsplit=1) == [str(res.tuples_evaluated), f"{res.spread.tolist()}\n"]

@@ -37,11 +37,8 @@ in (source, target, product) order.  Within a step the kernel adds the
 direct contributions to an aggregate first, then the media in product
 order, then the recommendations in ascending source order: the order of the
 paper's pseudonodes, numbered after the real nodes (roots, then chains
-product by product, then relays in base edge-list order, product-minor,
-whenever the edge list is source-sorted, as save_network writes it).  The
-order of the edge list is not otherwise part of the contract: each
-(src, dst) pair has at most one edge, and the kernel adds each step's
-contributions to an aggregate in source order.
+product by product, then relays in the network's (source, target) edge
+order, product-minor).
 
 Threshold rows have a width that is a contract, because seeded outputs
 depend on it: threshold_width is the node count of the paper's media
@@ -132,14 +129,9 @@ def build_augmented(
             seen_seeds.add(s)
 
     n, k = net.node_count, len(products)
-    src = np.array([e.src for e in net.edges], dtype=np.intp)
-    dst = np.array([e.dst for e in net.edges], dtype=np.intp)
-    weight = np.array([e.weight for e in net.edges], dtype=float)
-    h = np.array([net.similarity_of(e.src, e.dst) for e in net.edges], dtype=float)
-    # edges in (source, target) order, so sums per target run in ascending source order
-    by_src = np.lexsort((dst, src))
-    src, dst, weight, h = src[by_src], dst[by_src], weight[by_src], h[by_src]
-    in_sum = np.bincount(dst, weight, minlength=n)
+    # the edges are in (source, target) order, so sums per target run in ascending source order
+    src, dst, h = net.src, net.dst, net.h
+    in_sum = np.bincount(dst, net.weight, minlength=n)
     h_sum = np.bincount(dst, h, minlength=n)
     load = np.zeros(n)
     for plan in ordered:

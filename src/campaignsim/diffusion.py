@@ -186,17 +186,16 @@ def simulate_batch(
     R, n = thresholds.shape
     if n != net.node_count:
         raise ValueError("threshold matrix width does not match node count")
-    indptr, out_dst, out_w = net.out_csr()
-    n_edges = out_dst.size
+    n_edges = net.dst.size
     pmat = product_matrix(products)
     k, f = pmat.shape
     # edge e carrying product j has key j * E + e; its weighted features by key.
     # A cell of node u that bought product j sends along group j * n + u (slot
     # j): its out-edges, keys group_lo[g] to group_lo[g] + group_deg[g] - 1
-    key_dst = [out_dst] * k
-    key_contrib = [(pmat.T[:, :, None] * out_w).reshape(f, k * n_edges)]
-    group_lo = [indptr[:-1] + j * n_edges for j in range(k)]
-    group_deg = [indptr[1:] - indptr[:-1]] * k
+    key_dst = [net.dst] * k
+    key_contrib = [(pmat.T[:, :, None] * net.weight).reshape(f, k * n_edges)]
+    group_lo = [net.indptr[:-1] + j * n_edges for j in range(k)]
+    group_deg = [net.indptr[1:] - net.indptr[:-1]] * k
     n_keys, n_groups = k * n_edges, k * n
     recommending = recommendations is not None and len(recommendations) > 0
     if recommending:

@@ -8,6 +8,8 @@ replication r gets); every run of the kernel on sampled thresholds, including
 the CLI's single-replication trajectory, goes through it.  Per-replication
 purchase counts are accumulated as exact integers and tiles are reduced in
 index order, which makes every estimate bit-identical for any worker count.
+Workers are threads sharing the read-only network; they overlap where
+numpy releases the interpreter lock.
 
 Threshold rows are aug.threshold_width wide, the node count of the
 paper's media construction (see channels), and the kernel reads their first
@@ -16,9 +18,8 @@ n columns; media and recommendations cost no draws of their own.
 
 from __future__ import annotations
 
-import contextlib
 import numbers
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,19 +91,6 @@ def _check_count(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
-_WORKER_CTX: dict = {}
-
-
-def _init_worker(aug, products, seed):
-    _WORKER_CTX.update(aug=aug, products=products, seed=seed)
-
-
-def _tile_task(args):
-    tile_idx, tile_len = args
-    ctx = _WORKER_CTX
-    return _run_tile(ctx["aug"], ctx["products"], ctx["seed"], tile_idx, tile_len)
-
-
 def _run_tile(aug, products, seed, tile_idx, tile_len):
     _, purchased = simulate_tile(aug, products, seed, tile_idx, tile_len)
     k = len(products)
@@ -134,18 +122,19 @@ def estimate_spread(
     sumsq = np.zeros(k, dtype=np.int64)
     node_counts = np.zeros((k, aug.net.node_count), dtype=np.int64)
     tiles = list(_tile_bounds(replications))
-    with contextlib.ExitStack() as stack:
-        if workers > 1 and len(tiles) > 1:  # a single tile runs in-process
-            pool = stack.enter_context(ProcessPoolExecutor(
-                max_workers=min(workers, len(tiles)), initializer=_init_worker, initargs=(aug, products, seed)
-            ))
-            results = pool.map(_tile_task, tiles)  # map preserves tile order
-        else:
-            results = (_run_tile(aug, products, seed, i, length) for i, length in tiles)
-        for s, sq, nc in results:
-            sums += s
-            sumsq += sq
-            node_counts += nc
+
+    def run(tile):
+        return _run_tile(aug, products, seed, *tile)
+
+    if workers > 1 and len(tiles) > 1:  # a single tile runs on the calling thread
+        with ThreadPoolExecutor(max_workers=min(workers, len(tiles))) as pool:
+            results = list(pool.map(run, tiles))  # map keeps tile order
+    else:
+        results = map(run, tiles)
+    for s, sq, nc in results:
+        sums += s
+        sumsq += sq
+        node_counts += nc
     R = replications
     means = sums / R
     if R > 1:

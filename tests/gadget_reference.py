@@ -116,7 +116,7 @@ def paper_network(
         relays[(i, u, v)] = relay
         edges += (Edge(roots[i], relay, b_root), Edge(u, relay, eps), Edge(relay, v, w))
         fixed.append(relay_threshold(b_root, eps, products[i]))
-    ref = Network(node_count=node + len(relays), edges=edges, similarity=dict(aug.net.similarity))
+    ref = Network.from_edges(node + len(relays), edges, aug.net.similarity)
     assert ref.validate() == []
     seeds = SeedAssignment(tuple(frozenset(plan.seeds) | {roots[i]} for i, plan in enumerate(aug.plans)))
     return PaperNetwork(ref, n, seeds, np.array(fixed, dtype=float), roots, chain, relays)

@@ -138,7 +138,7 @@ def test_channel_weights_never_break_capacity_random_sweep():
         # the one-pass ratio equals the closed form summed node by node
         for v in range(n):
             in_sum = sum(wt for _, wt in net.in_neighbors(v))
-            h_sum = sum(net.similarity_of(u, v) for u, _ in net.in_neighbors(v))
+            h_sum = sum(sims.get((min(u, v), max(u, v)), 0.0) for u, _ in net.in_neighbors(v))
             load = 0.0
             for plan in plans:
                 load += plan.alpha * h_sum + sum(plan.beta)
@@ -239,18 +239,17 @@ def test_media_pseudoedge_weight_is_ratio_times_beta():
 
 def test_recommendation_per_similar_edge_and_product_in_source_order():
     # edge (u, v) with similarity h gives product p the weight ratio(v) * alpha_p * h
-    net = Network.from_edges(
-        4, [(2, 1, 0.2), (0, 1, 0.1), (3, 0, 0.3), (1, 3, 0.2), (0, 3, 0.1)],
-        similarities={(1, 2): 0.5, (0, 1): 0.25, (0, 3): 0.8},
-    )
+    edges = [(2, 1, 0.2), (0, 1, 0.1), (3, 0, 0.3), (1, 3, 0.2), (0, 3, 0.1)]
+    sims = {(1, 2): 0.5, (0, 1): 0.25, (0, 3): 0.8}
+    net = Network.from_edges(4, edges, sims)
     plans = [ChannelPlan(product=0, alpha=1.0, beta=(0.1,)), ChannelPlan(product=1, alpha=0.5, beta=(0.0,))]
     aug = build_augmented(net, [P_AXIS, Q_AXIS], plans)
     rec = aug.recommendations
     got = list(zip(rec.src.tolist(), rec.dst.tolist(), rec.product.tolist(), rec.weight.tolist()))
     want = []
-    for u, v in sorted((e.src, e.dst) for e in net.edges):
+    for u, v, _ in sorted(edges):
         for i, plan in enumerate(plans):
-            w = aug.scale[v] * plan.alpha * net.similarity_of(u, v)
+            w = aug.scale[v] * plan.alpha * sims.get((min(u, v), max(u, v)), 0.0)
             if w > 0.0:
                 want.append((u, v, i, w))
     assert got == want

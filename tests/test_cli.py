@@ -229,9 +229,9 @@ def test_simulate_with_media_and_social_channels(tmp_path):
     # one trajectory row per network node, so no pseudonode rows
     assert_replication_zero(d, 11, tmp_path / "a_traj.csv")
     dumped = parse_edge_file(str(tmp_path / "a_aug" / "edges.txt"))
-    in_memory = sorted(aug.net.edges, key=lambda e: (e.src, e.dst))  # the base network
-    assert [(e.src, e.dst) for e in dumped] == [(e.src, e.dst) for e in in_memory]
-    assert [e.weight.hex() for e in dumped] == [float(e.weight).hex() for e in in_memory]
+    net = aug.net  # the base network, in (source, target) order
+    assert [(u, v) for u, v, _ in dumped] == list(zip(net.src.tolist(), net.dst.tolist()))
+    assert [w.hex() for _, _, w in dumped] == [w.hex() for w in net.weight.tolist()]
     # the dumped graph loads as a base network again
     code = run(["simulate", "--net", tmp_path / "a_aug" / "edges.txt", "--products", d / "products.txt",
                 "--plans", d / "plans.json", "--reps", 10, "--out", tmp_path / "again.json"])

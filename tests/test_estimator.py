@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -131,7 +133,26 @@ def test_worker_count_does_not_change_results():
     assert serial.means.tolist() == pooled.means.tolist()
 
 
-def test_single_tile_estimate_starts_no_process_pool(monkeypatch):
+def test_threads_sharing_one_network_keep_results_under_fast_switching():
+    # more workers than cores, and the interpreter switching threads every
+    # microsecond: every tile's sums still land, in tile order
+    net, products, plans = preference_shift()
+    aug = build_augmented(net, products, plans)
+    reps = 5 * TILE_SIZE + 7
+    serial = estimate_spread(aug, products, reps, 11)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pooled = [estimate_spread(aug, products, reps, 11, workers=8) for _ in range(3)]
+    finally:
+        sys.setswitchinterval(interval)
+    for est in pooled:
+        assert np.array_equal(serial.spread_sums, est.spread_sums)
+        assert np.array_equal(serial.spread_sumsq, est.spread_sumsq)
+        assert np.array_equal(serial.node_counts, est.node_counts)
+
+
+def test_single_tile_estimate_starts_no_thread_pool(monkeypatch):
     import campaignsim.estimator as estimator
 
     net, products, plans = preference_shift()
@@ -139,9 +160,9 @@ def test_single_tile_estimate_starts_no_process_pool(monkeypatch):
     serial = estimate_spread(aug, products, TILE_SIZE, 9)
 
     def no_pool(*args, **kwargs):
-        raise AssertionError("a single tile started a process pool")
+        raise AssertionError("a single tile started a thread pool")
 
-    monkeypatch.setattr(estimator, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(estimator, "ThreadPoolExecutor", no_pool)
     pooled = estimate_spread(aug, products, TILE_SIZE, 9, workers=2)
     assert np.array_equal(serial.spread_sums, pooled.spread_sums)
     assert np.array_equal(serial.spread_sumsq, pooled.spread_sumsq)

@@ -1,6 +1,13 @@
+import importlib.util
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from campaignsim.channels import build_augmented, load_plans
+from campaignsim.estimator import estimate_spread
+from campaignsim.feature_space import load_products
 from campaignsim.network import (
     Edge,
     Network,
@@ -12,6 +19,9 @@ from campaignsim.network import (
     parse_similarity_file,
     save_network,
 )
+
+INSTANCES = Path(__file__).parents[1] / "benchmarks" / "instances.py"
+ARRAYS = ("src", "dst", "weight", "h", "indptr")
 
 
 def small_net():
@@ -29,17 +39,22 @@ def test_from_edges_builds_adjacency_in_ascending_order():
 
 
 def test_out_csr_layout():
-    indptr, dst, weight = small_net().out_csr()
-    assert indptr.tolist() == [0, 1, 2, 3, 3]
-    assert dst.tolist() == [1, 3, 1]
-    assert weight.tolist() == [0.5, 1.0, 0.3]
+    # edges in (source, target) order, indptr over sources, all read-only
+    net = small_net()
+    assert net.src.tolist() == [0, 1, 2]
+    assert net.indptr.tolist() == [0, 1, 2, 3, 3]
+    assert net.dst.tolist() == [1, 3, 1]
+    assert net.weight.tolist() == [0.5, 1.0, 0.3]
+    assert net.edges == [Edge(0, 1, 0.5), Edge(1, 3, 1.0), Edge(2, 1, 0.3)]
+    with pytest.raises(ValueError):
+        net.weight[0] = 0.1
 
 
 def test_similarity_lookup_is_symmetric_with_zero_default():
-    net = small_net()
-    assert net.similarity_of(0, 1) == 0.8
-    assert net.similarity_of(1, 0) == 0.8
-    assert net.similarity_of(2, 3) == 0.0
+    # each edge carries its pair's similarity, whichever way the pair was given
+    net = Network.from_edges(4, [(1, 0, 0.5), (0, 1, 0.5), (2, 3, 0.5)], similarities={(1, 0): 0.8, (1, 3): 0.4})
+    assert net.h.tolist() == [0.8, 0.8, 0.0]
+    assert net.similarity == {(0, 1): 0.8, (1, 3): 0.4}
 
 
 def test_real_nodes_initially_everything():
@@ -50,11 +65,30 @@ def test_real_nodes_initially_everything():
 def test_duplicate_edge_rejected():
     with pytest.raises(NetworkError, match="duplicate edge"):
         Network.from_edges(2, [(0, 1, 0.5), (0, 1, 0.4)])
+    # the first offending edge in input order is reported
+    with pytest.raises(NetworkError, match=re.escape("duplicate edge (1,0)")):
+        Network.from_edges(3, [(1, 0, 0.5), (0, 1, 0.4), (1, 0, 0.4), (0, 1, 0.1), (0, 9, 0.1)])
 
 
 def test_edge_outside_node_range_rejected():
     with pytest.raises(NetworkError, match="outside"):
         Network.from_edges(2, [(0, 5, 0.5)])
+    # the first offending edge in input order, a negative id included; (1, -1)
+    # and (0, 1) share the key 1 * 2 - 1 without being the same edge
+    for edges, bad in (
+        ([(0, 1, 0.5), (-1, 0, 0.5), (0, 1, 0.5)], "(-1,0)"),
+        ([(1, -1, 0.5), (0, 1, 0.5)], "(1,-1)"),
+        ([(0, 1, 0.5), (1, -1, 0.5)], "(1,-1)"),
+    ):
+        with pytest.raises(NetworkError, match=re.escape(f"edge {bad} references a node outside 0..1")):
+            Network.from_edges(2, edges)
+
+
+def test_similarity_pair_outside_node_range_rejected():
+    # accepted, a pair would grow the network on a save/load round trip
+    for u, v in ((0, 7), (-1, 1)):
+        with pytest.raises(NetworkError, match=re.escape(f"similarity ({u},{v}) references a node outside 0..1")):
+            Network.from_edges(2, [(0, 1, 0.5)], similarities={(u, v): 0.5})
 
 
 def test_asymmetric_similarity_rejected_on_construction():
@@ -63,17 +97,16 @@ def test_asymmetric_similarity_rejected_on_construction():
 
 
 def test_validate_flags_each_violation():
-    net = Network(
-        node_count=3,
-        edges=[Edge(0, 0, 0.5), Edge(1, 2, 1.5), Edge(0, 2, 0.9)],
-        similarity={(1, 1): 0.5, (0, 2): 1.5},
+    net = Network.from_edges(
+        3, [Edge(0, 0, 0.5), Edge(1, 2, 1.5), Edge(0, 2, 0.9)], similarities={(1, 1): 0.5, (0, 2): 1.5}
     )
-    v = net.validate()
-    assert any("self-loop" in s for s in v)
-    assert any("weight 1.5" in s for s in v)
-    assert any("sum to" in s for s in v)  # node 2 receives 2.4
-    assert any("self-pair" in s for s in v)
-    assert any("outside [0, 1]" in s for s in v)
+    assert net.validate() == [
+        "self-loop at node 0",
+        "edge (1,2) weight 1.5 outside (0, 1]",
+        "incoming weights of node 2 sum to 2.4 > 1",
+        "similarity (0,2) value 1.5 outside [0, 1]",
+        "similarity (1,1) is a self-pair",
+    ]
 
 
 def test_validate_accepts_incoming_sum_exactly_one():
@@ -150,3 +183,40 @@ def test_similarity_can_extend_node_count(tmp_path):
     s.write_text("1 4 0.3\n")
     net = load_network(str(e), str(s))
     assert net.node_count == 5
+
+
+def test_edge_order_is_not_part_of_the_contract(tmp_path):
+    # the seed-41 synthetic instance from its file and from a shuffled edge
+    # list with its similarities in reverse order: the same arrays, the same
+    # channels and the same estimate, byte for byte
+    spec = importlib.util.spec_from_file_location("bench_instances", INSTANCES)
+    instances = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(instances)
+    paths = instances.write_synth(41, str(tmp_path / "synth"))
+    from_file = load_network(paths["net"], paths["sim"])
+    edges = parse_edge_file(paths["net"])
+    shuffled = Network.from_edges(
+        from_file.node_count,
+        [edges[i] for i in np.random.default_rng(41).permutation(len(edges))],
+        dict(reversed(parse_similarity_file(paths["sim"]).items())),
+    )
+    for name in ARRAYS:
+        assert getattr(shuffled, name).tobytes() == getattr(from_file, name).tobytes()
+    products, plans = load_products(paths["products"]), load_plans(paths["plans"])
+    a, b = build_augmented(from_file, products, plans), build_augmented(shuffled, products, plans)
+    assert len(a.media) and len(a.recommendations)
+    assert a.scale.tobytes() == b.scale.tobytes() and a.threshold_width == b.threshold_width
+    for name in ("step", "dst", "product", "weight"):
+        assert getattr(a.media, name).tobytes() == getattr(b.media, name).tobytes()
+    for name in ("src", "dst", "product", "weight"):
+        assert getattr(a.recommendations, name).tobytes() == getattr(b.recommendations, name).tobytes()
+    ea, eb = estimate_spread(a, products, 48, 41), estimate_spread(b, products, 48, 41)
+    assert ea.spread_sums.tobytes() == eb.spread_sums.tobytes()
+    assert ea.spread_sumsq.tobytes() == eb.spread_sumsq.tobytes()
+    assert ea.node_counts.tobytes() == eb.node_counts.tobytes()
+    # and a save/load round trip keeps every array and the similarity dict
+    save_network(shuffled, str(tmp_path / "e.txt"), str(tmp_path / "s.txt"))
+    back = load_network(str(tmp_path / "e.txt"), str(tmp_path / "s.txt"))
+    for name in ARRAYS:
+        assert getattr(back, name).tobytes() == getattr(from_file, name).tobytes()
+    assert back.node_count == from_file.node_count and back.similarity == from_file.similarity

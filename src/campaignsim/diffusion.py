@@ -22,8 +22,12 @@ product i.  The kernel adds exactly what the pseudonodes would, in the same
 order, without their cells.
 
 The kernel advances many replications at once; a single run is a batch of
-one.  A node whose aggregate is exactly the zero vector never activates,
-whatever its threshold.  A batch runs at least to its last media step; past
+one.  A batch's rows may also come in consecutive row blocks that share the
+network and products, each with its own seeds, media, recommendations and
+tie key: the blocks' channel edges sit side by side in one table, and a
+cell sends along its own block's, so every row comes out exactly as in a
+batch of its block alone.  A node whose aggregate is exactly the zero
+vector never activates, whatever its threshold.  A batch runs at least to its last media step; past
 it, a step that activates no cell ends the batch unless a recommendation is
 still in flight.  So with media up to step L, activation times stay within
 L + n - 1, and with recommendations a replication activates a node at
@@ -47,7 +51,8 @@ the BLAS vendor or its thread count; the first maximal dot wins unless
 another lies within COS_TIE_TOL * norm of it.  Every purchase tie of a step
 is broken by one keyed-hash call over all tied cells.  Memory is
 O(R * n * f) for R replications, n nodes and f features, plus O(E) for the
-edge, media and recommendation arrays; there is no n x n matrix.
+edge arrays and each block's media and recommendations; there is no n x n
+matrix.
 """
 
 from __future__ import annotations
@@ -60,7 +65,7 @@ import numpy as np
 
 from .feature_space import COS_TIE_TOL, Product, product_matrix
 from .network import Network
-from .rng import key_uniform
+from .rng import MASK64, key_uniform
 
 # glibc mallopt parameters and the ceilings its dynamic rule moves towards
 _M_TRIM_THRESHOLD = -1
@@ -163,10 +168,30 @@ class Media:
         return self.step.size
 
 
+_NO_MEDIA = Media(*(np.zeros(0, dtype=np.intp),) * 3, np.zeros(0))
+_NO_RECOMMENDATIONS = Recommendations(*(np.zeros(0, dtype=np.intp),) * 3, np.zeros(0))
+
+
+@dataclass(frozen=True)
+class RowBlock:
+    """Consecutive rows of a batch that run one program over the shared network.
+
+    Row i of the block is replication rep_offset + i of a run keyed by
+    master_seed: purchase ties hash (master_seed, rep_offset + i, node, step).
+    """
+
+    rows: int
+    seeds: SeedAssignment
+    media: Media | None = None
+    recommendations: Recommendations | None = None
+    master_seed: int = 0
+    rep_offset: int = 0
+
+
 def simulate_batch(
     net: Network,
     products: list[Product],
-    seeds: SeedAssignment,
+    seeds: SeedAssignment | list[RowBlock],
     thresholds: np.ndarray,
     *,
     media: Media | None = None,
@@ -174,6 +199,7 @@ def simulate_batch(
     master_seed: int = 0,
     rep_offset: int = 0,
     on_tie: str = "random",
+    overwrite_thresholds: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Advance R replications at once over a shared network.
 
@@ -181,60 +207,94 @@ def simulate_batch(
     rep_offset + r for tie-break hashing, which keeps outcomes identical
     however the replications are batched.
     Returns (activation_time, purchased), both (R, n).
+
+    seeds may instead list RowBlocks that split the R rows in order, each
+    with its own seeds, media, recommendations and tie key; each block's
+    rows then come out exactly as a batch of that block alone would.
+
+    With overwrite_thresholds a float64 C-contiguous threshold matrix is
+    used as the kernel's working array and left changed, instead of copied.
     """
-    seeds.validate(net)
     R, n = thresholds.shape
     if n != net.node_count:
         raise ValueError("threshold matrix width does not match node count")
+    if isinstance(seeds, SeedAssignment):
+        blocks = [RowBlock(R, seeds, media, recommendations, master_seed, rep_offset)]
+    else:
+        blocks = list(seeds)
+        if media is not None or recommendations is not None or master_seed or rep_offset:
+            raise ValueError("with row blocks, media, recommendations and tie keys come per block")
+        if sum(b.rows for b in blocks) != R:
+            raise ValueError("row blocks do not cover the threshold rows")
+    for b in blocks:
+        b.seeds.validate(net)
+    block_rows = [b.rows for b in blocks]
     n_edges = net.dst.size
     pmat = product_matrix(products)
     k, f = pmat.shape
     # edge e carrying product j has key j * E + e; its weighted features by key.
     # A cell of node u that bought product j sends along group j * n + u (slot
-    # j): its out-edges, keys group_lo[g] to group_lo[g] + group_deg[g] - 1
+    # j): its out-edges, keys group_lo[g] to group_lo[g] + group_deg[g] - 1.
+    # All blocks share these groups; each block appends its channels' groups.
     key_dst = [net.dst] * k
     key_contrib = [(pmat.T[:, :, None] * net.weight).reshape(f, k * n_edges)]
     group_lo = [net.indptr[:-1] + j * n_edges for j in range(k)]
     group_deg = [net.indptr[1:] - net.indptr[:-1]] * k
     n_keys, n_groups = k * n_edges, k * n
-    recommending = recommendations is not None and len(recommendations) > 0
-    if recommending:
-        rec = recommendations
-        # and one step later along group (k + j) * n + u (slot k + j): its
-        # recommendations of product j
-        group = rec.product * n + rec.src
-        order = group.argsort(kind="stable")
-        rec_lo = n_keys + group[order].searchsorted(np.arange(k * n + 1))
-        group_lo.append(rec_lo[:-1])
-        group_deg.append(rec_lo[1:] - rec_lo[:-1])
-        key_dst.append(rec.dst[order])
-        key_contrib.append(pmat.T[:, rec.product[order]] * rec.weight[order])
-        n_keys, n_groups = n_keys + len(rec), n_groups + k * n
-    last_step = 0
-    if media is not None and len(media):
-        # every replication's first cell sends, at step t, along group
-        # step_group + t: the media of step t
-        last_step = int(media.step[-1])
-        step_lo = n_keys + media.step.searchsorted(np.arange(1, last_step + 2))
-        group_lo.append(step_lo[:-1])
-        group_deg.append(step_lo[1:] - step_lo[:-1])
-        key_dst.append(media.dst)
-        key_contrib.append(pmat.T[:, media.product] * media.weight)
-        step_group = n_groups - 1
-        first_cells = np.arange(0, R * n, n)
+    recommending = any(b.recommendations is not None and len(b.recommendations) for b in blocks)
+    last_step = max((int(b.media.step[-1]) for b in blocks if b.media is not None and len(b.media)), default=0)
+    rec_start, step_start = [], []  # per block
+    for b in blocks:
+        if recommending:
+            # and one step later along group rec_start + j * n + u: its
+            # recommendations of product j
+            rec = _NO_RECOMMENDATIONS if b.recommendations is None else b.recommendations
+            group = rec.product * n + rec.src
+            order = group.argsort(kind="stable")
+            rec_lo = n_keys + group[order].searchsorted(np.arange(k * n + 1))
+            group_lo.append(rec_lo[:-1])
+            group_deg.append(rec_lo[1:] - rec_lo[:-1])
+            key_dst.append(rec.dst[order])
+            key_contrib.append(pmat.T[:, rec.product[order]] * rec.weight[order])
+            rec_start.append(n_groups)
+            n_keys, n_groups = n_keys + len(rec), n_groups + k * n
+        if last_step:
+            # each of its replications' first cell sends, at step t, along
+            # group step_start + t: the block's media of step t, if any
+            med = _NO_MEDIA if b.media is None else b.media
+            step_lo = n_keys + med.step.searchsorted(np.arange(1, last_step + 2))
+            group_lo.append(step_lo[:-1])
+            group_deg.append(step_lo[1:] - step_lo[:-1])
+            key_dst.append(med.dst)
+            key_contrib.append(pmat.T[:, med.product] * med.weight)
+            step_start.append(n_groups - 1)
+            n_keys, n_groups = n_keys + len(med), n_groups + last_step
     key_dst, group_lo, group_deg = np.concatenate(key_dst), np.concatenate(group_lo), np.concatenate(group_deg)
     key_contrib = np.concatenate(key_contrib, axis=1)
+    # per row: its block's media groups and recommendation shift
+    if last_step:
+        first_cells = np.arange(0, R * n, n)
+        step_group = np.repeat(step_start, block_rows)
+    if recommending:  # a single block shifts every sender alike
+        rec_shift = rec_start[0] if len(blocks) == 1 else np.repeat(rec_start, block_rows)
+    if len(blocks) > 1:  # per block: its tie key; row r of block i is replication rep_base[i] + r
+        block_end = np.cumsum(block_rows)
+        tie_seed = np.array([b.master_seed & MASK64 for b in blocks], dtype=np.uint64)
+        rep_base = np.array([b.rep_offset for b in blocks]) - (block_end - block_rows)
     # per-replication arrays are flat over cells r * n + v; agg is feature-major
-    thr = np.array(thresholds, dtype=float).reshape(-1)
+    thr = (np.asarray if overwrite_thresholds else np.array)(thresholds, dtype=float).reshape(-1)
     np.maximum(thr, _TINY, out=thr)
     purchased = np.full(R * n, -1, dtype=np.int16)
     activation_time = np.full(R * n, -1, dtype=np.int32)
     agg = np.zeros((f, R * n))
     touched = np.zeros(R * n, dtype=bool)
 
-    snodes, sprods = seeds.arrays()
-    purchased.reshape(R, n)[:, snodes] = sprods
-    activation_time.reshape(R, n)[:, snodes] = 0
+    lo = 0
+    for b in blocks:
+        snodes, sprods = b.seeds.arrays()
+        purchased.reshape(R, n)[lo : lo + b.rows, snodes] = sprods
+        activation_time.reshape(R, n)[lo : lo + b.rows, snodes] = 0
+        lo += b.rows
     front = (activation_time == 0).nonzero()[0]  # cells activated last step, ascending
     front_prod = purchased[front].astype(np.intp)
     thr[front] = np.inf  # an influenced cell never activates again
@@ -249,11 +309,12 @@ def simulate_batch(
         base, group = front - u, front_prod * n + u
         later = []
         if t <= last_step:
-            later.append((first_cells, np.full(R, step_group + t)))
+            later.append((first_cells, step_group + t))
         if held is not None:
             later.append(held)
         if recommending:
-            held = (base, group + k * n) if front.size else None
+            shift = rec_shift if len(blocks) == 1 else rec_shift[base // n]
+            held = (base, group + shift) if front.size else None
         if later:
             base = np.concatenate([base, *(b for b, _ in later)])
             group = np.concatenate([group, *(g for _, g in later)])
@@ -301,12 +362,15 @@ def simulate_batch(
             multi = (count > 1).nonzero()[0]
             if multi.size:  # some cell has more than one candidate
                 rows, cols = np.divmod(front[multi], n)
+                if len(blocks) > 1:
+                    block = block_end.searchsorted(rows, side="right")
+                    key_seed, reps = tie_seed[block], rep_base[block] + rows
+                else:
+                    key_seed, reps = blocks[0].master_seed, blocks[0].rep_offset + rows
                 if on_tie == "raise":
-                    raise PurchaseTieError(
-                        f"purchase tie at node {cols[0]}, step {t}, replication {rep_offset + rows[0]}"
-                    )
+                    raise PurchaseTieError(f"purchase tie at node {cols[0]}, step {t}, replication {reps[0]}")
                 # the i-th tied candidate, i = floor(u01 * count), hashed per (rep, node, step)
-                u01 = key_uniform(master_seed, rep_offset + rows, cols, t)
+                u01 = key_uniform(key_seed, reps, cols, t)
                 pick = (u01 * count[multi]).astype(np.intp)
                 # it is the first product whose running candidate count exceeds pick
                 seen = (dots[:, multi] >= cut[multi]).cumsum(axis=0)  # (k, len(multi))

@@ -3,13 +3,23 @@
 Replications are partitioned into fixed-size tiles; tile k draws its
 thresholds from a counter-based stream keyed by (master seed, k), so the
 values a given replication sees depend only on the master seed and its global
-index.  simulate_tile owns that rule (which threshold row and which tie key
+index.  _tile_block owns that rule (which threshold row and which tie key
 replication r gets); every run of the kernel on sampled thresholds, including
 the CLI's single-replication trajectory, goes through it.  Per-replication
 purchase counts are accumulated as exact integers and tiles are reduced in
 index order, which makes every estimate bit-identical for any worker count.
-Workers are threads sharing the read-only network; they overlap where
-numpy releases the interpreter lock.
+
+estimate_spreads estimates several compiled plans over one base network at
+once, as the optimizer does for an iteration's samples.  Each (plan, seed)
+pair still draws its rows tile by tile from its own seed and at its own
+threshold width, so each estimate is bit for bit what estimate_spread gives
+for that pair alone.  The pairs' tiles are packed in order into kernel
+calls of at most call_rows(net) rows, one row block per (pair, tile) (see
+diffusion.RowBlock).  A kernel call's memory grows with its cells (rows
+times nodes), so packed calls stop at CALL_CELLS cells; a tile larger than
+that runs alone, as it does in a single estimate.  Workers
+are threads sharing the read-only network that run the kernel calls; they
+overlap where numpy releases the interpreter lock.
 
 Threshold rows are aug.threshold_width wide, the node count of the
 paper's media construction (see channels), and the kernel reads their first
@@ -25,9 +35,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import AugmentedNetwork
-from .diffusion import simulate_batch
+from .diffusion import RowBlock, simulate_batch
 from .feature_space import Product
 from .rng import TILE_SIZE, tile_rng
+
+
+# cells (rows x nodes) up to which estimate_spreads packs tiles into one call
+CALL_CELLS = 1 << 15
+
+
+def call_rows(net) -> int:
+    """Rows up to which estimate_spreads packs tiles into one kernel call over net."""
+    return max(1, min(TILE_SIZE, CALL_CELLS // net.node_count))
 
 
 @dataclass
@@ -70,20 +89,24 @@ def _tile_bounds(replications: int):
         yield tile_idx, min(TILE_SIZE, replications - lo)
 
 
-def simulate_tile(
-    aug: AugmentedNetwork, products: list[Product], seed: int, tile_idx: int, tile_len: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """(activation_time, purchased) of the first tile_len replications of a tile.
+def _tile_block(aug: AugmentedNetwork, seed: int, tile_idx: int, tile_len: int) -> tuple[np.ndarray, RowBlock]:
+    """(thresholds, row block) of the first tile_len replications of a tile.
 
     Replication r = tile_idx * TILE_SIZE + i takes row i of
     tile_rng(seed, tile_idx) as its thresholds and (seed, r) as its tie key.
     """
     # Philox fills rows in order: these are the first tile_len rows of the full tile
     chi = tile_rng(seed, tile_idx).random((tile_len, aug.threshold_width))
-    return simulate_batch(
-        aug.net, products, aug.seed_assignment(), chi[:, : aug.net.node_count],
-        media=aug.media, recommendations=aug.recommendations, master_seed=seed, rep_offset=tile_idx * TILE_SIZE,
-    )
+    block = RowBlock(tile_len, aug.seed_assignment(), aug.media, aug.recommendations, seed, tile_idx * TILE_SIZE)
+    return chi[:, : aug.net.node_count], block
+
+
+def simulate_tile(
+    aug: AugmentedNetwork, products: list[Product], seed: int, tile_idx: int, tile_len: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(activation_time, purchased) of the first tile_len replications of a tile."""
+    thresholds, block = _tile_block(aug, seed, tile_idx, tile_len)
+    return simulate_batch(aug.net, products, [block], thresholds)
 
 
 def _check_count(name: str, value) -> None:
@@ -91,19 +114,97 @@ def _check_count(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
-def _run_tile(aug, products, seed, tile_idx, tile_len):
-    _, purchased = simulate_tile(aug, products, seed, tile_idx, tile_len)
+def _run_call(net, products, segments):
+    """Exact sums, sums of squares and node counts per segment of one kernel
+    call, one row block per (aug, seed, tile_idx, tile_len) segment."""
+    if len(segments) == 1:
+        thresholds, block = _tile_block(*segments[0])
+        blocks = [block]
+    else:  # copy each draw's first n columns, so one full-width draw is alive at a time
+        thresholds = np.empty((sum(segment[3] for segment in segments), net.node_count))
+        blocks, lo = [], 0
+        for segment in segments:
+            chi, block = _tile_block(*segment)
+            thresholds[lo : lo + block.rows] = chi
+            blocks.append(block)
+            lo += block.rows
+    _, purchased = simulate_batch(net, products, blocks, thresholds, overwrite_thresholds=True)
+    starts = np.cumsum([0] + [b.rows for b in blocks[:-1]])
     k = len(products)
-    sums = np.zeros(k, dtype=np.int64)
-    sumsq = np.zeros(k, dtype=np.int64)
-    node_counts = np.zeros((k, aug.net.node_count), dtype=np.int64)
+    sums = np.zeros((len(blocks), k), dtype=np.int64)
+    sumsq = np.zeros((len(blocks), k), dtype=np.int64)
+    node_counts = np.zeros((len(blocks), k, net.node_count), dtype=np.int64)
     for j in range(k):
         bought = purchased == j  # (R, n)
-        per_rep = bought.sum(axis=1).astype(np.int64)
-        sums[j] = per_rep.sum()
-        sumsq[j] = np.dot(per_rep, per_rep)
-        node_counts[j] = bought.sum(axis=0)
+        per_rep = bought.sum(axis=1, dtype=np.int64)
+        sums[:, j] = np.add.reduceat(per_rep, starts)
+        sumsq[:, j] = np.add.reduceat(per_rep * per_rep, starts)
+        node_counts[:, j] = np.add.reduceat(bought, starts, axis=0, dtype=np.int64)
     return sums, sumsq, node_counts
+
+
+def estimate_spreads(
+    pairs: list[tuple[AugmentedNetwork, int]],
+    products: list[Product],
+    replications: int,
+    *,
+    workers: int = 1,
+) -> list[SpreadEstimate]:
+    """estimate_spread(aug, products, replications, seed) for each (aug, seed)
+    pair, bit for bit, over one shared base network.
+
+    Tile by tile, each pair's rows are drawn exactly as for its own estimate,
+    and pairs are packed in order into kernel calls of at most call_rows(net)
+    rows, one row block per (pair, tile); a larger tile runs alone.  With
+    workers > 1 the calls run on up to that many threads.
+    """
+    _check_count("replications", replications)
+    _check_count("workers", workers)
+    if not pairs:
+        return []
+    net = pairs[0][0].net
+    if any(aug.net is not net for aug, _ in pairs):
+        raise ValueError("estimates in one batch must share one base network")
+    limit = call_rows(net)
+    calls, rows = [], limit + 1  # lists of (pair index, tile_idx, tile_len)
+    for tile_idx, tile_len in _tile_bounds(replications):
+        for s in range(len(pairs)):
+            if rows + tile_len > limit:
+                calls.append([])
+                rows = 0
+            calls[-1].append((s, tile_idx, tile_len))
+            rows += tile_len
+
+    def run(call):
+        return _run_call(net, products, [(*pairs[s], tile_idx, tile_len) for s, tile_idx, tile_len in call])
+
+    k = len(products)
+    sums = np.zeros((len(pairs), k), dtype=np.int64)
+    sumsq = np.zeros((len(pairs), k), dtype=np.int64)
+    node_counts = np.zeros((len(pairs), k, net.node_count), dtype=np.int64)
+
+    def reduce(results):  # each call's counts as it arrives, in call order
+        for call, (s_sums, s_sumsq, s_counts) in zip(calls, results):
+            for i, (s, _, _) in enumerate(call):  # calls hold tiles in order
+                sums[s] += s_sums[i]
+                sumsq[s] += s_sumsq[i]
+                node_counts[s] += s_counts[i]
+
+    if workers > 1 and len(calls) > 1:  # a single call runs on the calling thread
+        with ThreadPoolExecutor(max_workers=min(workers, len(calls))) as pool:
+            reduce(pool.map(run, calls))  # map keeps call order
+    else:
+        reduce(map(run, calls))
+    R = replications
+    means = sums / R
+    stderrs = np.zeros_like(means)
+    if R > 1:
+        var = (sumsq - sums.astype(float) ** 2 / R) / (R - 1)
+        stderrs = np.sqrt(np.maximum(var, 0.0) / R)
+    return [
+        SpreadEstimate(aug.product_ids, m, e, R, s, sq, nc)
+        for (aug, _), m, e, s, sq, nc in zip(pairs, means, stderrs, sums, sumsq, node_counts)
+    ]
 
 
 def estimate_spread(
@@ -115,42 +216,7 @@ def estimate_spread(
     workers: int = 1,
 ) -> SpreadEstimate:
     """Mean and standard error of per-product purchase counts."""
-    _check_count("replications", replications)
-    _check_count("workers", workers)
-    k = len(products)
-    sums = np.zeros(k, dtype=np.int64)
-    sumsq = np.zeros(k, dtype=np.int64)
-    node_counts = np.zeros((k, aug.net.node_count), dtype=np.int64)
-    tiles = list(_tile_bounds(replications))
-
-    def run(tile):
-        return _run_tile(aug, products, seed, *tile)
-
-    if workers > 1 and len(tiles) > 1:  # a single tile runs on the calling thread
-        with ThreadPoolExecutor(max_workers=min(workers, len(tiles))) as pool:
-            results = list(pool.map(run, tiles))  # map keeps tile order
-    else:
-        results = map(run, tiles)
-    for s, sq, nc in results:
-        sums += s
-        sumsq += sq
-        node_counts += nc
-    R = replications
-    means = sums / R
-    if R > 1:
-        var = (sumsq - sums.astype(float) ** 2 / R) / (R - 1)
-        stderrs = np.sqrt(np.maximum(var, 0.0) / R)
-    else:
-        stderrs = np.zeros_like(means)
-    return SpreadEstimate(
-        product_ids=aug.product_ids,
-        means=means,
-        stderrs=stderrs,
-        replications=R,
-        spread_sums=sums,
-        spread_sumsq=sumsq,
-        node_counts=node_counts,
-    )
+    return estimate_spreads([(aug, seed)], products, replications, workers=workers)[0]
 
 
 def activation_time_histogram(

@@ -160,11 +160,13 @@ class Network:
             np.add.at(in_sums, dst, weight)
         for v in (in_sums > 1.0 + WEIGHT_SUM_TOL).nonzero()[0]:
             violations.append(f"incoming weights of node {v} sum to {in_sums[v]:.12g} > 1")
-        for (u, v), h in sorted(self.similarity.items()):
-            if not (0.0 <= h <= 1.0):
-                violations.append(f"similarity ({u},{v}) value {h} outside [0, 1]")
-            if u == v:
-                violations.append(f"similarity ({u},{v}) is a self-pair")
+        sims = self.similarity
+        if any(u == v or not 0.0 <= h <= 1.0 for (u, v), h in sims.items()):  # sorted only to report
+            for (u, v), h in sorted(sims.items()):
+                if not (0.0 <= h <= 1.0):
+                    violations.append(f"similarity ({u},{v}) value {h} outside [0, 1]")
+                if u == v:
+                    violations.append(f"similarity ({u},{v}) is a self-pair")
         return violations
 
 

@@ -26,7 +26,12 @@ The loop stops at the first of three tests (``CEResult.stop_reason``):
 
 Everything is seeded: sample draws and inner Monte Carlo estimates use
 sub-seeds derived from (master seed, iteration, sample), so repeated runs
-return the identical plan.
+return the identical plan.  An iteration samples all its plans, then
+compiles and estimates them a chunk at a time: each estimator.estimate_spreads
+call packs about one full kernel call of replications per worker
+(config.workers threads run the calls), so an iteration holds one chunk's
+networks and estimates at a time.  Each estimate is still the one its own
+sub-seed gives alone.
 """
 
 from __future__ import annotations
@@ -38,7 +43,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import ChannelPlan, PlanError, build_augmented
-from .estimator import estimate_spread
+from .estimator import call_rows, estimate_spreads
+# estimate_spread is not called here; benchmarks/tracing.py still replaces it
+from .estimator import estimate_spread  # noqa: F401
 from .feature_space import Product
 from .network import Network
 from .rng import derive_seed
@@ -221,6 +228,8 @@ def ce_optimize(
     index = {c: i for i, c in enumerate(candidates)}
     n_samples = config.n_samples or max(100, 2 * len(candidates))
     n_elite = max(1, math.ceil(config.elite_frac * n_samples))
+    # samples per estimate: about one full kernel call for each worker
+    chunk = config.workers * max(1, call_rows(net) // config.replications)
     lam = config.smoothing
 
     state = _initial_state(candidates, cost_model, gamma, horizon)
@@ -232,19 +241,23 @@ def ce_optimize(
     stop_reason = "max_iterations"
 
     for it in range(1, config.max_iterations + 1):
-        scored = []
+        plans = []
         for s in range(n_samples):
             rng = np.random.default_rng(derive_seed(seed, it, s))
-            plan = sample_plan(
+            plans.append(sample_plan(
                 state, cost_model, gamma, focal_product, candidates, rng,
                 retry_limit=config.seed_retry_limit,
-            )
-            aug = build_augmented(net, products, fixed_plans + [plan])
-            est = estimate_spread(
-                aug, products, config.replications, derive_seed(seed, 7000 + it, s),
-                workers=config.workers,
-            )
-            value = est.mean_of(focal_product)
+            ))
+        means = []
+        for lo in range(0, n_samples, chunk):  # one chunk's networks and estimates alive at a time
+            pairs = [
+                (build_augmented(net, products, fixed_plans + [plan]), derive_seed(seed, 7000 + it, s))
+                for s, plan in enumerate(plans[lo : lo + chunk], lo)
+            ]
+            estimates = estimate_spreads(pairs, products, config.replications, workers=config.workers)
+            means += [est.mean_of(focal_product) for est in estimates]
+        scored = []
+        for s, (plan, value) in enumerate(zip(plans, means)):
             scored.append((value, s, plan))
             evaluations += 1
             max_cost = max(max_cost, cost_model.plan_cost(plan))

@@ -3,9 +3,10 @@ import sys
 import numpy as np
 import pytest
 
+from campaignsim import estimator
 from campaignsim.channels import ChannelPlan, build_augmented
 from campaignsim.diffusion import simulate_batch
-from campaignsim.estimator import activation_time_histogram, estimate_spread
+from campaignsim.estimator import activation_time_histogram, estimate_spread, estimate_spreads
 from campaignsim.feature_space import Product
 from campaignsim.fixtures import preference_shift
 from campaignsim.network import Edge, Network
@@ -206,3 +207,85 @@ def test_mean_and_stderr_definitions():
     var = (sq - s * s / R) / (R - 1)
     assert est.means[0] == s / R
     assert est.stderrs[0] == pytest.approx(np.sqrt(var / R), rel=1e-12)
+
+
+def _assert_same_estimates(batched, pairs, products, reps):
+    assert len(batched) == len(pairs)
+    for est, (aug, seed) in zip(batched, pairs):
+        alone = estimate_spread(aug, products, reps, seed)
+        assert np.array_equal(est.spread_sums, alone.spread_sums)
+        assert np.array_equal(est.spread_sumsq, alone.spread_sumsq)
+        assert np.array_equal(est.node_counts, alone.node_counts)
+        assert est.means.tolist() == alone.means.tolist() and est.stderrs.tolist() == alone.stderrs.tolist()
+
+
+def test_batched_estimates_equal_separate_estimates_on_mixed_plans(monkeypatch):
+    # the seed-41 synthetic instance: mirror-image products tie on every
+    # replication, so each row block must hash ties with its own key
+    from test_seeded_outputs import _synth
+
+    net, products, (p0, p1) = _synth(41)
+
+    def variant(plan, **kw):
+        return ChannelPlan(**{**dict(product=plan.product, seeds=plan.seeds, alpha=plan.alpha, beta=plan.beta), **kw})
+
+    plan_sets = [
+        [p0, p1],
+        [variant(p0, beta=(0.3, 0.0)), p1],  # product 0's media end a step early
+        [variant(p0, beta=(0.0, 0.0)), variant(p1, beta=(0.0, 0.0))],  # no media
+        [variant(p0, alpha=0.0), variant(p1, alpha=0.0)],  # no recommendations
+        [variant(p0, seeds=frozenset()), variant(p1, beta=(0.0, 0.4))],
+    ]
+    augs = [build_augmented(net, products, plans) for plans in plan_sets]
+    assert len({aug.threshold_width for aug in augs}) == 3
+    assert len(augs[2].media) == 0 and len(augs[3].recommendations) == 0
+    pairs = [(augs[0], 41), (augs[1], 7), (augs[2], 41), (augs[3], 8), (augs[4], 9), (augs[0], 10)]
+    # over 1,000 nodes, 5 replications each put all six row blocks in one
+    # call; 48 each run every pair in a call of its own
+    assert 6 * 5 <= estimator.call_rows(net) < 48
+    calls = []
+    monkeypatch.setattr(
+        estimator, "simulate_batch", lambda *a, **kw: calls.append(len(a[2])) or simulate_batch(*a, **kw)
+    )
+    for reps, blocks in ((5, [6]), (48, [1] * 6)):
+        calls.clear()
+        batched = estimate_spreads(pairs, products, reps)
+        assert calls == blocks
+        _assert_same_estimates(batched, pairs, products, reps)
+
+
+def test_packed_calls_stop_at_the_cell_budget(monkeypatch):
+    # 1,000 nodes: a call packs at most 32 rows, and a larger tile runs alone
+    from test_seeded_outputs import _synth
+
+    net, products, plans = _synth(1)
+    aug = build_augmented(net, products, plans)
+    rows = []
+    monkeypatch.setattr(
+        estimator, "simulate_batch", lambda *a, **kw: rows.append(len(a[3])) or simulate_batch(*a, **kw)
+    )
+    estimate_spreads([(aug, s) for s in range(5)], products, 16)
+    assert rows == [32, 32, 16]
+    rows.clear()
+    estimate_spreads([(aug, s) for s in range(2)], products, 100)
+    assert rows == [100, 100]
+
+
+def test_batched_estimates_pack_partial_tiles_for_any_worker_count():
+    net, products, plans = preference_shift()
+    media_plans = [ChannelPlan(product=0, seeds=frozenset({0}), beta=(0.3, 0.0)), plans[1]]
+    augs = [build_augmented(net, products, plans), build_augmented(net, products, media_plans)]
+    pairs = [(augs[0], 101), (augs[1], 5), (augs[0], 6)]
+    reps = 2 * TILE_SIZE + 123  # the partial tiles of all three share one kernel call
+    serial = estimate_spreads(pairs, products, reps)
+    _assert_same_estimates(serial, pairs, products, reps)
+    _assert_same_estimates(estimate_spreads(pairs, products, reps, workers=2), pairs, products, reps)
+
+
+def test_batched_estimates_share_one_base_network():
+    net, products, plans = preference_shift()
+    other, _, _ = preference_shift()
+    pairs = [(build_augmented(net, products, plans), 1), (build_augmented(other, products, plans), 2)]
+    with pytest.raises(ValueError, match="one base network"):
+        estimate_spreads(pairs, products, 10)
+    assert estimate_spreads([], products, 10) == []

@@ -109,6 +109,20 @@ def test_validate_flags_each_violation():
     ]
 
 
+def test_validate_reports_bad_similarities_in_pair_order():
+    sims = {(3, 4): 0.2, (2, 2): 1.0, (0, 4): -0.1, (1, 3): 0.5, (1, 1): 2.0, (0, 2): float("nan"), (0, 1): 1.0}
+    net = Network.from_edges(5, [(0, 1, 0.5), (3, 4, 0.5)], similarities=sims)
+    assert net.validate() == [
+        "similarity (0,2) value nan outside [0, 1]",
+        "similarity (0,4) value -0.1 outside [0, 1]",
+        "similarity (1,1) value 2.0 outside [0, 1]",
+        "similarity (1,1) is a self-pair",
+        "similarity (2,2) is a self-pair",
+    ]
+    good = {pair: h for pair, h in sims.items() if pair in {(3, 4), (1, 3), (0, 1)}}
+    assert Network.from_edges(5, [(0, 1, 0.5), (3, 4, 0.5)], similarities=good).validate() == []
+
+
 def test_validate_accepts_incoming_sum_exactly_one():
     net = Network.from_edges(3, [(0, 2, 0.6), (1, 2, 0.4)])
     assert net.validate() == []

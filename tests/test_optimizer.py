@@ -181,6 +181,44 @@ def test_same_seed_reproduces_the_run_exactly():
     assert a.trace == b.trace
 
 
+def test_worker_count_does_not_change_the_optimize(monkeypatch):
+    import campaignsim.estimator as estimator
+
+    # 1,500 replications put two samples in a kernel call; with workers=2 an
+    # iteration's six samples go out as four (two calls, on threads) and two
+    # (one call, on the calling thread)
+    pools = []
+    real_pool = estimator.ThreadPoolExecutor
+    monkeypatch.setattr(estimator, "ThreadPoolExecutor", lambda **kw: pools.append(kw) or real_pool(**kw))
+    net, products, _ = preference_shift()
+    runs = [
+        ce_optimize(net, products, 0, [], UNIT, 2.0, quick_config(replications=1500, workers=w), 42, horizon=2)
+        for w in (1, 2)
+    ]
+    assert pools == [{"max_workers": 2}] * 2
+    a, b = runs
+    assert (a.best_plan, a.best_value, a.trace, a.evaluations) == (b.best_plan, b.best_value, b.trace, b.evaluations)
+
+
+def test_an_iteration_estimates_its_samples_a_kernel_call_at_a_time(monkeypatch):
+    # 1,500 replications fit two samples in a 4,096-row call: each estimate
+    # takes at most two samples, and holds at most that many networks
+    batches = []
+    real = optimizer.estimate_spreads
+
+    def recording(pairs, *args, **kwargs):
+        batches.append(len(pairs))
+        return real(pairs, *args, **kwargs)
+
+    monkeypatch.setattr(optimizer, "estimate_spreads", recording)
+    net, products, _ = preference_shift()
+    res = ce_optimize(net, products, 0, [], UNIT, 2.0, quick_config(n_samples=5, replications=1500), 42, horizon=2)
+    assert batches == [2, 2, 1] * 2 and res.evaluations == 10
+    batches.clear()
+    ce_optimize(net, products, 0, [], UNIT, 2.0, quick_config(n_samples=5, replications=5000), 42, horizon=2)
+    assert batches == [1] * 10  # more than a call's rows: one sample at a time, as alone
+
+
 def test_pure_refit_matches_elite_statistics_exactly():
     # smoothing 1 and one iteration: the final state must equal the refit of
     # the elite set, which we reconstruct through the public seeding scheme
@@ -290,7 +328,9 @@ def test_plateau_below_the_best_value_does_not_stall(monkeypatch):
         def mean_of(self, product):
             return self.value
 
-    monkeypatch.setattr(optimizer, "estimate_spread", lambda *a, **kw: Flat(next(values, 1.0)))
+    monkeypatch.setattr(
+        optimizer, "estimate_spreads", lambda pairs, *a, **kw: [Flat(next(values, 1.0)) for _ in pairs]
+    )
     net, products, horizon = ce_toy()
     res = ce_optimize(net, products, 0, [], UNIT, 2.0, quick_config(max_iterations=10), 3, horizon=horizon)
     assert [row["elite_threshold"] for row in res.trace[2:]] == [1.0] * 8

@@ -33,7 +33,8 @@ from .channels import (
     save_augmented,
 )
 from .checks import gadget_property_check
-from .estimator import estimate_spread, simulate_tile
+from .diffusion import simulate_batch
+from .estimator import _tile_block, estimate_spread
 from .feature_space import ProductError, load_products
 from .fixtures import write_fixtures
 from .network import NetworkError, ParseError, ValidationError, load_network
@@ -191,7 +192,8 @@ def cmd_simulate(args) -> int:
             writer.writerow(row)
         _atomic_write(args.node_probs, buf.getvalue())
     if args.trajectory:
-        act_time, purchased = simulate_tile(aug, products, args.seed, 0, 1)  # replication 0 of the estimate
+        thresholds, block = _tile_block(aug, args.seed, 0, 1, 0)  # replication 0 of the estimate
+        act_time, purchased = simulate_batch(aug.net, products, [block], thresholds)
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["node", "activation_time", "product"])

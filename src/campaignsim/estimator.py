@@ -5,21 +5,24 @@ thresholds from a counter-based stream keyed by (master seed, k), so the
 values a given replication sees depend only on the master seed and its global
 index.  _tile_block owns that rule (which threshold row and which tie key
 replication r gets); every run of the kernel on sampled thresholds, including
-the CLI's single-replication trajectory, goes through it.  Per-replication
-purchase counts are accumulated as exact integers and tiles are reduced in
-index order, which makes every estimate bit-identical for any worker count.
+the CLI's single-replication trajectory, goes through it.  Because the stream
+is counter-based, _tile_block draws any run of a tile's rows without the rows
+before it.  Per-replication purchase counts are accumulated as exact integers
+and reduced in replication order, which makes every estimate bit-identical
+for any worker count and any split of the rows into kernel calls.
 
-estimate_spreads estimates several compiled plans over one base network at
-once, as the optimizer does for an iteration's samples.  Each (plan, seed)
-pair still draws its rows tile by tile from its own seed and at its own
-threshold width, so each estimate is bit for bit what estimate_spread gives
-for that pair alone.  The pairs' tiles are packed in order into kernel
-calls of at most call_rows(net) rows, one row block per (pair, tile) (see
-diffusion.RowBlock).  A kernel call's memory grows with its cells (rows
-times nodes), so packed calls stop at CALL_CELLS cells; a tile larger than
-that runs alone, as it does in a single estimate.  Workers
-are threads sharing the read-only network that run the kernel calls; they
-overlap where numpy releases the interpreter lock.
+A kernel call's memory grows with its cells (rows times nodes), so no call
+holds more than call_rows(net) rows, at most CALL_CELLS cells: a tile over
+that limit runs in equal row chunks.  estimate_spreads estimates several
+compiled plans over one base network at once, as the optimizer does for an
+iteration's samples.  Each (plan, seed) pair still draws its rows from its
+own seed and at its own threshold width, so each estimate is bit for bit
+what estimate_spread gives for that pair alone.  The pairs' chunks and
+smaller tiles are packed in order into kernel calls, one row block per
+(pair, chunk) (see diffusion.RowBlock).  Workers are threads sharing the
+read-only network that run the kernel calls; they overlap where numpy
+releases the interpreter lock, and each holds one call at a time, so an
+estimate's kernel memory stays within workers times CALL_CELLS cells.
 
 Threshold rows are aug.threshold_width wide, the node count of the
 paper's media construction (see channels), and the kernel reads their first
@@ -40,12 +43,12 @@ from .feature_space import Product
 from .rng import TILE_SIZE, tile_rng
 
 
-# cells (rows x nodes) up to which estimate_spreads packs tiles into one call
-CALL_CELLS = 1 << 15
+# cells (rows x nodes) up to which a kernel call runs
+CALL_CELLS = 1 << 17
 
 
 def call_rows(net) -> int:
-    """Rows up to which estimate_spreads packs tiles into one kernel call over net."""
+    """Rows up to which a kernel call over net runs."""
     return max(1, min(TILE_SIZE, CALL_CELLS // net.node_count))
 
 
@@ -83,30 +86,27 @@ class SpreadEstimate:
         }
 
 
-def _tile_bounds(replications: int):
-    for tile_idx in range(0, (replications + TILE_SIZE - 1) // TILE_SIZE):
-        lo = tile_idx * TILE_SIZE
-        yield tile_idx, min(TILE_SIZE, replications - lo)
+def _row_chunks(replications: int, limit: int):
+    """(tile_idx, rows, lo) of each row chunk, in replication order: a tile of
+    L rows splits into p = ceil(L / limit) chunks, rows [L*c//p, L*(c+1)//p)."""
+    for tile_idx in range(-(-replications // TILE_SIZE)):
+        tile_len = min(TILE_SIZE, replications - tile_idx * TILE_SIZE)
+        p = -(-tile_len // limit)
+        for c in range(p):
+            lo = tile_len * c // p
+            yield tile_idx, tile_len * (c + 1) // p - lo, lo
 
 
-def _tile_block(aug: AugmentedNetwork, seed: int, tile_idx: int, tile_len: int) -> tuple[np.ndarray, RowBlock]:
-    """(thresholds, row block) of the first tile_len replications of a tile.
+def _tile_block(aug: AugmentedNetwork, seed: int, tile_idx: int, rows: int, lo: int) -> tuple[np.ndarray, RowBlock]:
+    """(thresholds, row block) of rows lo .. lo + rows - 1 of a tile.
 
-    Replication r = tile_idx * TILE_SIZE + i takes row i of
-    tile_rng(seed, tile_idx) as its thresholds and (seed, r) as its tie key.
+    Replication r = tile_idx * TILE_SIZE + lo + i takes row lo + i of tile
+    tile_idx's stream as its thresholds and (seed, r) as its tie key.
     """
-    # Philox fills rows in order: these are the first tile_len rows of the full tile
-    chi = tile_rng(seed, tile_idx).random((tile_len, aug.threshold_width))
-    block = RowBlock(tile_len, aug.seed_assignment(), aug.media, aug.recommendations, seed, tile_idx * TILE_SIZE)
+    w = aug.threshold_width
+    chi = tile_rng(seed, tile_idx, lo * w).random((rows, w))
+    block = RowBlock(rows, aug.seed_assignment(), aug.media, aug.recommendations, seed, tile_idx * TILE_SIZE + lo)
     return chi[:, : aug.net.node_count], block
-
-
-def simulate_tile(
-    aug: AugmentedNetwork, products: list[Product], seed: int, tile_idx: int, tile_len: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """(activation_time, purchased) of the first tile_len replications of a tile."""
-    thresholds, block = _tile_block(aug, seed, tile_idx, tile_len)
-    return simulate_batch(aug.net, products, [block], thresholds)
 
 
 def _check_count(name: str, value) -> None:
@@ -116,7 +116,7 @@ def _check_count(name: str, value) -> None:
 
 def _run_call(net, products, segments):
     """Exact sums, sums of squares and node counts per segment of one kernel
-    call, one row block per (aug, seed, tile_idx, tile_len) segment."""
+    call, one row block per (aug, seed, tile_idx, rows, lo) segment."""
     if len(segments) == 1:
         thresholds, block = _tile_block(*segments[0])
         blocks = [block]
@@ -153,10 +153,10 @@ def estimate_spreads(
     """estimate_spread(aug, products, replications, seed) for each (aug, seed)
     pair, bit for bit, over one shared base network.
 
-    Tile by tile, each pair's rows are drawn exactly as for its own estimate,
-    and pairs are packed in order into kernel calls of at most call_rows(net)
-    rows, one row block per (pair, tile); a larger tile runs alone.  With
-    workers > 1 the calls run on up to that many threads.
+    Chunk by chunk, each pair's rows are drawn exactly as for its own
+    estimate, and pairs are packed in order into kernel calls of at most
+    call_rows(net) rows, one row block per (pair, chunk).  With workers > 1
+    the calls run on up to that many threads.
     """
     _check_count("replications", replications)
     _check_count("workers", workers)
@@ -166,17 +166,17 @@ def estimate_spreads(
     if any(aug.net is not net for aug, _ in pairs):
         raise ValueError("estimates in one batch must share one base network")
     limit = call_rows(net)
-    calls, rows = [], limit + 1  # lists of (pair index, tile_idx, tile_len)
-    for tile_idx, tile_len in _tile_bounds(replications):
+    calls, used = [], limit + 1  # lists of (pair index, tile_idx, rows, lo)
+    for tile_idx, rows, lo in _row_chunks(replications, limit):
         for s in range(len(pairs)):
-            if rows + tile_len > limit:
+            if used + rows > limit:
                 calls.append([])
-                rows = 0
-            calls[-1].append((s, tile_idx, tile_len))
-            rows += tile_len
+                used = 0
+            calls[-1].append((s, tile_idx, rows, lo))
+            used += rows
 
     def run(call):
-        return _run_call(net, products, [(*pairs[s], tile_idx, tile_len) for s, tile_idx, tile_len in call])
+        return _run_call(net, products, [(*pairs[s], *chunk) for s, *chunk in call])
 
     k = len(products)
     sums = np.zeros((len(pairs), k), dtype=np.int64)
@@ -185,7 +185,7 @@ def estimate_spreads(
 
     def reduce(results):  # each call's counts as it arrives, in call order
         for call, (s_sums, s_sumsq, s_counts) in zip(calls, results):
-            for i, (s, _, _) in enumerate(call):  # calls hold tiles in order
+            for i, (s, *_) in enumerate(call):  # calls hold chunks in order
                 sums[s] += s_sums[i]
                 sumsq[s] += s_sumsq[i]
                 node_counts[s] += s_counts[i]
@@ -236,7 +236,8 @@ def activation_time_histogram(
     _check_count("replications", replications)
     w = aug.threshold_width
     hist = np.zeros(2 * w - 1 if len(aug.recommendations) else w, dtype=np.int64)
-    for tile_idx, tile_len in _tile_bounds(replications):
-        times = simulate_tile(aug, products, seed, tile_idx, tile_len)[0][:, node]
+    for chunk in _row_chunks(replications, call_rows(aug.net)):  # the calls of estimate_spread
+        thresholds, block = _tile_block(aug, seed, *chunk)
+        times = simulate_batch(aug.net, products, [block], thresholds, overwrite_thresholds=True)[0][:, node]
         hist += np.bincount(times[times >= 0], minlength=hist.size)
     return hist

@@ -30,8 +30,11 @@ return the identical plan.  An iteration samples all its plans, then
 compiles and estimates them a chunk at a time: each estimator.estimate_spreads
 call packs about one full kernel call of replications per worker
 (config.workers threads run the calls), so an iteration holds one chunk's
-networks and estimates at a time.  Each estimate is still the one its own
-sub-seed gives alone.
+networks and estimates at a time.  A kernel call holds at most
+estimator.CALL_CELLS cells (rows times nodes); a sample whose replications
+do not fit one call runs in row chunks, and a chunk of the iteration is then
+one sample per worker.  Each estimate is still the one its own sub-seed
+gives alone.
 """
 
 from __future__ import annotations

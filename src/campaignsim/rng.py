@@ -3,7 +3,8 @@
 Replications are grouped into fixed-size tiles; each tile gets its own
 counter-based Philox stream keyed by (master seed, tile index).  Because the
 tile size is a constant of the algorithm, the thresholds drawn for replication
-r depend only on (master seed, r) and never on batch sizes or worker counts.
+r depend only on (master seed, r) and never on batch sizes, row chunks or
+worker counts.
 
 Purchase tie-breaks use a stateless splitmix64 hash keyed by
 (master seed, replication, node, step) so the outcome is independent of the
@@ -82,10 +83,19 @@ def key_uniform(*parts):
     return key.astype(np.float64) / 2.0**64
 
 
-def tile_rng(master_seed: int, tile_index: int) -> np.random.Generator:
-    """Counter-based generator for one replication tile."""
+def tile_rng(master_seed: int, tile_index: int, skip: int = 0) -> np.random.Generator:
+    """Counter-based generator for one replication tile, past its first skip doubles.
+
+    Philox4x64 makes four 64-bit words per counter step and random() takes
+    one word per double, so the skip costs one counter jump plus at most
+    three draws: any row of a tile is drawn without the rows before it.
+    """
     ss = np.random.SeedSequence(entropy=(int(master_seed) & MASK64, int(tile_index)))
-    return np.random.Generator(np.random.Philox(seed=ss))
+    gen = np.random.Generator(np.random.Philox(seed=ss))
+    if skip:
+        gen.bit_generator.advance(skip // 4)
+        gen.random(skip % 4)
+    return gen
 
 
 def derive_seed(*parts: int) -> int:

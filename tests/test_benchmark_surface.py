@@ -86,3 +86,35 @@ def test_benchmark_instances_and_hooks(tmp_path, monkeypatch):
     assert {"sample_plan", "build_augmented", "estimate_spreads"} <= calls.keys()
     # tracing.py still replaces optimizer.estimate_spread, which the loop no longer calls
     assert optimizer_mod.estimate_spread is estimate_spread
+
+
+class _OnlyRandom:
+    """Like tracing.py's _TimedGenerator: a tile generator offering only random."""
+
+    def __init__(self, gen):
+        self._gen = gen
+
+    def random(self, *args, **kwargs):
+        return self._gen.random(*args, **kwargs)
+
+
+def test_row_chunks_skip_ahead_inside_tile_rng(monkeypatch):
+    # a traced run wraps each generator estimator.tile_rng returns, so the
+    # estimator may only call random on it: a chunk's skip-ahead lives in
+    # tile_rng itself
+    from test_seeded_outputs import _synth
+
+    net, products, plans = _synth(1)
+    aug = build_augmented(net, products, plans)
+    reps, seed = 300, derive_seed(1, 0)
+    plain = estimate_spread(aug, products, reps, seed)
+    real_tile_rng = estimator_mod.tile_rng
+    draws = []
+    monkeypatch.setattr(
+        estimator_mod, "tile_rng", lambda *a, **kw: draws.append(a) or _OnlyRandom(real_tile_rng(*a, **kw))
+    )
+    wrapped = estimate_spread(aug, products, reps, seed)
+    assert len(draws) == 3  # three 100-row chunks of one tile
+    assert np.array_equal(wrapped.spread_sums, plain.spread_sums)
+    assert np.array_equal(wrapped.spread_sumsq, plain.spread_sumsq)
+    assert np.array_equal(wrapped.node_counts, plain.node_counts)

@@ -1,4 +1,8 @@
+import os
+import resource
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -241,13 +245,15 @@ def test_batched_estimates_equal_separate_estimates_on_mixed_plans(monkeypatch):
     assert len(augs[2].media) == 0 and len(augs[3].recommendations) == 0
     pairs = [(augs[0], 41), (augs[1], 7), (augs[2], 41), (augs[3], 8), (augs[4], 9), (augs[0], 10)]
     # over 1,000 nodes, 5 replications each put all six row blocks in one
-    # call; 48 each run every pair in a call of its own
-    assert 6 * 5 <= estimator.call_rows(net) < 48
+    # call; 48 each put two pairs in a call; 200 each split every pair's
+    # tile into two 100-row chunks, each in a call of its own, drawn at
+    # each pair's own threshold width
+    assert 100 <= estimator.call_rows(net) < 3 * 48
     calls = []
     monkeypatch.setattr(
         estimator, "simulate_batch", lambda *a, **kw: calls.append(len(a[2])) or simulate_batch(*a, **kw)
     )
-    for reps, blocks in ((5, [6]), (48, [1] * 6)):
+    for reps, blocks in ((5, [6]), (48, [2, 2, 2]), (200, [1] * 12)):
         calls.clear()
         batched = estimate_spreads(pairs, products, reps)
         assert calls == blocks
@@ -255,20 +261,81 @@ def test_batched_estimates_equal_separate_estimates_on_mixed_plans(monkeypatch):
 
 
 def test_packed_calls_stop_at_the_cell_budget(monkeypatch):
-    # 1,000 nodes: a call packs at most 32 rows, and a larger tile runs alone
+    # 1,000 nodes: a call holds at most 131 rows; a larger tile splits into
+    # equal row chunks, packed in order like smaller tiles
     from test_seeded_outputs import _synth
 
     net, products, plans = _synth(1)
     aug = build_augmented(net, products, plans)
+    assert estimator.call_rows(net) == 131
     rows = []
     monkeypatch.setattr(
         estimator, "simulate_batch", lambda *a, **kw: rows.append(len(a[3])) or simulate_batch(*a, **kw)
     )
-    estimate_spreads([(aug, s) for s in range(5)], products, 16)
-    assert rows == [32, 32, 16]
-    rows.clear()
-    estimate_spreads([(aug, s) for s in range(2)], products, 100)
-    assert rows == [100, 100]
+    for pairs, reps, want in (
+        (5, 30, [120, 30]),
+        (2, 100, [100, 100]),
+        (2, 280, [93, 93, 93, 93, 94, 94]),  # chunks of rows [0, 93), [93, 186), [186, 280)
+    ):
+        rows.clear()
+        estimate_spreads([(aug, s) for s in range(pairs)], products, reps)
+        assert rows == want
+
+
+def test_row_chunks_equal_the_whole_tile(monkeypatch):
+    # one tile of the seed-1 synthetic instance, run in 1-row chunks, in
+    # uneven chunks of 7 and 8 rows and as one call: row chunks draw from
+    # their own place in the tile's stream, so every count is the same
+    from test_seeded_outputs import _synth
+
+    net, products, plans = _synth(1)
+    aug = build_augmented(net, products, plans)
+    reps, seed = 300, 5
+    rows = []
+    monkeypatch.setattr(
+        estimator, "simulate_batch", lambda *a, **kw: rows.append(len(a[3])) or simulate_batch(*a, **kw)
+    )
+    estimates, hists = [], []
+    for limit, want in ((1, [1] * 300), (8, [7] * 4 + [8] * 34), (reps, [reps])):
+        monkeypatch.setattr(estimator, "CALL_CELLS", limit * net.node_count)
+        for workers in (1, 2):
+            rows.clear()
+            estimates.append(estimate_spread(aug, products, reps, seed, workers=workers))
+            assert sorted(rows) == want
+        rows.clear()
+        hists.append(activation_time_histogram(aug, products, 7, reps, seed))
+        assert sorted(rows) == want
+    whole = estimates[-1]
+    assert whole.spread_sums.min() > 0 and hists[-1].sum() > 0
+    for est in estimates:
+        assert np.array_equal(est.spread_sums, whole.spread_sums)
+        assert np.array_equal(est.spread_sumsq, whole.spread_sumsq)
+        assert np.array_equal(est.node_counts, whole.node_counts)
+    for hist in hists:
+        assert np.array_equal(hist, hists[-1])
+
+
+def test_two_worker_estimate_runs_in_bounded_memory():
+    # two full tiles of the 1,000-node synthetic instance on two threads: a
+    # whole 4,096-row tile per call would need about 0.75 GB per thread, row
+    # chunks keep the estimate within a 1 GiB address space
+    code = (
+        "from campaignsim import build_augmented, estimate_spread\n"
+        "from campaignsim.rng import TILE_SIZE\n"
+        "from test_seeded_outputs import _synth\n"
+        "net, products, plans = _synth(1)\n"
+        "est = estimate_spread(build_augmented(net, products, plans), products, 2 * TILE_SIZE, 1, workers=2)\n"
+        "print(est.replications, est.spread_sums.sum() == est.node_counts.sum())\n"
+    )
+    paths = [str(Path(__file__).parents[1] / "src"), str(Path(__file__).parent), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(paths))
+    limit = 1 << 30
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{2 * TILE_SIZE} True\n"
 
 
 def test_batched_estimates_pack_partial_tiles_for_any_worker_count():

@@ -125,6 +125,16 @@ def test_tile_prefix_rows_equal_the_full_tile():
             assert np.array_equal(tile_rng(11, 2).random((m, n)), full[:m])
 
 
+def test_skip_ahead_rows_equal_the_full_tile():
+    # a row chunk is drawn from its own place in the tile's stream; Philox4x64
+    # gives four doubles per counter step, so the widths cover every residue
+    for n in (4, 5, 6, 7, 37):
+        full = tile_rng(11, 2).random((TILE_SIZE, n))
+        for lo in (0, 1, 3, 4095):
+            rows = min(5, TILE_SIZE - lo)
+            assert np.array_equal(tile_rng(11, 2, lo * n).random((rows, n)), full[lo : lo + rows])
+
+
 def test_key_parts_are_reduced_modulo_2_64():
     # negative, over-wide and numpy-scalar parts key like their residues,
     # whether the fold runs on ints or on arrays

@@ -22,6 +22,7 @@ from .diffusion import (
     Media,
     PurchaseTieError,
     Recommendations,
+    RowBlock,
     SeedAssignment,
     simulate_batch,
 )
@@ -55,6 +56,7 @@ __all__ = [
     "ProductError",
     "PurchaseTieError",
     "Recommendations",
+    "RowBlock",
     "SeedAssignment",
     "SpreadEstimate",
     "ValidationError",

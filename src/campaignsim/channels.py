@@ -55,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffusion import Media, Recommendations, SeedAssignment
+from .diffusion import Media, Recommendations, RowBlock, SeedAssignment
 from .feature_space import Product
 from .network import Network, ValidationError
 
@@ -95,8 +95,10 @@ class AugmentedNetwork:
     recommendations: Recommendations  # social advertising, in (source, target, product) order
     threshold_width: int  # columns per threshold row
 
-    def seed_assignment(self) -> SeedAssignment:
-        return SeedAssignment(tuple(plan.seeds for plan in self.plans))
+    def row_block(self, rows: int, master_seed: int = 0, rep_offset: int = 0) -> RowBlock:
+        """rows replications of the plans' seeds and channels, keyed from (master_seed, rep_offset)."""
+        seeds = SeedAssignment(tuple(plan.seeds for plan in self.plans))
+        return RowBlock(rows, seeds, self.media, self.recommendations, master_seed, rep_offset)
 
 
 def build_augmented(

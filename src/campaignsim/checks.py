@@ -66,14 +66,13 @@ def _behavioral_trial(p: Product, q: Product, same_product: bool, source_step: i
         ChannelPlan(product=1, seeds=frozenset() if same_product else seed, alpha=0.0, beta=(0.0,)),
     ]
     aug = build_augmented(net, products, plans)
-    rec = aug.recommendations  # the one recommendation: u -> v for p
-    w = float(rec.weight[0])
+    w = float(aug.recommendations.weight[0])  # the one recommendation: u -> v for p
     bought = p if same_product else q
     direct = _norm([x * _SOURCE_EDGE for x in bought.features])
     full = _norm([x * _SOURCE_EDGE + x * w for x in p.features])
     chi = np.full((3, aug.net.node_count), 0.5)
     chi[:, 1] = [math.nextafter(direct, math.inf), full, math.nextafter(full, math.inf)]
-    act, purchased = simulate_batch(aug.net, products, aug.seed_assignment(), chi, recommendations=rec)
+    act, purchased = simulate_batch(aug.net, products, [aug.row_block(3)], chi)  # the plans have no media
     arrival = source_step + 2
     received = bool(act[0, 1] >= 0)
     if same_product:

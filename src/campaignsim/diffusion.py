@@ -22,16 +22,18 @@ product i.  The kernel adds exactly what the pseudonodes would, in the same
 order, without their cells.
 
 The kernel advances many replications at once; a single run is a batch of
-one.  A batch's rows may also come in consecutive row blocks that share the
-network and products, each with its own seeds, media, recommendations and
-tie key: the blocks' channel edges sit side by side in one table, and a
-cell sends along its own block's, so every row comes out exactly as in a
-batch of its block alone.  A node whose aggregate is exactly the zero
-vector never activates, whatever its threshold.  A batch runs at least to its last media step; past
-it, a step that activates no cell ends the batch unless a recommendation is
-still in flight.  So with media up to step L, activation times stay within
-L + n - 1, and with recommendations a replication activates a node at
-least every second step until it settles, within L + 2 * (n - 1).
+one.  A batch's rows come in consecutive row blocks that share the network
+and products, each with its own seeds, media, recommendations and tie key:
+the blocks' channel edges sit side by side in one table, and a cell sends
+along its own block's, so every row comes out exactly as in a batch of its
+block alone.  The kernel never writes the thresholds it is given.  A node
+whose aggregate is exactly the zero vector never activates, whatever its
+threshold, and an influenced node never activates again.  A batch runs at
+least to its last media step; past it, a step that activates no cell ends
+the batch unless a recommendation is still in flight.  So with media up to
+step L, activation times stay within L + n - 1, and with recommendations a
+replication activates a node at least every second step until it settles,
+within L + 2 * (n - 1).
 
 Influence is permanent and purchases are immutable, so the kernel keeps a
 running aggregate per (replication, node) cell and updates it
@@ -101,11 +103,6 @@ _keep_batch_memory()
 
 class PurchaseTieError(Exception):
     """An exact purchase tie occurred where the caller forbade randomness."""
-
-
-# smallest positive double: a threshold floor that makes "norm >= threshold"
-# also demand "norm > 0", so a zero aggregate never activates
-_TINY = np.nextafter(0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -182,8 +179,8 @@ class RowBlock:
 
     rows: int
     seeds: SeedAssignment
-    media: Media | None = None
-    recommendations: Recommendations | None = None
+    media: Media = _NO_MEDIA
+    recommendations: Recommendations = _NO_RECOMMENDATIONS
     master_seed: int = 0
     rep_offset: int = 0
 
@@ -191,41 +188,25 @@ class RowBlock:
 def simulate_batch(
     net: Network,
     products: list[Product],
-    seeds: SeedAssignment | list[RowBlock],
+    blocks: list[RowBlock],
     thresholds: np.ndarray,
     *,
-    media: Media | None = None,
-    recommendations: Recommendations | None = None,
-    master_seed: int = 0,
-    rep_offset: int = 0,
     on_tie: str = "random",
-    overwrite_thresholds: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Advance R replications at once over a shared network.
 
-    thresholds is (R, n).  Replication r in the batch is globally indexed
-    rep_offset + r for tie-break hashing, which keeps outcomes identical
-    however the replications are batched.
+    thresholds is (R, n) and is only read: any float array, a read-only or
+    non-contiguous view included, is left as it was.  The row blocks split
+    the R rows in order, each with its own seeds, media, recommendations and
+    tie key, so each block's rows come out exactly as a batch of that block
+    alone would, however the replications are batched.
     Returns (activation_time, purchased), both (R, n).
-
-    seeds may instead list RowBlocks that split the R rows in order, each
-    with its own seeds, media, recommendations and tie key; each block's
-    rows then come out exactly as a batch of that block alone would.
-
-    With overwrite_thresholds a float64 C-contiguous threshold matrix is
-    used as the kernel's working array and left changed, instead of copied.
     """
     R, n = thresholds.shape
     if n != net.node_count:
         raise ValueError("threshold matrix width does not match node count")
-    if isinstance(seeds, SeedAssignment):
-        blocks = [RowBlock(R, seeds, media, recommendations, master_seed, rep_offset)]
-    else:
-        blocks = list(seeds)
-        if media is not None or recommendations is not None or master_seed or rep_offset:
-            raise ValueError("with row blocks, media, recommendations and tie keys come per block")
-        if sum(b.rows for b in blocks) != R:
-            raise ValueError("row blocks do not cover the threshold rows")
+    if sum(b.rows for b in blocks) != R:
+        raise ValueError("row blocks do not cover the threshold rows")
     for b in blocks:
         b.seeds.validate(net)
     block_rows = [b.rows for b in blocks]
@@ -241,14 +222,14 @@ def simulate_batch(
     group_lo = [net.indptr[:-1] + j * n_edges for j in range(k)]
     group_deg = [net.indptr[1:] - net.indptr[:-1]] * k
     n_keys, n_groups = k * n_edges, k * n
-    recommending = any(b.recommendations is not None and len(b.recommendations) for b in blocks)
-    last_step = max((int(b.media.step[-1]) for b in blocks if b.media is not None and len(b.media)), default=0)
+    recommending = any(len(b.recommendations) for b in blocks)
+    last_step = max((int(b.media.step[-1]) for b in blocks if len(b.media)), default=0)
     rec_start, step_start = [], []  # per block
     for b in blocks:
         if recommending:
             # and one step later along group rec_start + j * n + u: its
             # recommendations of product j
-            rec = _NO_RECOMMENDATIONS if b.recommendations is None else b.recommendations
+            rec = b.recommendations
             group = rec.product * n + rec.src
             order = group.argsort(kind="stable")
             rec_lo = n_keys + group[order].searchsorted(np.arange(k * n + 1))
@@ -261,7 +242,7 @@ def simulate_batch(
         if last_step:
             # each of its replications' first cell sends, at step t, along
             # group step_start + t: the block's media of step t, if any
-            med = _NO_MEDIA if b.media is None else b.media
+            med = b.media
             step_lo = n_keys + med.step.searchsorted(np.arange(1, last_step + 2))
             group_lo.append(step_lo[:-1])
             group_deg.append(step_lo[1:] - step_lo[:-1])
@@ -275,15 +256,14 @@ def simulate_batch(
     if last_step:
         first_cells = np.arange(0, R * n, n)
         step_group = np.repeat(step_start, block_rows)
-    if recommending:  # a single block shifts every sender alike
-        rec_shift = rec_start[0] if len(blocks) == 1 else np.repeat(rec_start, block_rows)
-    if len(blocks) > 1:  # per block: its tie key; row r of block i is replication rep_base[i] + r
-        block_end = np.cumsum(block_rows)
-        tie_seed = np.array([b.master_seed & MASK64 for b in blocks], dtype=np.uint64)
-        rep_base = np.array([b.rep_offset for b in blocks]) - (block_end - block_rows)
+    if recommending:
+        rec_shift = np.repeat(rec_start, block_rows)
+    # per block: its tie key; row r of block i is replication rep_base[i] + r
+    block_end = np.cumsum(block_rows)
+    tie_seed = np.array([b.master_seed & MASK64 for b in blocks], dtype=np.uint64)
+    rep_base = np.array([b.rep_offset for b in blocks]) - (block_end - block_rows)
     # per-replication arrays are flat over cells r * n + v; agg is feature-major
-    thr = (np.asarray if overwrite_thresholds else np.array)(thresholds, dtype=float).reshape(-1)
-    np.maximum(thr, _TINY, out=thr)
+    thr = np.asarray(thresholds, dtype=float).reshape(-1)
     purchased = np.full(R * n, -1, dtype=np.int16)
     activation_time = np.full(R * n, -1, dtype=np.int32)
     agg = np.zeros((f, R * n))
@@ -297,7 +277,6 @@ def simulate_batch(
         lo += b.rows
     front = (activation_time == 0).nonzero()[0]  # cells activated last step, ascending
     front_prod = purchased[front].astype(np.intp)
-    thr[front] = np.inf  # an influenced cell never activates again
     held = None  # (first cell, group) of the step before last's recommendations
     t = 0
     while front.size or held is not None or t < last_step:
@@ -313,8 +292,7 @@ def simulate_batch(
         if held is not None:
             later.append(held)
         if recommending:
-            shift = rec_shift if len(blocks) == 1 else rec_shift[base // n]
-            held = (base, group + shift) if front.size else None
+            held = (base, group + rec_shift[base // n]) if front.size else None
         if later:
             base = np.concatenate([base, *(b for b, _ in later)])
             group = np.concatenate([group, *(g for _, g in later)])
@@ -336,7 +314,8 @@ def simulate_batch(
             x = agg[i][cells]
             norm2 = norm2 + x * x
         norms = np.sqrt(norm2)
-        newly = norms >= thr[cells]
+        # a zero aggregate never activates, nor does an influenced cell again
+        newly = (norms >= thr[cells]) & (norms > 0.0) & (activation_time[cells] < 0)
         front = cells[newly]
         if not front.size:
             front_prod = front
@@ -362,11 +341,8 @@ def simulate_batch(
             multi = (count > 1).nonzero()[0]
             if multi.size:  # some cell has more than one candidate
                 rows, cols = np.divmod(front[multi], n)
-                if len(blocks) > 1:
-                    block = block_end.searchsorted(rows, side="right")
-                    key_seed, reps = tie_seed[block], rep_base[block] + rows
-                else:
-                    key_seed, reps = blocks[0].master_seed, blocks[0].rep_offset + rows
+                block = block_end.searchsorted(rows, side="right")
+                key_seed, reps = tie_seed[block], rep_base[block] + rows
                 if on_tie == "raise":
                     raise PurchaseTieError(f"purchase tie at node {cols[0]}, step {t}, replication {reps[0]}")
                 # the i-th tied candidate, i = floor(u01 * count), hashed per (rep, node, step)
@@ -378,5 +354,4 @@ def simulate_batch(
         front_prod = choice
         purchased[front] = choice
         activation_time[front] = t
-        thr[front] = np.inf
     return activation_time.reshape(R, n), purchased.reshape(R, n)

@@ -19,10 +19,12 @@ iteration's samples.  Each (plan, seed) pair still draws its rows from its
 own seed and at its own threshold width, so each estimate is bit for bit
 what estimate_spread gives for that pair alone.  The pairs' chunks and
 smaller tiles are packed in order into kernel calls, one row block per
-(pair, chunk) (see diffusion.RowBlock).  Workers are threads sharing the
-read-only network that run the kernel calls; they overlap where numpy
-releases the interpreter lock, and each holds one call at a time, so an
-estimate's kernel memory stays within workers times CALL_CELLS cells.
+(pair, chunk) (see diffusion.RowBlock), and their threshold rows are copied
+into one n-wide array per call, which the kernel only reads.  Workers are
+threads sharing the read-only network that run the kernel calls; they
+overlap where numpy releases the interpreter lock, and each holds one call
+at a time, so an estimate's kernel memory stays within workers times
+CALL_CELLS cells.
 
 Threshold rows are aug.threshold_width wide, the node count of the
 paper's media construction (see channels), and the kernel reads their first
@@ -105,8 +107,7 @@ def _tile_block(aug: AugmentedNetwork, seed: int, tile_idx: int, rows: int, lo: 
     """
     w = aug.threshold_width
     chi = tile_rng(seed, tile_idx, lo * w).random((rows, w))
-    block = RowBlock(rows, aug.seed_assignment(), aug.media, aug.recommendations, seed, tile_idx * TILE_SIZE + lo)
-    return chi[:, : aug.net.node_count], block
+    return chi[:, : aug.net.node_count], aug.row_block(rows, seed, tile_idx * TILE_SIZE + lo)
 
 
 def _check_count(name: str, value) -> None:
@@ -117,18 +118,15 @@ def _check_count(name: str, value) -> None:
 def _run_call(net, products, segments):
     """Exact sums, sums of squares and node counts per segment of one kernel
     call, one row block per (aug, seed, tile_idx, rows, lo) segment."""
-    if len(segments) == 1:
-        thresholds, block = _tile_block(*segments[0])
-        blocks = [block]
-    else:  # copy each draw's first n columns, so one full-width draw is alive at a time
-        thresholds = np.empty((sum(segment[3] for segment in segments), net.node_count))
-        blocks, lo = [], 0
-        for segment in segments:
-            chi, block = _tile_block(*segment)
-            thresholds[lo : lo + block.rows] = chi
-            blocks.append(block)
-            lo += block.rows
-    _, purchased = simulate_batch(net, products, blocks, thresholds, overwrite_thresholds=True)
+    # copy each draw's first n columns, so one full-width draw is alive at a time
+    thresholds = np.empty((sum(segment[3] for segment in segments), net.node_count))
+    blocks, lo = [], 0
+    for segment in segments:
+        chi, block = _tile_block(*segment)
+        thresholds[lo : lo + block.rows] = chi
+        blocks.append(block)
+        lo += block.rows
+    _, purchased = simulate_batch(net, products, blocks, thresholds)
     starts = np.cumsum([0] + [b.rows for b in blocks[:-1]])
     k = len(products)
     sums = np.zeros((len(blocks), k), dtype=np.int64)
@@ -156,7 +154,8 @@ def estimate_spreads(
     Chunk by chunk, each pair's rows are drawn exactly as for its own
     estimate, and pairs are packed in order into kernel calls of at most
     call_rows(net) rows, one row block per (pair, chunk).  With workers > 1
-    the calls run on up to that many threads.
+    the calls run on up to that many threads.  products must be the plans'
+    products in the order they were compiled.
     """
     _check_count("replications", replications)
     _check_count("workers", workers)
@@ -165,6 +164,9 @@ def estimate_spreads(
     net = pairs[0][0].net
     if any(aug.net is not net for aug, _ in pairs):
         raise ValueError("estimates in one batch must share one base network")
+    product_ids = tuple(p.id for p in products)
+    if any(aug.product_ids != product_ids for aug, _ in pairs):
+        raise ValueError("products must be the compiled plans' products, in their order")
     limit = call_rows(net)
     calls, used = [], limit + 1  # lists of (pair index, tile_idx, rows, lo)
     for tile_idx, rows, lo in _row_chunks(replications, limit):
@@ -238,6 +240,6 @@ def activation_time_histogram(
     hist = np.zeros(2 * w - 1 if len(aug.recommendations) else w, dtype=np.int64)
     for chunk in _row_chunks(replications, call_rows(aug.net)):  # the calls of estimate_spread
         thresholds, block = _tile_block(aug, seed, *chunk)
-        times = simulate_batch(aug.net, products, [block], thresholds, overwrite_thresholds=True)[0][:, node]
+        times = simulate_batch(aug.net, products, [block], thresholds)[0][:, node]
         hist += np.bincount(times[times >= 0], minlength=hist.size)
     return hist

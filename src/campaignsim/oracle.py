@@ -136,10 +136,7 @@ def exact_spread_grid(
     net = aug.net
     n = net.node_count
     k = len(products)
-    seeds = aug.seed_assignment()
-    seeded = set()
-    for ns in seeds.by_product:
-        seeded |= ns
+    seeded = set().union(*aug.row_block(0).seeds.by_product)
 
     base_chi = np.full(n, 2.0)
     for node, value in pinned.items():
@@ -175,10 +172,7 @@ def exact_spread_grid(
             for slot, (rep, count) in enumerate(combo):
                 chi[r, free[slot]] = rep
                 weights[r] *= count / m
-        _, purchased = simulate_batch(
-            net, products, seeds, chi, media=aug.media, recommendations=aug.recommendations,
-            master_seed=0, rep_offset=evaluated, on_tie="raise",
-        )
+        _, purchased = simulate_batch(net, products, [aug.row_block(R, 0, evaluated)], chi, on_tie="raise")
         for j in range(k):
             bought = purchased == j
             spread[j] += float(np.dot(weights, bought.sum(axis=1)))

@@ -41,7 +41,7 @@ import pytest
 
 from campaignsim.channels import ChannelPlan, build_augmented
 from campaignsim.checks import gadget_property_check
-from campaignsim.diffusion import PurchaseTieError, SeedAssignment, simulate_batch
+from campaignsim.diffusion import PurchaseTieError, RowBlock, SeedAssignment, simulate_batch
 from campaignsim.estimator import activation_time_histogram, estimate_spread
 from campaignsim.feature_space import Product, normalize_product
 from campaignsim.fixtures import BRIDGE, blocking_demo, ce_toy
@@ -110,7 +110,7 @@ def degeneration_payload(master: int) -> dict:
             ref_active, ref_time = classical_lt(n, weights, seeds, chi)
             out = run_diffusion(net, [product], assignment, chi)
             scalar_active = set(np.flatnonzero(out.activation_time >= 0).tolist())
-            times, _ = simulate_batch(net, [product], assignment, chi[None, :])
+            times, _ = simulate_batch(net, [product], [RowBlock(1, assignment)], chi[None, :])
             batch_active = set(np.flatnonzero(times[0] >= 0).tolist())
             same_times = all(out.activation_time[v] == t for v, t in ref_time.items())
             if scalar_active != ref_active or batch_active != ref_active or not same_times:

@@ -27,6 +27,8 @@ from campaignsim import (
     load_plans,
     load_products,
 )
+from campaignsim.estimator import estimate_spreads
+from campaignsim.fixtures import blocking_demo
 from campaignsim.network import NodeKind
 from campaignsim.rng import derive_seed
 
@@ -86,6 +88,32 @@ def test_benchmark_instances_and_hooks(tmp_path, monkeypatch):
     assert {"sample_plan", "build_augmented", "estimate_spreads"} <= calls.keys()
     # tracing.py still replaces optimizer.estimate_spread, which the loop no longer calls
     assert optimizer_mod.estimate_spread is estimate_spread
+
+
+def test_kernel_calls_give_tracing_the_network_and_row_shapes(monkeypatch):
+    # tracing.py wraps estimator.simulate_batch as (net, *args, **kwargs),
+    # counts len(net.edges) per replication and reads (R, n) from the
+    # activation times the call returns
+    net, products, plans = blocking_demo("base")
+    aug = build_augmented(net, products, plans)
+    real = estimator_mod.simulate_batch
+    seen = []
+
+    def recording(*args, **kwargs):
+        result = real(*args, **kwargs)
+        seen.append((args, result))
+        return result
+
+    monkeypatch.setattr(estimator_mod, "simulate_batch", recording)
+    estimate_spreads([(aug, 1), (aug, 2)], products, 10)
+    estimate_spread(aug, products, 7, 3)
+    assert len(seen) == 2
+    for args, result in seen:
+        assert args[0] is aug.net
+        act_time, purchased = result
+        R = sum(block.rows for block in args[2])
+        assert act_time.shape == purchased.shape == (R, net.node_count)
+    assert [args[3].shape[0] for args, _ in seen] == [20, 7]
 
 
 class _OnlyRandom:

@@ -14,7 +14,7 @@ from campaignsim.channels import (
     save_augmented,
     save_plans,
 )
-from campaignsim.diffusion import simulate_batch
+from campaignsim.diffusion import RowBlock, simulate_batch
 from campaignsim.feature_space import Product, normalize_product
 from campaignsim.network import Edge, Network
 from campaignsim.rng import tile_rng
@@ -168,7 +168,7 @@ def test_zero_budget_plans_add_only_isolated_roots():
     assert aug.net is net
     assert not len(aug.media) and not len(aug.recommendations)
     assert aug.threshold_width == 4
-    assert aug.seed_assignment().by_product == (frozenset({0}), frozenset())
+    assert aug.row_block(1).seeds.by_product == (frozenset({0}), frozenset())
     assert not net.node_kind.any()  # NodeKind.REAL is 0
     ref = paper_network(aug, [P_AXIS, Q_AXIS])
     assert ref.roots == (2, 3) and ref.net.node_count == 4 and not ref.chain
@@ -213,7 +213,8 @@ def test_media_chain_nodes_activate_one_step_before_their_slot():
     assert out.activation_time[ref.roots[0]] == 0  # the chain starts at the root
     for t in (2, 3, 4):
         assert out.activation_time[ref.chain[(0, t)]] == t - 1
-    at, _ = simulate_batch(aug.net, [P_AXIS], aug.seed_assignment(), chi[None, :2], media=aug.media)
+    assert len(aug.recommendations) == 0
+    at, _ = simulate_batch(aug.net, [P_AXIS], [aug.row_block(1)], chi[None, :2])
     assert at[0].tolist() == out.activation_time[:2].tolist()
 
 
@@ -298,7 +299,7 @@ def test_relay_fires_on_schedule_for_non_axis_products():
         w = {(e.src, e.dst): e.weight for e in ref.net.edges}
         chi = ref.thresholds(np.full((1, ref.net.node_count), 0.99))
         assert chi[0, relay] <= w[ref.roots[0], relay] + w[0, relay]
-        at, bought = simulate_batch(ref.net, [p], ref.seeds, chi)
+        at, bought = simulate_batch(ref.net, [p], [RowBlock(1, ref.seeds)], chi)
         assert (at[0, relay], bought[0, relay]) == (1, 0), (p.features, chi_w, eps)
 
 
@@ -313,9 +314,7 @@ def test_relayed_influence_arrives_two_steps_after_the_source():
     ]
     aug = build_augmented(net, products, plans)
     chi = np.full((1, aug.net.node_count), 0.5)
-    at, bought = simulate_batch(
-        aug.net, products, aug.seed_assignment(), chi, media=aug.media, recommendations=aug.recommendations
-    )
+    at, bought = simulate_batch(aug.net, products, [aug.row_block(1)], chi)
     assert at[0, 0] == 1  # media reaches node 0 at step 1
     assert (at[0, 1], bought[0, 1]) == (3, 0)
     ref = paper_network(aug, products)

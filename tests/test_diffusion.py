@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from campaignsim.channels import ChannelPlan, build_augmented
-from campaignsim.diffusion import PurchaseTieError, SeedAssignment, simulate_batch
+from campaignsim.diffusion import PurchaseTieError, RowBlock, SeedAssignment, simulate_batch
 from campaignsim.feature_space import COS_TIE_TOL, Product, normalize_product
 from campaignsim.fixtures import (
     BRIDGE,
@@ -33,9 +33,7 @@ Q_AXIS = Product(id=1, features=(0.0, 1.0), null_index=0)
 def run_both(net, products, seeds, chi, *, seed=0, rep=0):
     """Scalar reference and batch kernel on one threshold draw; must agree."""
     out = run_diffusion(net, products, seeds, chi, tie_key=(seed, rep))
-    at, pu = simulate_batch(
-        net, products, seeds, chi[None, :], master_seed=seed, rep_offset=rep
-    )
+    at, pu = simulate_batch(net, products, [RowBlock(1, seeds, master_seed=seed, rep_offset=rep)], chi[None, :])
     assert np.array_equal(out.activation_time, at[0])
     assert np.array_equal(out.purchased, pu[0])
     return out
@@ -167,7 +165,7 @@ def test_batch_equals_scalar_on_random_instances():
         net, products, seeds = random_vector_instance(rng)
         R = 8
         chi = rng.random((R, net.node_count))
-        at, pu = simulate_batch(net, products, seeds, chi, master_seed=77, rep_offset=3)
+        at, pu = simulate_batch(net, products, [RowBlock(R, seeds, master_seed=77, rep_offset=3)], chi)
         for r in range(R):
             out = run_diffusion(net, products, seeds, chi[r], tie_key=(77, 3 + r))
             assert np.array_equal(out.activation_time, at[r]), f"case {case} rep {r}"
@@ -207,8 +205,8 @@ def test_batch_equals_scalar_on_augmented_instances_with_ties():
     ]
     for products in (mirror, cyclic):
         aug = channel_instance(products, rng)
-        net, seeds, media, recs = aug.net, aug.seed_assignment(), aug.media, aug.recommendations
-        assert len(media) and len(recs)
+        net = aug.net
+        assert len(aug.media) and len(aug.recommendations)
         # the scalar engine runs the paper's construction in their place
         ref = paper_network(aug, products)
         n = net.node_count
@@ -217,11 +215,8 @@ def test_batch_equals_scalar_on_augmented_instances_with_ties():
         for R, master, offset in ((1, 0, 0), (1, 2**63 + 7, 2**32 + 3), (17, 5, 4096), (17, 2**64 - 1, 2**40 + 1)):
             chi = ref.thresholds(rng.random((R, ref.net.node_count)))
             with pytest.raises(PurchaseTieError):
-                simulate_batch(net, products, seeds, chi[:, :n], media=media, recommendations=recs, on_tie="raise")
-            at, pu = simulate_batch(
-                net, products, seeds, chi[:, :n], media=media, recommendations=recs,
-                master_seed=master, rep_offset=offset,
-            )
+                simulate_batch(net, products, [aug.row_block(R)], chi[:, :n], on_tie="raise")
+            at, pu = simulate_batch(net, products, [aug.row_block(R, master, offset)], chi[:, :n])
             for r in range(R):
                 out = run_diffusion(ref.net, products, ref.seeds, chi[r], tie_key=(master, offset + r))
                 assert np.array_equal(out.activation_time[:n], at[r]), (len(products), R, r)
@@ -246,7 +241,8 @@ def test_recommendations_add_after_direct_contributions_in_source_order():
     assert contract > 0.05 + 0.05 + 0.05 + 0.15 + w1 + w0  # descending source
     chi = np.full((2, aug.net.node_count), 0.5)
     chi[:, 4] = [contract, math.nextafter(contract, math.inf)]
-    at, _ = simulate_batch(aug.net, [P_AXIS], aug.seed_assignment(), chi, recommendations=aug.recommendations)
+    assert len(aug.media) == 0
+    at, _ = simulate_batch(aug.net, [P_AXIS], [aug.row_block(2)], chi)
     assert at[:, 4].tolist() == [2, -1]
 
 
@@ -286,9 +282,7 @@ def test_media_add_after_direct_contributions_and_before_recommendations():
     assert contract > kernel_norm(step1, (0.1, p), (m1, q), (m0, p), (r, p))  # descending product
     chi = np.full((2, 3), 0.5)
     chi[:, 2] = [contract, math.nextafter(contract, math.inf)]
-    at, _ = simulate_batch(
-        net, [p, q], aug.seed_assignment(), chi, media=media, recommendations=aug.recommendations
-    )
+    at, _ = simulate_batch(net, [p, q], [aug.row_block(2)], chi)
     assert at[:, 2].tolist() == [2, -1]
 
 
@@ -298,7 +292,8 @@ def test_batch_runs_to_its_last_media_step():
     net = Network.from_edges(3, [(1, 2, 1.0), (2, 0, 1.0), (0, 1, 0.5)])
     aug = build_augmented(net, [P_AXIS], [ChannelPlan(product=0, beta=(0.0, 0.0, 0.0, 1.0))])
     assert aug.media.step.tolist() == [4] and aug.media.dst.tolist() == [1]
-    at, pu = simulate_batch(net, [P_AXIS], aug.seed_assignment(), np.full((3, 3), 0.4), media=aug.media)
+    assert len(aug.recommendations) == 0
+    at, pu = simulate_batch(net, [P_AXIS], [aug.row_block(3)], np.full((3, 3), 0.4))
     assert at.tolist() == [[6, 4, 5]] * 3 and pu.tolist() == [[0, 0, 0]] * 3
 
 
@@ -354,6 +349,21 @@ def test_zero_aggregate_never_activates_even_at_zero_threshold():
     chi = np.zeros(3)
     out = run_both(net, products, seeds, chi)
     assert out.activation_time.tolist() == [-1, -1, -1]
+    # the kernel only reads its thresholds: here a read-only, non-contiguous
+    # view of a wider draw and a read-only copy of it, zero on seed 0, which
+    # hears node 1 from step 2 on, and on node 3, whose aggregate stays the
+    # zero vector: seed 0 reaches it at weight 0 and node 2 never fires
+    net = Network.from_edges(4, [(0, 1, 1.0), (0, 3, 0.0), (1, 0, 1.0), (2, 3, 0.5)])
+    wide = np.random.default_rng(3).random((2, 7))
+    wide[:, [0, 1, 3]] = 0.0
+    wide.setflags(write=False)
+    kept = wide.tobytes()
+    contiguous = wide[:, :4].copy()
+    contiguous.setflags(write=False)
+    for chi in (wide[:, :4], contiguous):
+        at, pu = simulate_batch(net, products, [RowBlock(2, SeedAssignment((frozenset({0}),)))], chi)
+        assert at.tolist() == [[0, 1, -1, -1]] * 2 and pu.tolist() == [[0, 0, -1, -1]] * 2
+    assert wide.tobytes() == kept and contiguous.tobytes() == wide[:, :4].tobytes()
 
 
 def test_purchase_tie_raise_and_keyed_break():
@@ -362,17 +372,15 @@ def test_purchase_tie_raise_and_keyed_break():
     seeds = SeedAssignment((frozenset({0}), frozenset({1})))
     chi = np.array([0.9, 0.9, 0.4])
     with pytest.raises(PurchaseTieError):
-        simulate_batch(net, products, seeds, chi[None, :], on_tie="raise")
+        simulate_batch(net, products, [RowBlock(1, seeds)], chi[None, :], on_tie="raise")
     # keyed tie-breaks: reproducible per replication, both outcomes occur
     picks = []
     for rep in range(200):
-        at, pu = simulate_batch(
-            net, products, seeds, chi[None, :], master_seed=5, rep_offset=rep
-        )
+        at, pu = simulate_batch(net, products, [RowBlock(1, seeds, master_seed=5, rep_offset=rep)], chi[None, :])
         assert at[0, 2] == 1
         picks.append(int(pu[0, 2]))
     again = [
-        int(simulate_batch(net, products, seeds, chi[None, :], master_seed=5, rep_offset=rep)[1][0, 2])
+        int(simulate_batch(net, products, [RowBlock(1, seeds, master_seed=5, rep_offset=rep)], chi[None, :])[1][0, 2])
         for rep in range(200)
     ]
     assert picks == again
@@ -438,7 +446,8 @@ def test_purchase_choice_matches_a_feature_order_reference():
     net = fed_by_seeds(weights)
     seeds = SeedAssignment(tuple(frozenset({j}) for j in range(3)))
     R, offset, master = 6, 40, 9
-    at, pu = simulate_batch(net, CYCLIC, seeds, np.zeros((R, n)), master_seed=master, rep_offset=offset)
+    block = RowBlock(R, seeds, master_seed=master, rep_offset=offset)
+    at, pu = simulate_batch(net, CYCLIC, [block], np.zeros((R, n)))
     assert (at[:, 3:] == 1).all()
     ref = np.array([reference_purchases(weights, CYCLIC, master, offset + r) for r in range(R)])
     assert np.array_equal(pu[:, 3:], ref)
@@ -450,10 +459,12 @@ def test_purchase_choice_matches_a_feature_order_reference():
     assert (near_cols[:, 2:6] == 2).all() and (near_cols[:, 6:] == 0).all()
 
     with pytest.raises(PurchaseTieError, match=f"purchase tie at node 43, step 1, replication {offset}$"):
-        simulate_batch(net, CYCLIC, seeds, np.zeros((R, n)), master_seed=master, rep_offset=offset, on_tie="raise")
+        simulate_batch(net, CYCLIC, [block], np.zeros((R, n)), on_tie="raise")
     # without the ties, raise mode runs through and agrees
     untied = weights[:40] + near[2:]
-    _, pu = simulate_batch(fed_by_seeds(untied), CYCLIC, seeds, np.zeros((1, 3 + len(untied))), on_tie="raise")
+    _, pu = simulate_batch(
+        fed_by_seeds(untied), CYCLIC, [RowBlock(1, seeds)], np.zeros((1, 3 + len(untied))), on_tie="raise"
+    )
     assert pu[0, 3:].tolist() == reference_purchases(untied, CYCLIC, 0, 0)
 
 
@@ -471,7 +482,7 @@ def test_not_converged_raised_when_capped_below_activity():
     # a sure path, the longest cascade there is, ends at step n - 1
     n = 30
     path = Network.from_edges(n, [(v, v + 1, 1.0) for v in range(n - 1)])
-    at, _ = simulate_batch(path, [P_AXIS], seeds, np.full((2, n), 0.5))
+    at, _ = simulate_batch(path, [P_AXIS], [RowBlock(2, seeds)], np.full((2, n), 0.5))
     assert at.tolist() == [list(range(n))] * 2
 
 
@@ -481,6 +492,16 @@ def test_seed_assignment_validation():
         SeedAssignment((frozenset({5}),)).validate(net)
     with pytest.raises(ValueError, match="more than one product"):
         SeedAssignment((frozenset({0}), frozenset({0}))).validate(net)
+
+
+def test_batch_shape_validation():
+    net = Network.from_edges(2, [(0, 1, 0.5)])
+    seeds = SeedAssignment((frozenset({0}),))
+    with pytest.raises(ValueError, match="width does not match node count"):
+        simulate_batch(net, [P_AXIS], [RowBlock(2, seeds)], np.full((2, 3), 0.5))
+    for blocks in ([RowBlock(1, seeds)], [RowBlock(1, seeds), RowBlock(2, seeds)], []):
+        with pytest.raises(ValueError, match="row blocks do not cover the threshold rows"):
+            simulate_batch(net, [P_AXIS], blocks, np.full((2, 2), 0.5))
 
 
 def test_threshold_sampling_respects_fixed_values():
@@ -499,8 +520,7 @@ def test_threshold_sampling_respects_fixed_values():
     assert (chi[:, 3:5] == CHAIN_THRESHOLD).all() and (chi[:, relay] == 0.5).all()
     for r in range(4):
         out = run_diffusion(ref.net, [P_AXIS], ref.seeds, chi[r])
-        at, _ = simulate_batch(net, [P_AXIS], aug.seed_assignment(), chi[r : r + 1, :3], media=aug.media,
-                               recommendations=aug.recommendations)
+        at, _ = simulate_batch(net, [P_AXIS], [aug.row_block(1)], chi[r : r + 1, :3])
         assert out.activation_time[:3].tolist() == at[0].tolist()
 
 
@@ -531,7 +551,7 @@ def test_repeated_batches_reuse_their_memory():
     faults = []
     for _ in range(4):
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        simulate_batch(net, [P_AXIS, Q_AXIS], seeds, chi)
+        simulate_batch(net, [P_AXIS, Q_AXIS], [RowBlock(64, seeds)], chi)
         faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
     # with glibc's default dynamic thresholds a batch here faults in over 1000 pages
     assert max(faults[1:]) < 50, faults

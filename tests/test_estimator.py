@@ -12,7 +12,7 @@ from campaignsim.channels import ChannelPlan, build_augmented
 from campaignsim.diffusion import simulate_batch
 from campaignsim.estimator import activation_time_histogram, estimate_spread, estimate_spreads
 from campaignsim.feature_space import Product
-from campaignsim.fixtures import preference_shift
+from campaignsim.fixtures import blocking_demo, preference_shift
 from campaignsim.network import Edge, Network
 from campaignsim.rng import TILE_SIZE, tile_rng
 
@@ -180,13 +180,9 @@ def test_batch_rows_are_independent_replications():
     aug = build_augmented(net, products, plans)
     n = aug.net.node_count
     chi = tile_rng(33, 0).random((TILE_SIZE, n))[:7]
-    at_all, pu_all = simulate_batch(
-        aug.net, products, aug.seed_assignment(), chi, master_seed=33, rep_offset=0
-    )
+    at_all, pu_all = simulate_batch(aug.net, products, [aug.row_block(7, 33, 0)], chi)
     for r in range(7):
-        at_r, pu_r = simulate_batch(
-            aug.net, products, aug.seed_assignment(), chi[r : r + 1], master_seed=33, rep_offset=r
-        )
+        at_r, pu_r = simulate_batch(aug.net, products, [aug.row_block(1, 33, r)], chi[r : r + 1])
         assert np.array_equal(at_all[r], at_r[0])
         assert np.array_equal(pu_all[r], pu_r[0])
 
@@ -356,3 +352,13 @@ def test_batched_estimates_share_one_base_network():
     with pytest.raises(ValueError, match="one base network"):
         estimate_spreads(pairs, products, 10)
     assert estimate_spreads([], products, 10) == []
+
+
+def test_estimates_take_the_compiled_products_in_order():
+    # one product of two used to fail inside the kernel with an IndexError,
+    # and a reordered list ran each plan with the other product's vector
+    net, products, plans = blocking_demo("base")
+    aug = build_augmented(net, products, plans)
+    for wrong in (products[:1], products[::-1]):
+        with pytest.raises(ValueError, match="compiled plans' products"):
+            estimate_spreads([(aug, 1)], wrong, 10)

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from campaignsim.channels import ChannelPlan, build_augmented, load_plans
-from campaignsim.diffusion import simulate_batch
+from campaignsim.diffusion import RowBlock, simulate_batch
 from campaignsim.feature_space import angular_distance, load_products, normalize_product
 from campaignsim.network import Edge, Network, load_network
 from gadget_reference import paper_network
@@ -26,13 +26,10 @@ def assert_equivalent(aug, products, chi, master_seed=0, rep_offset=0):
     ref = paper_network(aug, products)
     n = aug.net.node_count
     assert ref.net.node_count == aug.threshold_width + len(aug.recommendations) == chi.shape[1]
-    at, pu = simulate_batch(
-        aug.net, products, aug.seed_assignment(), chi[:, :n], media=aug.media,
-        recommendations=aug.recommendations, master_seed=master_seed, rep_offset=rep_offset,
-    )
-    ref_at, ref_pu = simulate_batch(
-        ref.net, products, ref.seeds, ref.thresholds(chi), master_seed=master_seed, rep_offset=rep_offset
-    )
+    R = chi.shape[0]
+    at, pu = simulate_batch(aug.net, products, [aug.row_block(R, master_seed, rep_offset)], chi[:, :n])
+    block = RowBlock(R, ref.seeds, master_seed=master_seed, rep_offset=rep_offset)
+    ref_at, ref_pu = simulate_batch(ref.net, products, [block], ref.thresholds(chi))
     assert np.array_equal(at, ref_at[:, :n])
     assert np.array_equal(pu, ref_pu[:, :n])
     return ref_at[:, n:]

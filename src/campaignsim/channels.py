@@ -57,7 +57,7 @@ import numpy as np
 
 from .diffusion import Media, Recommendations, RowBlock, SeedAssignment
 from .feature_space import Product
-from .network import Network, ValidationError
+from .network import Network
 
 
 class PlanError(Exception):
@@ -95,6 +95,11 @@ class AugmentedNetwork:
     recommendations: Recommendations  # social advertising, in (source, target, product) order
     threshold_width: int  # columns per threshold row
 
+    def check_products(self, products: list[Product]) -> None:
+        """Raise ValueError unless products are the compiled plans' products, in their order."""
+        if tuple(p.id for p in products) != self.product_ids:
+            raise ValueError("products must be the compiled plans' products, in their order")
+
     def row_block(self, rows: int, master_seed: int = 0, rep_offset: int = 0) -> RowBlock:
         """rows replications of the plans' seeds and channels, keyed from (master_seed, rep_offset)."""
         seeds = SeedAssignment(tuple(plan.seeds for plan in self.plans))
@@ -106,7 +111,13 @@ def build_augmented(
     products: list[Product],
     plans: list[ChannelPlan],
 ) -> AugmentedNetwork:
-    """Compile channel plans into media and recommendations over a validated base network."""
+    """Compile channel plans into media and recommendations over the base network.
+
+    Every Network is valid and the scaling ratio fills exactly each node's
+    residual capacity, so the compiled network keeps the capacity rule by
+    construction.  Budgets whose loads or channel weights overflow to a
+    non-finite value raise PlanError.
+    """
     by_id = {plan.product: plan for plan in plans}
     if len(by_id) != len(plans):
         raise PlanError("more than one plan for the same product")
@@ -135,14 +146,18 @@ def build_augmented(
     src, dst, h = net.src, net.dst, net.h
     in_sum = np.bincount(dst, net.weight, minlength=n)
     h_sum = np.bincount(dst, h, minlength=n)
-    load = np.zeros(n)
-    for plan in ordered:
-        load += plan.alpha * h_sum + sum(plan.beta)
-    scale = np.zeros(n)
-    np.divide(np.maximum(0.0, 1.0 - in_sum), load, out=scale, where=load > 0.0)
+    # an overflow leaves inf, raised as PlanError below, or NaN where it meets a
+    # zero budget or similarity, whose weight is 0 and is dropped with the others
+    with np.errstate(over="ignore", invalid="ignore"):
+        load = np.zeros(n)
+        for plan in ordered:
+            load += plan.alpha * h_sum + sum(plan.beta)
+        scale = np.zeros(n)
+        np.divide(np.maximum(0.0, 1.0 - in_sum), load, out=scale, where=load > 0.0)
+        reach = np.array([plan.beta for plan in ordered], dtype=float).T[:, :, None] * scale
+        rec = scale[dst][:, None] * np.array([plan.alpha for plan in ordered], dtype=float) * h[:, None]
 
     # one media edge per (step, product, target) with a non-zero weight, in that order
-    reach = np.array([plan.beta for plan in ordered], dtype=float).T[:, :, None] * scale
     t_idx, p_idx, v_idx = (reach > 0.0).nonzero()
     media = Media(step=t_idx + 1, dst=v_idx, product=p_idx, weight=reach[t_idx, p_idx, v_idx])
     last_step = np.zeros(k, dtype=np.intp)
@@ -150,15 +165,12 @@ def build_augmented(
 
     # one recommendation per (edge, product) with a non-zero weight, in
     # (source, target, product) order
-    rec = scale[dst][:, None] * np.array([plan.alpha for plan in ordered], dtype=float) * h[:, None]
     e_idx, p_idx = (rec > 0.0).nonzero()
     recommendations = Recommendations(src=src[e_idx], dst=dst[e_idx], product=p_idx, weight=rec[e_idx, p_idx])
-
-    violations = net.validate(channel_in=(
-        np.concatenate([media.dst, recommendations.dst]), np.concatenate([media.weight, recommendations.weight])
-    ))
-    if violations:
-        raise ValidationError(violations)
+    checked = {"channel load": load, "media weight": media.weight, "recommendation weight": recommendations.weight}
+    for what, values in checked.items():
+        if not np.isfinite(values).all():
+            raise PlanError(f"channel budgets overflow: a {what} is not finite")
     return AugmentedNetwork(
         net=net,
         plans=tuple(ordered),

@@ -111,7 +111,7 @@ class SeedAssignment:
 
     by_product: tuple[frozenset[int], ...]
 
-    def validate(self, net: Network) -> None:
+    def check(self, net: Network) -> None:
         seen: set[int] = set()
         for nodes in self.by_product:
             for v in nodes:
@@ -208,7 +208,7 @@ def simulate_batch(
     if sum(b.rows for b in blocks) != R:
         raise ValueError("row blocks do not cover the threshold rows")
     for b in blocks:
-        b.seeds.validate(net)
+        b.seeds.check(net)
     block_rows = [b.rows for b in blocks]
     n_edges = net.dst.size
     pmat = product_matrix(products)

@@ -164,9 +164,8 @@ def estimate_spreads(
     net = pairs[0][0].net
     if any(aug.net is not net for aug, _ in pairs):
         raise ValueError("estimates in one batch must share one base network")
-    product_ids = tuple(p.id for p in products)
-    if any(aug.product_ids != product_ids for aug, _ in pairs):
-        raise ValueError("products must be the compiled plans' products, in their order")
+    for aug, _ in pairs:
+        aug.check_products(products)
     limit = call_rows(net)
     calls, used = [], limit + 1  # lists of (pair index, tile_idx, rows, lo)
     for tile_idx, rows, lo in _row_chunks(replications, limit):
@@ -236,6 +235,7 @@ def activation_time_histogram(
     least the latest possible step plus one (see diffusion).
     """
     _check_count("replications", replications)
+    aug.check_products(products)
     w = aug.threshold_width
     hist = np.zeros(2 * w - 1 if len(aug.recommendations) else w, dtype=np.int64)
     for chunk in _row_chunks(replications, call_rows(aug.net)):  # the calls of estimate_spread

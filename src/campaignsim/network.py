@@ -1,10 +1,14 @@
 """Directed influence networks with edge weights and pairwise similarities.
 
 Node ids are dense integers 0..n-1.  An edge (u, v, b) means u exerts
-influence b on v; the incoming weights of every node must sum to at most 1
-(tolerance 1e-9).  Similarities are symmetric, stored once per unordered
-pair, and default to 0 for absent pairs.  Every node is a real node:
-channels compile into edge lists kept beside the network (see channels).
+influence b on v, with b in (0, 1] and u != v; the incoming weights of every
+node must sum to at most 1 (tolerance 1e-9).  Similarities lie in [0, 1],
+are symmetric, stored once per unordered pair, and default to 0 for absent
+pairs.  Every node is a real node: channels compile into edge lists kept
+beside the network (see channels).
+
+Every Network is valid: from_edges is the only place a network is checked,
+and it reports all violations at once in one ValidationError.
 
 A Network is read-only edge arrays sorted by (source, target), an order
 that is a contract: the kernel sends a source's edges in it, sums over a
@@ -85,7 +89,10 @@ class Network:
 
         A node outside 0..n-1, a duplicate directed edge and an asymmetric
         similarity are hard errors, raised for the first offending edge, then
-        pair, in input order; everything else is left to validate().
+        pair, in input order.  Then every other violation (self-loops and
+        weights outside (0, 1] in edge order, incoming sums above 1 by node,
+        similarities outside [0, 1] and self-pairs in pair order) is raised
+        at once as a ValidationError.
         """
         n = node_count
         cols = tuple(zip(*edges)) or ((), (), ())
@@ -115,6 +122,26 @@ class Network:
                 raise NetworkError(f"asymmetric similarity ({u},{v})")
             sims[pair] = float(h)
         src, dst, weight = src[order], dst[order], np.array(cols[2], dtype=float)[order]
+        violations = []
+        loop = src == dst
+        bad_weight = np.ceil(weight) != 1.0  # exactly the weights outside (0, 1], NaN included
+        for i in (loop | bad_weight).nonzero()[0].tolist():
+            u, v, w = int(src[i]), int(dst[i]), float(weight[i])
+            if loop[i]:
+                violations.append(f"self-loop at node {u}")
+            if bad_weight[i]:
+                violations.append(f"edge ({u},{v}) weight {w} outside (0, 1]")
+        in_sums = np.bincount(dst, weight, minlength=n)
+        for v in (in_sums > 1.0 + WEIGHT_SUM_TOL).nonzero()[0]:
+            violations.append(f"incoming weights of node {v} sum to {in_sums[v]:.12g} > 1")
+        if any(u == v or not 0.0 <= h <= 1.0 for (u, v), h in sims.items()):  # sorted only to report
+            for (u, v), h in sorted(sims.items()):
+                if not (0.0 <= h <= 1.0):
+                    violations.append(f"similarity ({u},{v}) value {h} outside [0, 1]")
+                if u == v:
+                    violations.append(f"similarity ({u},{v}) is a self-pair")
+        if violations:
+            raise ValidationError(violations)
         h = np.zeros(key.size)
         if sims and key.size:
             # both orientations of each pair, found among the sorted edge keys
@@ -126,48 +153,6 @@ class Network:
         for a in (src, dst, weight, h, indptr):
             a.setflags(write=False)
         return cls(n, src, dst, weight, h, indptr, sims)
-
-    def in_neighbors(self, v: int) -> list[tuple[int, float]]:
-        """(src, weight) pairs in ascending source order."""
-        into = np.flatnonzero(self.dst == v)
-        return list(zip(self.src[into].tolist(), self.weight[into].tolist()))
-
-    # -- validation -----------------------------------------------------
-
-    def validate(self, channel_in: tuple[np.ndarray, np.ndarray] | None = None) -> list[str]:
-        """Return all invariant violations (empty list means valid).
-
-        channel_in holds (target, weight) arrays of in-weights kept outside
-        the edge arrays (compiled channels); they count toward each target's
-        incoming weight after the edges, in array order.
-        """
-        violations = []
-        loop = self.src == self.dst
-        bad_weight = np.ceil(self.weight) != 1.0  # exactly the weights outside (0, 1], NaN included
-        if np.count_nonzero(loop) or np.count_nonzero(bad_weight):
-            for i in (loop | bad_weight).nonzero()[0].tolist():
-                u, v, w = int(self.src[i]), int(self.dst[i]), float(self.weight[i])
-                if loop[i]:
-                    violations.append(f"self-loop at node {u}")
-                if bad_weight[i]:
-                    violations.append(f"edge ({u},{v}) weight {w} outside (0, 1]")
-        in_sums = np.bincount(self.dst, self.weight, minlength=self.node_count)
-        if channel_in is not None:
-            dst, weight = channel_in
-            bad = np.ceil(weight) != 1.0
-            for v, w in zip(dst[bad].tolist(), weight[bad].tolist()):
-                violations.append(f"channel weight {w} into node {v} outside (0, 1]")
-            np.add.at(in_sums, dst, weight)
-        for v in (in_sums > 1.0 + WEIGHT_SUM_TOL).nonzero()[0]:
-            violations.append(f"incoming weights of node {v} sum to {in_sums[v]:.12g} > 1")
-        sims = self.similarity
-        if any(u == v or not 0.0 <= h <= 1.0 for (u, v), h in sims.items()):  # sorted only to report
-            for (u, v), h in sorted(sims.items()):
-                if not (0.0 <= h <= 1.0):
-                    violations.append(f"similarity ({u},{v}) value {h} outside [0, 1]")
-                if u == v:
-                    violations.append(f"similarity ({u},{v}) is a self-pair")
-        return violations
 
 
 # -- file formats -------------------------------------------------------
@@ -225,18 +210,14 @@ def parse_similarity_file(path: str) -> dict[tuple[int, int], float]:
 
 
 def load_network(edge_path: str, similarity_path: str | None = None) -> Network:
-    """Load and validate a base network; raises on any violation."""
+    """Load a base network; raises ParseError, NetworkError or ValidationError."""
     edges = parse_edge_file(edge_path)
     src, dst, _ = zip(*edges)
     node_count = max(max(src), max(dst)) + 1
     sims = parse_similarity_file(similarity_path) if similarity_path else {}
     for u, v in sims:
         node_count = max(node_count, u + 1, v + 1)
-    net = Network.from_edges(node_count, edges, sims)
-    violations = net.validate()
-    if violations:
-        raise ValidationError(violations)
-    return net
+    return Network.from_edges(node_count, edges, sims)
 
 
 def save_network(net: Network, edge_path: str, similarity_path: str | None = None) -> None:

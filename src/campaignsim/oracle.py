@@ -59,10 +59,15 @@ class OracleResult:
         return float(self.spread[self.product_ids.index(product_id)])
 
 
-def _channels_into(aug: AugmentedNetwork) -> dict[int, list[tuple[float, int]]]:
-    """(weight, product index) of each channel edge per target: media in
-    (step, product) order, then recommendations in source order."""
-    into: dict[int, list[tuple[float, int]]] = {}
+def _in_edges(aug: AugmentedNetwork) -> dict[int, list[tuple[float, int | None]]]:
+    """(weight, product index or None for any) of each in-edge per target:
+    base edges in ascending source order, then media in (step, product)
+    order, then recommendations in source order, which is where the paper's
+    pseudonodes would sit."""
+    into: dict[int, list[tuple[float, int | None]]] = {}
+    # one stable pass over the (source, target)-sorted edges
+    for v, w in zip(aug.net.dst.tolist(), aug.net.weight.tolist()):
+        into.setdefault(v, []).append((w, None))
     for edges in (aug.media, aug.recommendations):
         for v, w, i in zip(edges.dst.tolist(), edges.weight.tolist(), edges.product.tolist()):
             into.setdefault(v, []).append((w, i))
@@ -132,6 +137,7 @@ def exact_spread_grid(
     the given values.  Raises EnumerationCapError past grid.max_tuples and
     PurchaseTieError on any purchase tie.
     """
+    aug.check_products(products)
     pinned = pinned or {}
     net = aug.net
     n = net.node_count
@@ -142,15 +148,10 @@ def exact_spread_grid(
     for node, value in pinned.items():
         base_chi[node] = value
 
-    into = _channels_into(aug)
-    free = [v for v in range(n) if v not in seeded and v not in pinned and (net.in_neighbors(v) or v in into)]
+    into = _in_edges(aug)
+    free = [v for v in range(n) if v not in seeded and v not in pinned and v in into]
     m = grid.resolution
-    # in-edges in ascending source order, then media and recommendations,
-    # which is where the paper's pseudonodes would sit
-    starts = [
-        _piece_starts(_breakpoint_norms(products, [(w, None) for _, w in net.in_neighbors(v)] + into.get(v, [])), m)
-        for v in free
-    ]
+    starts = [_piece_starts(_breakpoint_norms(products, into[v]), m) for v in free]
     total = math.prod(m if s is None else s.size - 1 for s in starts)
     if total > grid.max_tuples:
         raise EnumerationCapError(f"{total} threshold tuples exceed the cap {grid.max_tuples}")

@@ -55,8 +55,14 @@ def tied_candidates(aggregate: np.ndarray, products: list[Product]) -> list[int]
     return [i for i, c in enumerate(cosines) if best - c <= COS_TIE_TOL]
 
 
+def in_neighbors(net: Network, v: int) -> list[tuple[int, float]]:
+    """(src, weight) of each in-edge of v, in ascending source order."""
+    into = np.flatnonzero(net.dst == v)
+    return list(zip(net.src[into].tolist(), net.weight[into].tolist()))
+
+
 def initial_state(net: Network, products: list[Product], seeds: SeedAssignment) -> DiffusionState:
-    seeds.validate(net)
+    seeds.check(net)
     n = net.node_count
     influenced = np.zeros(n, dtype=bool)
     purchased = np.full(n, -1, dtype=np.int16)
@@ -93,7 +99,7 @@ def step(
         if state.influenced[v]:
             continue
         acc = np.zeros(pmat.shape[1])
-        for u, w in net.in_neighbors(v):
+        for u, w in in_neighbors(net, v):
             if state.influenced[u]:
                 acc += w * pmat[state.purchased[u]]
         norm = float(np.sqrt(np.sum(acc * acc)))

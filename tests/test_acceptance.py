@@ -45,7 +45,7 @@ from campaignsim.diffusion import PurchaseTieError, RowBlock, SeedAssignment, si
 from campaignsim.estimator import activation_time_histogram, estimate_spread
 from campaignsim.feature_space import Product, normalize_product
 from campaignsim.fixtures import BRIDGE, blocking_demo, ce_toy
-from campaignsim.network import Edge, Network
+from campaignsim.network import Edge, Network, ValidationError
 from campaignsim.optimizer import CEConfig, CostModel, ce_optimize
 from campaignsim.oracle import EnumerationCapError, GridSpec, exact_spread_grid
 from lt_reference import classical_lt, random_lt_instance
@@ -161,8 +161,9 @@ def random_channel_instance(rng):
         return ChannelPlan(product=pid, seeds=frozenset(seeds), alpha=alpha, beta=beta)
 
     plans = [rplan(0, seed_sets[0]), rplan(1, seed_sets[1])]
-    net = Network.from_edges(n, [Edge(u, v, b) for (u, v), b in edges.items()], sims)
-    if net.validate():
+    try:
+        net = Network.from_edges(n, [Edge(u, v, b) for (u, v), b in edges.items()], sims)
+    except ValidationError:
         return None
     return net, products, plans
 

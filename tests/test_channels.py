@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -16,10 +17,11 @@ from campaignsim.channels import (
 )
 from campaignsim.diffusion import RowBlock, simulate_batch
 from campaignsim.feature_space import Product, normalize_product
-from campaignsim.network import Edge, Network
+from campaignsim.fixtures import blocking_demo
+from campaignsim.network import WEIGHT_SUM_TOL, Edge, Network
 from campaignsim.rng import tile_rng
 from gadget_reference import CHAIN_THRESHOLD, GadgetParams, paper_network
-from scalar_reference import run_diffusion
+from scalar_reference import in_neighbors, run_diffusion
 
 P_AXIS = Product(id=0, features=(1.0, 0.0), null_index=1)
 Q_AXIS = Product(id=1, features=(0.0, 1.0), null_index=0)
@@ -124,7 +126,7 @@ def test_channel_weights_never_break_capacity_random_sweep():
             if rng.random() < 0.5:
                 sims[key] = float(rng.uniform(0.1, 1.0))
         net = Network.from_edges(n, [Edge(u, v, w) for (u, v), w in edges.items()], sims)
-        plans = [
+        drawn = [
             ChannelPlan(
                 product=0,
                 seeds=frozenset({int(rng.integers(n))}),
@@ -133,26 +135,36 @@ def test_channel_weights_never_break_capacity_random_sweep():
             ),
             ChannelPlan(product=1, alpha=float(rng.uniform(0, 2)), beta=tuple(rng.uniform(0, 1, size=2))),
         ]
-        aug = build_augmented(net, [P_AXIS, Q_AXIS], plans)
-        assert aug.net.validate() == []
-        # the one-pass ratio equals the closed form summed node by node
-        for v in range(n):
-            in_sum = sum(wt for _, wt in net.in_neighbors(v))
-            h_sum = sum(sims.get((min(u, v), max(u, v)), 0.0) for u, _ in net.in_neighbors(v))
-            load = 0.0
-            for plan in plans:
-                load += plan.alpha * h_sum + sum(plan.beta)
-            assert aug.scale[v] == (max(0.0, 1.0 - in_sum) / load if load > 0.0 else 0.0)
-        # media and recommendations into each node fill the residual
-        # exactly when scaled
-        media, rec = aug.media, aug.recommendations
-        for v in range(n):
-            base_in = sum(wt for _, wt in net.in_neighbors(v))
-            total_in = base_in + media.weight[media.dst == v].sum() + rec.weight[rec.dst == v].sum()
-            if aug.scale[v] > 0:
-                assert total_in == pytest.approx(1.0, abs=1e-9)
-            else:
-                assert total_in == pytest.approx(base_in, abs=1e-12)
+        # extreme but finite budgets: some channel weights underflow to 0, and
+        # where no similar edge enters a node, ratio * alpha overflows to inf
+        # and meets h = 0, which adds nothing
+        extreme = [
+            ChannelPlan(product=0, seeds=drawn[0].seeds, alpha=1e300, beta=(1e-300, 1e-300)),
+            ChannelPlan(product=1, alpha=1e-300, beta=(1e-300, 0.0)),
+        ]
+        for plans in (drawn, extreme):
+            aug = build_augmented(net, [P_AXIS, Q_AXIS], plans)
+            # the one-pass ratio equals the closed form summed node by node
+            for v in range(n):
+                in_sum = sum(wt for _, wt in in_neighbors(net, v))
+                h_sum = sum(sims.get((min(u, v), max(u, v)), 0.0) for u, _ in in_neighbors(net, v))
+                load = 0.0
+                for plan in plans:
+                    load += plan.alpha * h_sum + sum(plan.beta)
+                assert aug.scale[v] == (max(0.0, 1.0 - in_sum) / load if load > 0.0 else 0.0)
+            # media and recommendations into each node fill the residual
+            # exactly when scaled, and never more than the capacity 1
+            media, rec = aug.media, aug.recommendations
+            weights = np.concatenate([media.weight, rec.weight])
+            assert ((weights > 0.0) & (weights <= 1.0)).all()
+            for v in range(n):
+                base_in = sum(wt for _, wt in in_neighbors(net, v))
+                total_in = base_in + media.weight[media.dst == v].sum() + rec.weight[rec.dst == v].sum()
+                assert total_in <= 1.0 + WEIGHT_SUM_TOL
+                if aug.scale[v] > 0:
+                    assert total_in == pytest.approx(1.0, abs=1e-9)
+                else:
+                    assert total_in == pytest.approx(base_in, abs=1e-12)
 
 
 # -- structure of the augmentation --------------------------------------
@@ -174,6 +186,19 @@ def test_zero_budget_plans_add_only_isolated_roots():
     assert ref.roots == (2, 3) and ref.net.node_count == 4 and not ref.chain
     assert ref.net.edges == net.edges
     assert ref.seeds.by_product == (frozenset({0, 2}), frozenset({3}))
+
+
+@pytest.mark.parametrize("beta", [(1e308, 1e308), (5e-324, 0.0)], ids=["load-overflows", "ratio-overflows"])
+def test_budgets_that_overflow_raise_plan_error(beta):
+    # finite budgets whose load overflowed used to zero every scaling ratio
+    # silently, and a ratio that overflowed reached the caller as a
+    # RuntimeWarning and an infinite channel weight
+    net, products, plans = blocking_demo("base")
+    plans[0] = dataclasses.replace(plans[0], beta=beta)
+    with pytest.raises(PlanError, match="not finite"):
+        build_augmented(net, products, plans)
+    plans[0] = dataclasses.replace(plans[0], beta=(1.0, 1.0))
+    assert len(build_augmented(net, products, plans).media) == 6
 
 
 def test_plan_set_must_cover_products_exactly():
@@ -258,7 +283,11 @@ def test_recommendation_per_similar_edge_and_product_in_source_order():
     # no pseudonodes; the threshold width counts the real nodes, the roots,
     # and no chain without a step-2 slot
     assert aug.net is net and aug.threshold_width == 4 + 2
-    assert net.validate(channel_in=(rec.dst, rec.weight)) == []
+    # the capacity rule, summed here: channel weights in (0, 1], in-weights at most 1
+    weights = np.concatenate([aug.media.weight, rec.weight])
+    assert ((weights > 0.0) & (weights <= 1.0)).all()
+    in_sums = sum(np.bincount(edges.dst, edges.weight, 4) for edges in (net, aug.media, rec))
+    assert (in_sums <= 1.0 + WEIGHT_SUM_TOL).all()
 
 
 def test_relay_fires_only_for_its_own_product():

@@ -279,16 +279,22 @@ def test_non_finite_product_feature_exits_3(fixture_dir, tmp_path, capsys, value
     assert not (tmp_path / "x.json").exists()
 
 
+@pytest.mark.filterwarnings("error")  # stderr carries the JSON error line alone
 def test_non_finite_plan_budget_exits_3(fixture_dir, tmp_path, capsys):
-    # JSON parsers accept Infinity; an infinite spend would zero every scaling ratio
+    # JSON parsers accept Infinity; an infinite spend would zero every scaling
+    # ratio, and so would finite spends whose channel load overflows; a tiny
+    # spend can overflow the scaling ratio instead
     payload = json.loads((fixture_dir / "blocking_demo" / "plans.json").read_text())
-    payload["plans"][0]["beta"] = [math.inf] * payload["horizon"]
-    plans = tmp_path / "inf.json"
-    plans.write_text(json.dumps(payload))
     args = demo_args(fixture_dir)[:6]
-    code = run(["simulate", *args, "--plans", plans, "--reps", 10, "--out", tmp_path / "x.json"])
-    assert code == 3
-    assert "finite" in json.loads(capsys.readouterr().err)["error"]["message"]
+    for beta in ([math.inf] * payload["horizon"], [1e308, 1e308], [5e-324, 0.0]):
+        payload["plans"][0]["beta"] = beta
+        plans = tmp_path / "budget.json"
+        plans.write_text(json.dumps(payload))
+        code = run(["simulate", *args, "--plans", plans, "--reps", 10, "--out", tmp_path / "x.json"])
+        assert code == 3
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "io" and "finite" in err["message"]
+        assert not (tmp_path / "x.json").exists()
 
 
 @pytest.mark.parametrize(

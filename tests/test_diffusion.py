@@ -24,7 +24,7 @@ from campaignsim.network import Edge, Network
 from campaignsim.rng import key_uniform
 from gadget_reference import CHAIN_THRESHOLD, paper_network
 from lt_reference import classical_lt, random_lt_instance
-from scalar_reference import DiffusionNotConverged, initial_state, run_diffusion, step
+from scalar_reference import DiffusionNotConverged, in_neighbors, initial_state, run_diffusion, step
 
 P_AXIS = Product(id=0, features=(1.0, 0.0), null_index=1)
 Q_AXIS = Product(id=1, features=(0.0, 1.0), null_index=0)
@@ -308,7 +308,7 @@ def test_first_crossing_matches_two_sided_condition():
         def agg_norm(v, t):
             # aggregate over nodes influenced by the end of step t
             acc = np.zeros(pmat.shape[1])
-            for u, w in net.in_neighbors(v):
+            for u, w in in_neighbors(net, v):
                 if 0 <= out.activation_time[u] <= t:
                     acc += w * pmat[out.purchased[u]]
             return float(np.linalg.norm(acc))
@@ -351,9 +351,10 @@ def test_zero_aggregate_never_activates_even_at_zero_threshold():
     assert out.activation_time.tolist() == [-1, -1, -1]
     # the kernel only reads its thresholds: here a read-only, non-contiguous
     # view of a wider draw and a read-only copy of it, zero on seed 0, which
-    # hears node 1 from step 2 on, and on node 3, whose aggregate stays the
-    # zero vector: seed 0 reaches it at weight 0 and node 2 never fires
-    net = Network.from_edges(4, [(0, 1, 1.0), (0, 3, 0.0), (1, 0, 1.0), (2, 3, 0.5)])
+    # hears node 1 from step 2 on, and on node 3, whose aggregate has norm 0:
+    # seed 0 reaches it at weight 5e-324, whose square underflows to 0, and
+    # node 2 never fires
+    net = Network.from_edges(4, [(0, 1, 1.0), (0, 3, 5e-324), (1, 0, 1.0), (2, 3, 0.5)])
     wide = np.random.default_rng(3).random((2, 7))
     wide[:, [0, 1, 3]] = 0.0
     wide.setflags(write=False)
@@ -489,9 +490,9 @@ def test_not_converged_raised_when_capped_below_activity():
 def test_seed_assignment_validation():
     net = Network.from_edges(2, [(0, 1, 0.5)])
     with pytest.raises(ValueError, match="not a node"):
-        SeedAssignment((frozenset({5}),)).validate(net)
+        SeedAssignment((frozenset({5}),)).check(net)
     with pytest.raises(ValueError, match="more than one product"):
-        SeedAssignment((frozenset({0}), frozenset({0}))).validate(net)
+        SeedAssignment((frozenset({0}), frozenset({0}))).check(net)
 
 
 def test_batch_shape_validation():

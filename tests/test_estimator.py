@@ -362,3 +362,5 @@ def test_estimates_take_the_compiled_products_in_order():
     for wrong in (products[:1], products[::-1]):
         with pytest.raises(ValueError, match="compiled plans' products"):
             estimate_spreads([(aug, 1)], wrong, 10)
+        with pytest.raises(ValueError, match="compiled plans' products"):
+            activation_time_histogram(aug, wrong, 5, 10, 1)

@@ -19,6 +19,7 @@ from campaignsim.network import (
     parse_similarity_file,
     save_network,
 )
+from scalar_reference import in_neighbors
 
 INSTANCES = Path(__file__).parents[1] / "benchmarks" / "instances.py"
 ARRAYS = ("src", "dst", "weight", "h", "indptr")
@@ -34,8 +35,8 @@ def small_net():
 
 def test_from_edges_builds_adjacency_in_ascending_order():
     net = small_net()
-    assert net.in_neighbors(1) == [(0, 0.5), (2, 0.3)]
-    assert net.in_neighbors(0) == []
+    assert in_neighbors(net, 1) == [(0, 0.5), (2, 0.3)]
+    assert in_neighbors(net, 0) == []
 
 
 def test_out_csr_layout():
@@ -97,10 +98,12 @@ def test_asymmetric_similarity_rejected_on_construction():
 
 
 def test_validate_flags_each_violation():
-    net = Network.from_edges(
-        3, [Edge(0, 0, 0.5), Edge(1, 2, 1.5), Edge(0, 2, 0.9)], similarities={(1, 1): 0.5, (0, 2): 1.5}
-    )
-    assert net.validate() == [
+    # from_edges reports every violation at once
+    with pytest.raises(ValidationError) as exc:
+        Network.from_edges(
+            3, [Edge(0, 0, 0.5), Edge(1, 2, 1.5), Edge(0, 2, 0.9)], similarities={(1, 1): 0.5, (0, 2): 1.5}
+        )
+    assert exc.value.violations == [
         "self-loop at node 0",
         "edge (1,2) weight 1.5 outside (0, 1]",
         "incoming weights of node 2 sum to 2.4 > 1",
@@ -111,8 +114,9 @@ def test_validate_flags_each_violation():
 
 def test_validate_reports_bad_similarities_in_pair_order():
     sims = {(3, 4): 0.2, (2, 2): 1.0, (0, 4): -0.1, (1, 3): 0.5, (1, 1): 2.0, (0, 2): float("nan"), (0, 1): 1.0}
-    net = Network.from_edges(5, [(0, 1, 0.5), (3, 4, 0.5)], similarities=sims)
-    assert net.validate() == [
+    with pytest.raises(ValidationError) as exc:
+        Network.from_edges(5, [(0, 1, 0.5), (3, 4, 0.5)], similarities=sims)
+    assert exc.value.violations == [
         "similarity (0,2) value nan outside [0, 1]",
         "similarity (0,4) value -0.1 outside [0, 1]",
         "similarity (1,1) value 2.0 outside [0, 1]",
@@ -120,21 +124,15 @@ def test_validate_reports_bad_similarities_in_pair_order():
         "similarity (2,2) is a self-pair",
     ]
     good = {pair: h for pair, h in sims.items() if pair in {(3, 4), (1, 3), (0, 1)}}
-    assert Network.from_edges(5, [(0, 1, 0.5), (3, 4, 0.5)], similarities=good).validate() == []
+    assert Network.from_edges(5, [(0, 1, 0.5), (3, 4, 0.5)], similarities=good).similarity == good
 
 
 def test_validate_accepts_incoming_sum_exactly_one():
     net = Network.from_edges(3, [(0, 2, 0.6), (1, 2, 0.4)])
-    assert net.validate() == []
-    # channel in-weights (compiled media and recommendations) count toward the sum
-    def channel_in(*pairs):
-        return np.array([v for v, _ in pairs], dtype=np.intp), np.array([w for _, w in pairs])
-
-    assert net.validate(channel_in=channel_in((1, 0.7), (1, 0.3))) == []
-    assert any("node 2 sum to 1.1" in s for s in net.validate(channel_in=channel_in((2, 0.1))))
-    # and each lies in (0, 1]
-    v = net.validate(channel_in=channel_in((1, 0.0), (0, 1.5), (1, 0.5)))
-    assert v[:2] == ["channel weight 0.0 into node 1 outside (0, 1]", "channel weight 1.5 into node 0 outside (0, 1]"]
+    assert net.weight.sum() == 1.0
+    with pytest.raises(ValidationError) as exc:
+        Network.from_edges(3, [(0, 2, 0.6), (1, 2, 0.5)])
+    assert exc.value.violations == ["incoming weights of node 2 sum to 1.1 > 1"]
 
 
 def test_parse_edge_file_comments_and_errors(tmp_path):

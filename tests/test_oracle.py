@@ -23,7 +23,7 @@ from campaignsim.oracle import (
     exact_spread_grid,
 )
 from gadget_reference import paper_network
-from scalar_reference import run_diffusion
+from scalar_reference import in_neighbors, run_diffusion
 
 P_AXIS = Product(id=0, features=(1.0, 0.0), null_index=1)
 Q_AXIS = Product(id=1, features=(0.0, 1.0), null_index=0)
@@ -113,7 +113,7 @@ def brute_force_grid(aug, products, m):
     for ns in seeds.by_product:
         seeded |= ns
     base_chi = ref.thresholds(np.full(net.node_count, 2.0))
-    free = [v for v in range(n) if v not in seeded and net.in_neighbors(v)]
+    free = [v for v in range(n) if v not in seeded and in_neighbors(net, v)]
     mids = [(i + 0.5) / m for i in range(m)]
     real = np.arange(n)
     k = len(products)
@@ -175,6 +175,16 @@ def test_enumeration_cap_is_enforced():
     aug = build_augmented(net, products, plans)
     with pytest.raises(EnumerationCapError):
         exact_spread_grid(aug, products, GridSpec(resolution=50, max_tuples=2))
+
+
+def test_oracle_takes_the_compiled_products_in_order():
+    # one product of two used to fail with an IndexError, and a reversed
+    # list ran each plan with the other product's vector
+    net, products, plans = blocking_demo("base")
+    aug = build_augmented(net, products, plans)
+    for wrong in (products[:1], products[::-1]):
+        with pytest.raises(ValueError, match="compiled plans' products"):
+            exact_spread_grid(aug, wrong, GridSpec(4))
 
 
 def test_oracle_refuses_tied_instances():

@@ -85,10 +85,10 @@ def angular_distance(aggregate: np.ndarray, product: Product) -> float:
 
 def load_products(path: str) -> list[Product]:
     """Parse '<id> <f values...> null=<index>' lines; raw vectors are normalized."""
-    from .network import ParseError, _data_lines
+    from .network import ParseError, _data_lines, _read_text
 
     products = []
-    for lineno, line in _data_lines(path):
+    for lineno, line in _data_lines(_read_text(path)):
         parts = line.split()
         if len(parts) < 4 or not parts[-1].startswith("null="):
             raise ParseError(f"{path}:{lineno}: expected '<id> <values...> null=<index>'")

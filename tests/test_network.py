@@ -9,6 +9,7 @@ from campaignsim.channels import build_augmented, load_plans
 from campaignsim.estimator import estimate_spread
 from campaignsim.feature_space import load_products
 from campaignsim.network import (
+    Columns,
     Edge,
     Network,
     NetworkError,
@@ -139,15 +140,15 @@ def test_parse_edge_file_comments_and_errors(tmp_path):
     p = tmp_path / "edges.txt"
     p.write_text("# header\n0 1 0.5  # inline\n\n1 2 0.25\n")
     edges = parse_edge_file(str(p))
-    assert edges == [Edge(0, 1, 0.5), Edge(1, 2, 0.25)]
+    assert edges.ends.tolist() == [[0, 1], [1, 2]] and edges.value.tolist() == [0.5, 0.25]
 
     bad = tmp_path / "bad.txt"
     bad.write_text("0 1\n")
     with pytest.raises(ParseError, match="expected '<src> <dst> <weight>'"):
         parse_edge_file(str(bad))
 
-    bad.write_text("0 x 0.5\n")
-    with pytest.raises(ParseError):
+    bad.write_text("0 1 0.5\n0 x 0.5\n")
+    with pytest.raises(ParseError, match=re.escape(f"{bad}:2: invalid literal for int()")):
         parse_edge_file(str(bad))
 
     empty = tmp_path / "empty.txt"
@@ -165,7 +166,8 @@ def test_parse_similarity_file_rejects_both_orientations(tmp_path):
     with pytest.raises(ValidationError, match="duplicate similarity"):
         parse_similarity_file(str(p))
     p.write_text("2 1 0.4\n")
-    assert parse_similarity_file(str(p)) == {(1, 2): 0.4}
+    sims = parse_similarity_file(str(p))
+    assert sims.ends.tolist() == [[1], [2]] and sims.value.tolist() == [0.4]
 
 
 def test_load_network_validates(tmp_path):
@@ -207,13 +209,24 @@ def test_edge_order_is_not_part_of_the_contract(tmp_path):
     paths = instances.write_synth(41, str(tmp_path / "synth"))
     from_file = load_network(paths["net"], paths["sim"])
     edges = parse_edge_file(paths["net"])
+    perm = np.random.default_rng(41).permutation(edges.value.size)
+    rows = list(zip(*edges.ends.tolist(), edges.value.tolist()))
+    sims = parse_similarity_file(paths["sim"])
     shuffled = Network.from_edges(
         from_file.node_count,
-        [edges[i] for i in np.random.default_rng(41).permutation(len(edges))],
-        dict(reversed(parse_similarity_file(paths["sim"]).items())),
+        [rows[i] for i in perm],
+        dict(reversed(list(zip(zip(*sims.ends.tolist()), sims.value.tolist())))),
+    )
+    # and as columns, the pairs turned round and in reverse order
+    as_columns = Network.from_edges(
+        from_file.node_count,
+        Columns(edges.ends[:, perm], edges.value[perm]),
+        Columns(sims.ends[::-1, ::-1], sims.value[::-1]),
     )
     for name in ARRAYS:
         assert getattr(shuffled, name).tobytes() == getattr(from_file, name).tobytes()
+        assert getattr(as_columns, name).tobytes() == getattr(from_file, name).tobytes()
+    assert shuffled.similarity == from_file.similarity
     products, plans = load_products(paths["products"]), load_plans(paths["plans"])
     a, b = build_augmented(from_file, products, plans), build_augmented(shuffled, products, plans)
     assert len(a.media) and len(a.recommendations)

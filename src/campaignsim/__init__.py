@@ -23,7 +23,6 @@ from .diffusion import (
     PurchaseTieError,
     Recommendations,
     RowBlock,
-    SeedAssignment,
     simulate_batch,
 )
 from .estimator import SpreadEstimate, estimate_spread
@@ -57,7 +56,6 @@ __all__ = [
     "PurchaseTieError",
     "Recommendations",
     "RowBlock",
-    "SeedAssignment",
     "SpreadEstimate",
     "ValidationError",
     "analytic_blocking_demo",

@@ -5,6 +5,10 @@ A channel plan per product carries direct seeds, a social-advertising rate
 alpha, and a mass-media schedule beta over a shared horizon.  The compiled
 network is the base network itself; channels add no nodes.
 
+Direct seeds need no compiling: build_augmented checks once that every seed
+is a node of the base network and is seeded for one product only, and each
+row block then carries the plans' seed sets as they are, one per product.
+
 Mass media at step t becomes one scheduled edge per real node v with a
 non-zero weight: it adds w * p to v's aggregate at step t in every
 replication (diffusion.Media).  The paper builds it as a root pseudonode
@@ -55,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffusion import Media, Recommendations, RowBlock, SeedAssignment
+from .diffusion import Media, Recommendations, RowBlock
 from .feature_space import Product
 from .network import Network
 
@@ -102,7 +106,7 @@ class AugmentedNetwork:
 
     def row_block(self, rows: int, master_seed: int = 0, rep_offset: int = 0) -> RowBlock:
         """rows replications of the plans' seeds and channels, keyed from (master_seed, rep_offset)."""
-        seeds = SeedAssignment(tuple(plan.seeds for plan in self.plans))
+        seeds = tuple(plan.seeds for plan in self.plans)
         return RowBlock(rows, seeds, self.media, self.recommendations, master_seed, rep_offset)
 
 

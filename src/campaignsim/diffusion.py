@@ -106,31 +106,6 @@ class PurchaseTieError(Exception):
 
 
 @dataclass(frozen=True)
-class SeedAssignment:
-    """Seed sets per product, index-aligned with the products list."""
-
-    by_product: tuple[frozenset[int], ...]
-
-    def check(self, net: Network) -> None:
-        seen: set[int] = set()
-        for nodes in self.by_product:
-            for v in nodes:
-                if not (0 <= v < net.node_count):
-                    raise ValueError(f"seed {v} is not a node")
-                if v in seen:
-                    raise ValueError(f"node {v} seeded for more than one product")
-                seen.add(v)
-
-    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        nodes, prods = [], []
-        for idx, ns in enumerate(self.by_product):
-            for v in sorted(ns):
-                nodes.append(v)
-                prods.append(idx)
-        return np.array(nodes, dtype=np.int64), np.array(prods, dtype=np.int64)
-
-
-@dataclass(frozen=True)
 class Recommendations:
     """Delayed edges: weight[j] * products[product[j]] reaches dst[j] two
     steps after src[j] activates, and only if src[j] bought that product.
@@ -175,10 +150,13 @@ class RowBlock:
 
     Row i of the block is replication rep_offset + i of a run keyed by
     master_seed: purchase ties hash (master_seed, rep_offset + i, node, step).
+    seeds holds one seed set per product, index-aligned with the products
+    list.  The kernel takes them as given: build_augmented has checked that
+    every seed is a node and lies in one set only.
     """
 
     rows: int
-    seeds: SeedAssignment
+    seeds: tuple[frozenset[int], ...]
     media: Media = _NO_MEDIA
     recommendations: Recommendations = _NO_RECOMMENDATIONS
     master_seed: int = 0
@@ -207,8 +185,6 @@ def simulate_batch(
         raise ValueError("threshold matrix width does not match node count")
     if sum(b.rows for b in blocks) != R:
         raise ValueError("row blocks do not cover the threshold rows")
-    for b in blocks:
-        b.seeds.check(net)
     block_rows = [b.rows for b in blocks]
     n_edges = net.dst.size
     pmat = product_matrix(products)
@@ -270,10 +246,11 @@ def simulate_batch(
     touched = np.zeros(R * n, dtype=bool)
 
     lo = 0
-    for b in blocks:
-        snodes, sprods = b.seeds.arrays()
-        purchased.reshape(R, n)[lo : lo + b.rows, snodes] = sprods
-        activation_time.reshape(R, n)[lo : lo + b.rows, snodes] = 0
+    for b in blocks:  # the seed sets are disjoint, so placement order is free
+        cols = [v for nodes in b.seeds for v in nodes]
+        bought = [j for j, nodes in enumerate(b.seeds) for _ in nodes]
+        purchased.reshape(R, n)[lo : lo + b.rows, cols] = bought
+        activation_time.reshape(R, n)[lo : lo + b.rows, cols] = 0
         lo += b.rows
     front = (activation_time == 0).nonzero()[0]  # cells activated last step, ascending
     front_prod = purchased[front].astype(np.intp)

@@ -16,8 +16,9 @@ Edge and similarity files are read column-wise.  A file is decoded once as
 UTF-8 (a byte-order mark skipped, \r\n and \r read as \n, '#' comments
 cut), every line with data must hold three whitespace-separated tokens, and
 each column is converted by int or float in one pass, so a file accepts
-what those built-ins accept.  Only a bad file is read again line by line,
-to raise for its first bad line as path:lineno.
+what those built-ins accept, with node ids that fit in intp.  Only a bad
+file is read again line by line, to raise for its first bad line as
+path:lineno.
 
 A Network is read-only edge arrays sorted by (source, target), an order
 that is a contract: the kernel sends a source's edges in it, sums over a
@@ -206,6 +207,7 @@ def _largest(a: np.ndarray):
 _COMMENT = re.compile("#[^\n]*")
 _EDGE_LINE = "'<src> <dst> <weight>'"
 _SIMILARITY_LINE = "'<u> <v> <h>'"
+_INTP = np.iinfo(np.intp)
 
 
 class Columns(NamedTuple):
@@ -249,25 +251,22 @@ def _read_columns(path: str, layout: str, pairs_once: bool) -> Columns:
     Every line with data must hold three tokens; each column is converted by
     int or float in one pass."""
     text = _read_text(path)
-    overflow = None
     if set(map(len, map(str.split, text.split("\n")))) <= {0, 3}:
         tokens = text.split()
         m = len(tokens) // 3
         try:
             ends = np.fromiter(map(int, tokens[0::3] + tokens[1::3]), np.intp, 2 * m)
             return Columns(ends.reshape(2, m), np.fromiter(map(float, tokens[2::3]), float, m))
-        except ValueError:
+        except (ValueError, OverflowError):  # a token int or float rejects, or an id past intp
             pass
-        except OverflowError as exc:  # an id past intp, raised unless a line is bad
-            overflow = exc
-    _raise_bad_file(path, layout, pairs_once, overflow)
+    _raise_bad_file(path, layout, pairs_once)
 
 
-def _raise_bad_file(path: str, layout: str, pairs_once: bool, overflow: OverflowError | None = None) -> NoReturn:
+def _raise_bad_file(path: str, layout: str, pairs_once: bool) -> NoReturn:
     """Raise for the first line a line-by-line parse rejects: one without
-    three tokens, with a token int or float rejects, or, with pairs_once,
-    naming an earlier line's pair again ('duplicate' in the same orientation,
-    'asymmetric' in the other).  With no such line, raise `overflow`, else
+    three tokens, with a token int or float rejects, with an id past intp,
+    or, with pairs_once, naming an earlier line's pair again ('duplicate' in
+    the same orientation, 'asymmetric' in the other).  With no such line,
     report a file that changed between reads.  Only a bad file is read this
     way."""
     first: dict[tuple[int, int], tuple[int, int]] = {}
@@ -280,11 +279,13 @@ def _raise_bad_file(path: str, layout: str, pairs_once: bool, overflow: Overflow
         except ValueError as exc:
             raise ParseError(f"{path}:{lineno}: {exc}") from None
         pair = (min(u, v), max(u, v))
+        if not (_INTP.min <= pair[0] and pair[1] <= _INTP.max):
+            raise ParseError(f"{path}:{lineno}: node id out of range, got {line!r}")
         if pairs_once and pair in first:
             kind = "duplicate" if first[pair] == (u, v) else "asymmetric"
             raise ValidationError([f"{path}:{lineno}: {kind} similarity ({u},{v})"])
         first[pair] = (u, v)
-    raise overflow or ParseError(f"{path}: changed while being read")
+    raise ParseError(f"{path}: changed while being read")
 
 
 def parse_edge_file(path: str) -> Columns:

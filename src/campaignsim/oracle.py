@@ -142,7 +142,7 @@ def exact_spread_grid(
     net = aug.net
     n = net.node_count
     k = len(products)
-    seeded = set().union(*aug.row_block(0).seeds.by_product)
+    seeded = set().union(*(plan.seeds for plan in aug.plans))
 
     base_chi = np.full(n, 2.0)
     for node, value in pinned.items():

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from campaignsim.channels import AugmentedNetwork, PlanError
-from campaignsim.diffusion import SeedAssignment
 from campaignsim.feature_space import Product
 from campaignsim.network import Edge, Network
 
@@ -71,7 +70,7 @@ def relay_threshold(root_weight: float, source_weight: float, product: Product) 
 class PaperNetwork:
     net: Network  # real nodes, then roots, media chains and relays
     base_node_count: int
-    seeds: SeedAssignment  # the plans' seeds plus each product's root
+    seeds: tuple[frozenset[int], ...]  # per product, the plan's seeds plus its root
     fixed: np.ndarray  # threshold of pseudonode base_node_count + j at j
     roots: tuple[int, ...]  # per product index
     chain: dict[tuple[int, int], int]  # (product index, t >= 2) -> media chain node
@@ -117,5 +116,5 @@ def paper_network(
         edges += (Edge(roots[i], relay, b_root), Edge(u, relay, eps), Edge(relay, v, w))
         fixed.append(relay_threshold(b_root, eps, products[i]))
     ref = Network.from_edges(node + len(relays), edges, aug.net.similarity)
-    seeds = SeedAssignment(tuple(frozenset(plan.seeds) | {roots[i]} for i, plan in enumerate(aug.plans)))
+    seeds = tuple(frozenset(plan.seeds) | {roots[i]} for i, plan in enumerate(aug.plans))
     return PaperNetwork(ref, n, seeds, np.array(fixed, dtype=float), roots, chain, relays)

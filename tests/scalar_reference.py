@@ -2,10 +2,10 @@
 
 It implements the rule of campaignsim.diffusion one node at a time: plain
 loops over in-neighbors, one replication per call, and a Python argmax over
-cosines for the purchase.  Only the seed validation, the product matrix, the
-tie tolerance and the tie-break hash are shared with the package, so the
-kernel's vectorized aggregation, thresholding and tie detection are compared
-against an independent formulation.
+cosines for the purchase.  Only the product matrix, the tie tolerance and
+the tie-break hash are shared with the package, so the kernel's vectorized
+aggregation, thresholding and tie detection are compared against an
+independent formulation.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from campaignsim.diffusion import SeedAssignment
 from campaignsim.feature_space import COS_TIE_TOL, Product, ProductError, product_matrix
 from campaignsim.network import Network
 from campaignsim.rng import key_uniform
@@ -61,16 +60,22 @@ def in_neighbors(net: Network, v: int) -> list[tuple[int, float]]:
     return list(zip(net.src[into].tolist(), net.weight[into].tolist()))
 
 
-def initial_state(net: Network, products: list[Product], seeds: SeedAssignment) -> DiffusionState:
-    seeds.check(net)
+def initial_state(net: Network, products: list[Product], seeds: tuple[frozenset[int], ...]) -> DiffusionState:
+    """Step 0: seeds[j] bought product j.  A seed outside the network or in
+    two sets raises ValueError."""
     n = net.node_count
     influenced = np.zeros(n, dtype=bool)
     purchased = np.full(n, -1, dtype=np.int16)
     activation_time = np.full(n, -1, dtype=np.int32)
-    nodes, prods = seeds.arrays()
-    influenced[nodes] = True
-    purchased[nodes] = prods
-    activation_time[nodes] = 0
+    for j, nodes in enumerate(seeds):
+        for v in sorted(nodes):
+            if not (0 <= v < n):
+                raise ValueError(f"seed {v} is not a node")
+            if influenced[v]:
+                raise ValueError(f"node {v} seeded for more than one product")
+            influenced[v] = True
+            purchased[v] = j
+            activation_time[v] = 0
     return DiffusionState(0, influenced, purchased, activation_time)
 
 
@@ -120,7 +125,7 @@ def step(
 def run_diffusion(
     net: Network,
     products: list[Product],
-    seeds: SeedAssignment,
+    seeds: tuple[frozenset[int], ...],
     thresholds: np.ndarray,
     *,
     tie_key: tuple[int, int] = (0, 0),

@@ -41,7 +41,7 @@ import pytest
 
 from campaignsim.channels import ChannelPlan, build_augmented
 from campaignsim.checks import gadget_property_check
-from campaignsim.diffusion import PurchaseTieError, RowBlock, SeedAssignment, simulate_batch
+from campaignsim.diffusion import PurchaseTieError, RowBlock, simulate_batch
 from campaignsim.estimator import activation_time_histogram, estimate_spread
 from campaignsim.feature_space import Product, normalize_product
 from campaignsim.fixtures import BRIDGE, blocking_demo, ce_toy
@@ -104,7 +104,7 @@ def degeneration_payload(master: int) -> dict:
     for _ in range(graphs):
         n, weights, seeds = random_lt_instance(rng)
         net = Network.from_edges(n, [Edge(u, v, b) for (u, v), b in weights.items()])
-        assignment = SeedAssignment((frozenset(seeds),))
+        assignment = (frozenset(seeds),)
         for _ in range(draws):
             chi = rng.uniform(1e-6, 1.0, size=n)
             ref_active, ref_time = classical_lt(n, weights, seeds, chi)

@@ -180,12 +180,12 @@ def test_zero_budget_plans_add_only_isolated_roots():
     assert aug.net is net
     assert not len(aug.media) and not len(aug.recommendations)
     assert aug.threshold_width == 4
-    assert aug.row_block(1).seeds.by_product == (frozenset({0}), frozenset())
+    assert aug.row_block(1).seeds == (frozenset({0}), frozenset())
     assert not net.node_kind.any()  # NodeKind.REAL is 0
     ref = paper_network(aug, [P_AXIS, Q_AXIS])
     assert ref.roots == (2, 3) and ref.net.node_count == 4 and not ref.chain
     assert ref.net.edges == net.edges
-    assert ref.seeds.by_product == (frozenset({0, 2}), frozenset({3}))
+    assert ref.seeds == (frozenset({0, 2}), frozenset({3}))
 
 
 @pytest.mark.parametrize("beta", [(1e308, 1e308), (5e-324, 0.0)], ids=["load-overflows", "ratio-overflows"])
@@ -214,13 +214,15 @@ def test_plan_set_must_cover_products_exactly():
             net, [P_AXIS, Q_AXIS],
             [ChannelPlan(product=0, beta=(0.1,)), ChannelPlan(product=1, beta=(0.1, 0.2))],
         )
-    with pytest.raises(PlanError, match="seeded for more than one"):
+    # the only check on seeds: row blocks carry the plans' seed sets as they are
+    with pytest.raises(PlanError, match=r"^node 0 seeded for more than one product$"):
         build_augmented(
             net, [P_AXIS, Q_AXIS],
-            [ChannelPlan(product=0, seeds=frozenset({0})), ChannelPlan(product=1, seeds=frozenset({0}))],
+            [ChannelPlan(product=0, seeds=frozenset({0, 1})), ChannelPlan(product=1, seeds=frozenset({0}))],
         )
-    with pytest.raises(PlanError, match="not a node"):
-        build_augmented(net, [P_AXIS], [ChannelPlan(product=0, seeds=frozenset({9}))])
+    for seed in (-1, 2, 9):
+        with pytest.raises(PlanError, match=rf"^seed {seed} is not a node of the base network$"):
+            build_augmented(net, [P_AXIS], [ChannelPlan(product=0, seeds=frozenset({seed}))])
 
 
 def test_media_chain_nodes_activate_one_step_before_their_slot():

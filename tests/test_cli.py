@@ -266,6 +266,18 @@ def test_invalid_network_exits_3(fixture_dir, tmp_path, capsys):
     assert "sum to" in err["error"]["message"]
 
 
+def test_node_id_past_intp_exits_3(fixture_dir, tmp_path, capsys):
+    bad = tmp_path / "big.txt"
+    bad.write_text("0 1 0.5\n1 99999999999999999999 0.5\n")
+    args = demo_args(fixture_dir)
+    args[args.index("--net") + 1] = bad
+    code = run(["simulate", *args, "--reps", 10, "--out", tmp_path / "x.json"])
+    assert code == 3
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "io" and f"{bad}:2:" in err["message"]
+    assert not (tmp_path / "x.json").exists()
+
+
 @pytest.mark.filterwarnings("error")  # stderr carries the JSON error line alone
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_non_finite_product_feature_exits_3(fixture_dir, tmp_path, capsys, value):

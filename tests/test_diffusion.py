@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from campaignsim.channels import ChannelPlan, build_augmented
-from campaignsim.diffusion import PurchaseTieError, RowBlock, SeedAssignment, simulate_batch
+from campaignsim.diffusion import PurchaseTieError, RowBlock, simulate_batch
 from campaignsim.feature_space import COS_TIE_TOL, Product, normalize_product
 from campaignsim.fixtures import (
     BRIDGE,
@@ -44,7 +44,7 @@ def run_both(net, products, seeds, chi, *, seed=0, rep=0):
 
 def test_contested_node_waits_for_the_second_wave():
     net, products, _ = preference_shift()
-    seeds = SeedAssignment((frozenset({0}), frozenset({1})))
+    seeds = (frozenset({0}), frozenset({1}))
     chi = np.array([0.9, 0.9, 0.5, 0.5, 0.45])
     # step 1: relays hear their seeds (norm 1); the contested node hears
     # (0.4, 0.2), norm sqrt(0.2) ~ 0.447 < 0.45, and waits
@@ -61,7 +61,7 @@ def test_contested_node_waits_for_the_second_wave():
 
 def test_contested_node_eager_threshold_buys_at_step_one():
     net, products, _ = preference_shift()
-    seeds = SeedAssignment((frozenset({0}), frozenset({1})))
+    seeds = (frozenset({0}), frozenset({1}))
     chi = np.array([0.9, 0.9, 0.5, 0.5, 0.3])
     out = run_both(net, products, seeds, chi)
     assert out.activation_time.tolist() == [0, 0, 1, 1, 1]
@@ -81,7 +81,7 @@ def blocking_chi(bridge, target):
 
 def test_active_bridge_blocks_the_target():
     net, products, chi = blocking_chi(bridge=0.5, target=0.2)
-    seeds = SeedAssignment((frozenset({FOCAL_SEED}), frozenset({COMPETITOR_SEED})))
+    seeds = (frozenset({FOCAL_SEED}), frozenset({COMPETITOR_SEED}))
     out = run_both(net, products, seeds, chi)
     # bridge crosses 0.6 at step 1 and buys the competitor product
     assert out.activation_time[BRIDGE] == 1 and out.purchased[BRIDGE] == 1
@@ -94,7 +94,7 @@ def test_active_bridge_blocks_the_target():
 
 def test_inactive_bridge_lets_the_focal_product_through():
     net, products, chi = blocking_chi(bridge=0.7, target=0.2)
-    seeds = SeedAssignment((frozenset({FOCAL_SEED}), frozenset({COMPETITOR_SEED})))
+    seeds = (frozenset({FOCAL_SEED}), frozenset({COMPETITOR_SEED}))
     out = run_both(net, products, seeds, chi)
     assert out.activation_time[BRIDGE] == -1
     # the 0.3 focal edge comes through the relay node, so step 2, not 1
@@ -104,7 +104,7 @@ def test_inactive_bridge_lets_the_focal_product_through():
 
 def test_extra_seed_wakes_the_helper_and_strengthens_the_bridge():
     net, products, _ = blocking_demo("extra_seed")
-    seeds = SeedAssignment((frozenset({FOCAL_SEED, HELPER}), frozenset({COMPETITOR_SEED})))
+    seeds = (frozenset({FOCAL_SEED, HELPER}), frozenset({COMPETITOR_SEED}))
     chi = np.full(net.node_count, 0.8)
     chi[BRIDGE] = 0.65  # above 0.6, below sqrt(0.52) ~ 0.721
     chi[TARGET] = 0.2
@@ -120,7 +120,7 @@ def test_extra_seed_wakes_the_helper_and_strengthens_the_bridge():
 def test_early_purchase_withstands_a_later_stronger_wave():
     net = Network.from_edges(5, [(0, 2, 0.3), (1, 3, 1.0), (3, 4, 1.0), (4, 2, 0.6)])
     products = [P_AXIS, Q_AXIS]
-    seeds = SeedAssignment((frozenset({0}), frozenset({1})))
+    seeds = (frozenset({0}), frozenset({1}))
     chi = np.array([0.9, 0.9, 0.25, 0.5, 0.5])
     out = run_both(net, products, seeds, chi)
     assert out.activation_time[2] == 1 and out.purchased[2] == 0
@@ -156,7 +156,7 @@ def random_vector_instance(rng):
     nodes = list(rng.permutation(n))
     per = [frozenset({int(nodes[i])}) for i in range(min(k, n))]
     per += [frozenset()] * (k - len(per))
-    return net, products, SeedAssignment(tuple(per))
+    return net, products, tuple(per)
 
 
 def test_batch_equals_scalar_on_random_instances():
@@ -314,7 +314,7 @@ def test_first_crossing_matches_two_sided_condition():
             return float(np.linalg.norm(acc))
 
         seeded = set()
-        for ns in seeds.by_product:
+        for ns in seeds:
             seeded |= ns
         for v in range(net.node_count):
             t = out.activation_time[v]
@@ -345,7 +345,7 @@ def test_zero_aggregate_never_activates_even_at_zero_threshold():
     # node 2 has an in-edge from a node that never fires, and threshold 0
     net = Network.from_edges(3, [(0, 1, 1.0), (1, 2, 0.5)])
     products = [P_AXIS]
-    seeds = SeedAssignment((frozenset(),))
+    seeds = (frozenset(),)
     chi = np.zeros(3)
     out = run_both(net, products, seeds, chi)
     assert out.activation_time.tolist() == [-1, -1, -1]
@@ -362,7 +362,7 @@ def test_zero_aggregate_never_activates_even_at_zero_threshold():
     contiguous = wide[:, :4].copy()
     contiguous.setflags(write=False)
     for chi in (wide[:, :4], contiguous):
-        at, pu = simulate_batch(net, products, [RowBlock(2, SeedAssignment((frozenset({0}),)))], chi)
+        at, pu = simulate_batch(net, products, [RowBlock(2, (frozenset({0}),))], chi)
         assert at.tolist() == [[0, 1, -1, -1]] * 2 and pu.tolist() == [[0, 0, -1, -1]] * 2
     assert wide.tobytes() == kept and contiguous.tobytes() == wide[:, :4].tobytes()
 
@@ -370,7 +370,7 @@ def test_zero_aggregate_never_activates_even_at_zero_threshold():
 def test_purchase_tie_raise_and_keyed_break():
     net = Network.from_edges(3, [(0, 2, 0.3), (1, 2, 0.3)])
     products = [P_AXIS, Q_AXIS]
-    seeds = SeedAssignment((frozenset({0}), frozenset({1})))
+    seeds = (frozenset({0}), frozenset({1}))
     chi = np.array([0.9, 0.9, 0.4])
     with pytest.raises(PurchaseTieError):
         simulate_batch(net, products, [RowBlock(1, seeds)], chi[None, :], on_tie="raise")
@@ -445,7 +445,7 @@ def test_purchase_choice_matches_a_feature_order_reference():
     weights += near
     n = 3 + len(weights)
     net = fed_by_seeds(weights)
-    seeds = SeedAssignment(tuple(frozenset({j}) for j in range(3)))
+    seeds = tuple(frozenset({j}) for j in range(3))
     R, offset, master = 6, 40, 9
     block = RowBlock(R, seeds, master_seed=master, rep_offset=offset)
     at, pu = simulate_batch(net, CYCLIC, [block], np.zeros((R, n)))
@@ -472,7 +472,7 @@ def test_purchase_choice_matches_a_feature_order_reference():
 def test_not_converged_raised_when_capped_below_activity():
     # the scalar reference keeps a step cap of its own
     net = Network.from_edges(2, [(0, 1, 1.0)])
-    seeds = SeedAssignment((frozenset({0}),))
+    seeds = (frozenset({0}),)
     chi = np.array([0.9, 0.5])
     with pytest.raises(DiffusionNotConverged):
         run_diffusion(net, [P_AXIS], seeds, chi, max_steps=0)
@@ -487,17 +487,9 @@ def test_not_converged_raised_when_capped_below_activity():
     assert at.tolist() == [list(range(n))] * 2
 
 
-def test_seed_assignment_validation():
-    net = Network.from_edges(2, [(0, 1, 0.5)])
-    with pytest.raises(ValueError, match="not a node"):
-        SeedAssignment((frozenset({5}),)).check(net)
-    with pytest.raises(ValueError, match="more than one product"):
-        SeedAssignment((frozenset({0}), frozenset({0}))).check(net)
-
-
 def test_batch_shape_validation():
     net = Network.from_edges(2, [(0, 1, 0.5)])
-    seeds = SeedAssignment((frozenset({0}),))
+    seeds = (frozenset({0}),)
     with pytest.raises(ValueError, match="width does not match node count"):
         simulate_batch(net, [P_AXIS], [RowBlock(2, seeds)], np.full((2, 3), 0.5))
     for blocks in ([RowBlock(1, seeds)], [RowBlock(1, seeds), RowBlock(2, seeds)], []):
@@ -533,7 +525,7 @@ def test_single_feature_degeneration_spot_check():
     ref_active, ref_time = classical_lt(n, weights, seed_set, chi)
     net = Network.from_edges(n, [Edge(u, v, b) for (u, v), b in weights.items()])
     product = Product(id=0, features=(1.0,), null_index=0)
-    out = run_both(net, [product], SeedAssignment((frozenset(seed_set),)), chi)
+    out = run_both(net, [product], (frozenset(seed_set),), chi)
     assert set(np.flatnonzero(out.activation_time >= 0).tolist()) == ref_active
     for v, t in ref_time.items():
         assert out.activation_time[v] == t
@@ -547,7 +539,7 @@ def test_repeated_batches_reuse_their_memory():
     n = 2000
     edges = [Edge(int(u), v, 0.2) for v in range(n) for u in rng.choice(np.delete(np.arange(n), v), 3, replace=False)]
     net = Network.from_edges(n, edges)
-    seeds = SeedAssignment((frozenset(range(0, 40, 2)), frozenset(range(1, 40, 2))))
+    seeds = (frozenset(range(0, 40, 2)), frozenset(range(1, 40, 2)))
     chi = rng.random((64, n))
     faults = []
     for _ in range(4):

@@ -255,13 +255,17 @@ def test_repeated_similarity_names_its_line(tmp_path):
         parse_similarity_file(str(p))
 
 
-def test_an_id_past_intp_is_raised_after_any_bad_line(tmp_path):
-    # as the line-by-line parse did: a bad line anywhere in the file comes
-    # first, else the id's OverflowError
+def test_an_id_past_intp_is_a_bad_line(tmp_path):
+    # it names its own line, before any later bad line, in either file and
+    # past either end of intp
     p = tmp_path / "e.txt"
     p.write_text("0 1 0.5\n1 99999999999999999999 0.5\n0 x 0.5\n")
-    with pytest.raises(ParseError, match=re.escape(f"{p}:3: invalid literal")):
+    with pytest.raises(ParseError, match=re.escape(f"{p}:2: node id out of range")):
         load_network(str(p))
     p.write_text("0 1 0.5\n1 99999999999999999999 0.5\n")
-    with pytest.raises(OverflowError):
+    with pytest.raises(ParseError, match=re.escape(f"{p}:2: node id out of range")):
         load_network(str(p))
+    s = tmp_path / "s.txt"
+    s.write_text("0 1 0.5\n-99999999999999999999 1 0.5\n0 1 0.5\n")
+    with pytest.raises(ParseError, match=re.escape(f"{s}:2: node id out of range")):
+        parse_similarity_file(str(s))

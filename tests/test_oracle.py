@@ -110,7 +110,7 @@ def brute_force_grid(aug, products, m):
     ref = paper_network(aug, products)
     net, seeds, n = ref.net, ref.seeds, aug.net.node_count
     seeded = set()
-    for ns in seeds.by_product:
+    for ns in seeds:
         seeded |= ns
     base_chi = ref.thresholds(np.full(net.node_count, 2.0))
     free = [v for v in range(n) if v not in seeded and in_neighbors(net, v)]
@@ -209,7 +209,7 @@ def paper_oracle(aug, products, grid):
     ref_aug = dataclasses.replace(
         aug,
         net=ref.net,
-        plans=tuple(dataclasses.replace(plan, seeds=seeds) for plan, seeds in zip(aug.plans, ref.seeds.by_product)),
+        plans=tuple(dataclasses.replace(plan, seeds=seeds) for plan, seeds in zip(aug.plans, ref.seeds)),
         media=Media(empty, empty, empty, np.zeros(0)),
         recommendations=Recommendations(empty, empty, empty, np.zeros(0)),
     )

@@ -202,7 +202,7 @@ def load_plans(path: str) -> list[ChannelPlan]:
 
     Any other shape raises PlanError naming the file.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         payload = json.load(fh)
     try:
         horizon = _typed(_typed(payload, dict, "plan file").get("horizon"), int, "horizon")

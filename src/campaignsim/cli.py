@@ -37,7 +37,7 @@ from .diffusion import simulate_batch
 from .estimator import _tile_block, estimate_spread
 from .feature_space import ProductError, load_products
 from .fixtures import write_fixtures
-from .network import NetworkError, ParseError, ValidationError, load_network
+from .network import NetworkError, _data_lines, _read_text, load_network
 from .optimizer import (
     CEConfig,
     CostModel,
@@ -58,18 +58,19 @@ class ConfigError(Exception):
     pass
 
 
-class CliError(Exception):
-    def __init__(self, exit_code: int, message: str, kind: str):
-        super().__init__(message)
-        self.exit_code = exit_code
-        self.kind = kind
-
-
 def _atomic_write(path: str, data: str) -> None:
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "w", encoding="utf-8") as fh:
         fh.write(data)
     os.replace(tmp, path)
+
+
+def _write_csv(path: str, header: list[str], rows) -> None:
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    _atomic_write(path, buf.getvalue())
 
 
 def _write_result(path: str, payload: dict, run_stats: dict | None = None) -> None:
@@ -101,24 +102,20 @@ def _envelope(command: str, args: argparse.Namespace, results: dict) -> dict:
 
 
 def parse_config_file(path: str) -> dict:
-    """Flat key=value lines with # comments; values are int, float, or bare strings."""
+    """key = value lines, read as every text input is; values are int, float, or bare strings."""
     out: dict = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key = value")
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
+    for lineno, line in _data_lines(_read_text(path)):
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key = value")
+        key, _, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        try:
+            out[key] = int(value)
+        except ValueError:
             try:
-                out[key] = int(value)
+                out[key] = float(value)
             except ValueError:
-                try:
-                    out[key] = float(value)
-                except ValueError:
-                    out[key] = value
+                out[key] = value
     return out
 
 
@@ -184,24 +181,15 @@ def cmd_simulate(args) -> int:
             os.path.join(args.dump_augmented, "pseudo.json"),
         )
     if args.node_probs:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["node"] + [f"product_{pid}" for pid in est.product_ids])
-        for v in range(aug.net.node_count):
-            row = [v] + [est.node_probability(v, pid) for pid in est.product_ids]
-            writer.writerow(row)
-        _atomic_write(args.node_probs, buf.getvalue())
+        probs = (est.node_counts.T / est.replications).tolist()  # (n, k)
+        header = ["node"] + [f"product_{pid}" for pid in est.product_ids]
+        _write_csv(args.node_probs, header, ([v, *row] for v, row in enumerate(probs)))
     if args.trajectory:
         thresholds, block = _tile_block(aug, args.seed, 0, 1, 0)  # replication 0 of the estimate
         act_time, purchased = simulate_batch(aug.net, products, [block], thresholds)
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["node", "activation_time", "product"])
-        for v in range(aug.net.node_count):
-            pidx = int(purchased[0, v])
-            pid = est.product_ids[pidx] if pidx >= 0 else -1
-            writer.writerow([v, int(act_time[0, v]), pid])
-        _atomic_write(args.trajectory, buf.getvalue())
+        ids = [*est.product_ids, -1]  # purchased index -1: no purchase
+        rows = zip(range(aug.net.node_count), act_time[0].tolist(), (ids[p] for p in purchased[0].tolist()))
+        _write_csv(args.trajectory, ["node", "activation_time", "product"], rows)
     _write_result(args.out, _envelope("simulate", args, est.to_dict()))
     return EXIT_OK
 
@@ -217,15 +205,8 @@ def cmd_optimize(args) -> int:
     )
     wall_s = time.perf_counter() - start
     if args.trace:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["iteration", "best_value", "iteration_best", "iteration_mean", "elite_threshold"])
-        for row in result.trace:
-            writer.writerow([
-                row["iteration"], row["best_value"], row["iteration_best"],
-                row["iteration_mean"], row["elite_threshold"],
-            ])
-        _atomic_write(args.trace, buf.getvalue())
+        header = ["iteration", "best_value", "iteration_best", "iteration_mean", "elite_threshold"]
+        _write_csv(args.trace, header, ([row[h] for h in header] for row in result.trace))
     results = {
         "best_value": result.best_value,
         "evaluations": result.evaluations,
@@ -302,7 +283,7 @@ def cmd_gadget_check(args) -> int:
     report = gadget_property_check(args.trials, args.seed)
     _write_result(args.out, _envelope("gadget-check", args, report))
     if report["counterexamples"]:
-        raise CliError(EXIT_INTERNAL, f"{report['counterexamples']} gadget counterexamples", "internal")
+        return _fail("internal", EXIT_INTERNAL, f"{report['counterexamples']} gadget counterexamples")
     return EXIT_OK
 
 
@@ -328,13 +309,17 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--sim", default=None, help="similarity file <u> <v> <h>")
         p.add_argument("--products", required=True, help="product file")
 
+    def run_opts(p, workers=True):
+        p.add_argument("--seed", type=int, default=0)
+        if workers:
+            p.add_argument("--workers", type=int, default=1)
+        p.add_argument("--out", required=True)
+
     p = sub.add_parser("simulate", help="Monte Carlo spread estimation")
     common_net(p)
     p.add_argument("--plans", required=True, help="channel plan JSON")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--reps", type=int, default=10_000)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--out", required=True)
+    run_opts(p)
     p.add_argument("--node-probs", default=None, help="per-node purchase probability CSV")
     p.add_argument("--trajectory", default=None, help="single-replication trajectory CSV")
     p.add_argument("--dump-augmented", default=None, help="directory for the augmented network dump")
@@ -347,9 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=float, required=True)
     p.add_argument("--horizon", type=int, default=None)
     p.add_argument("--config", default=None, help="key=value optimizer configuration")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--out", required=True)
+    run_opts(p)
     p.add_argument("--trace", default=None, help="per-iteration trace CSV")
     p.set_defaults(func=cmd_optimize)
 
@@ -359,9 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rounds", type=int, default=3)
     p.add_argument("--horizon", type=int, required=True)
     p.add_argument("--config", default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--out", required=True)
+    run_opts(p)
     p.set_defaults(func=cmd_best_response)
 
     p = sub.add_parser("oracle", help="exact grid enumeration vs the Monte Carlo engine")
@@ -369,15 +350,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plans", required=True)
     p.add_argument("--resolution", type=int, default=64)
     p.add_argument("--reps", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--out", required=True)
+    run_opts(p)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("gadget-check", help="randomized check of social-advertising recommendations")
     p.add_argument("--trials", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
+    run_opts(p, workers=False)
     p.set_defaults(func=cmd_gadget_check)
 
     p = sub.add_parser("fixtures", help="write the built-in demo instances")
@@ -407,18 +385,13 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "horizon", None) is not None and args.horizon < 0:
             raise ConfigError(f"--horizon must be >= 0, got {args.horizon}")
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, EnumerationCapError) as exc:
         return _fail("config", EXIT_CONFIG, str(exc))
-    except (ParseError, FileNotFoundError, PermissionError, IsADirectoryError) as exc:
-        return _fail("io", EXIT_IO, str(exc))
-    except (ValidationError, NetworkError, ProductError, PlanError, json.JSONDecodeError) as exc:
+    except (NetworkError, ProductError, PlanError, json.JSONDecodeError,  # NetworkError: ParseError, ValidationError
+            FileNotFoundError, PermissionError, IsADirectoryError) as exc:
         return _fail("io", EXIT_IO, str(exc))
     except InfeasiblePlanError as exc:
         return _fail("infeasible", EXIT_INFEASIBLE, str(exc))
-    except CliError as exc:
-        return _fail(exc.kind, exc.exit_code, str(exc))
-    except EnumerationCapError as exc:
-        return _fail("config", EXIT_CONFIG, str(exc))
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports everything
         return _fail("internal", EXIT_INTERNAL, f"{type(exc).__name__}: {exc}")
 

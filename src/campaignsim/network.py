@@ -29,8 +29,10 @@ The similarity dict is kept so that pairs without an edge survive a round trip.
 from __future__ import annotations
 
 import codecs
+import errno
 import os
 import re
+import stat
 from dataclasses import dataclass
 from enum import IntEnum
 from operator import ge, gt
@@ -225,7 +227,10 @@ def _read_text(path: str) -> str:
     small file less than a file object."""
     fd = os.open(path, os.O_RDONLY)
     try:
-        size = os.fstat(fd).st_size
+        st = os.fstat(fd)
+        if stat.S_ISDIR(st.st_mode):  # as open() reports it, naming the path
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        size = st.st_size
         data = os.read(fd, size + 1)
         while len(data) != size and (chunk := os.read(fd, 1 << 20)):  # the file changed, or a read came up short
             data += chunk

@@ -6,7 +6,8 @@ is piecewise constant in each node's threshold, with pieces bounded by the
 norms of aggregates the node could ever receive, so midpoints falling in the
 same piece are collapsed into one representative cell weighted by its
 midpoint count.  The collapsed enumeration equals the full m^n grid average
-exactly while keeping the tuple count far below the hard cap.
+exactly while keeping the tuple count far below the hard cap.  Tuples run
+in kernel calls of estimator.call_rows rows, at most CALL_CELLS cells each.
 
 Midpoints sit strictly between the decimal weights typical of input files,
 so grid probabilities of simple events are exact (a single incoming weight w
@@ -18,7 +19,6 @@ tie-free instances.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -26,6 +26,7 @@ import numpy as np
 
 from .channels import AugmentedNetwork
 from .diffusion import simulate_batch
+from .estimator import call_rows
 from .feature_space import Product, product_matrix
 
 
@@ -116,11 +117,11 @@ def _piece_starts(norms: np.ndarray | None, m: int) -> np.ndarray | None:
         count += up.astype(np.int64) - down
 
 
-def _cells(starts: np.ndarray | None, m: int) -> list[tuple[float, int]]:
-    """(representative midpoint, midpoint count) per constant-outcome piece."""
+def _cells(starts: np.ndarray | None, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(representative midpoints, midpoint counts), one entry per constant-outcome piece."""
     if starts is None:
-        return [((i + 0.5) / m, 1) for i in range(m)]
-    return list(zip(((starts[:-1] + 0.5) / m).tolist(), np.diff(starts).tolist()))
+        return (np.arange(m) + 0.5) / m, np.ones(m, dtype=np.int64)
+    return (starts[:-1] + 0.5) / m, np.diff(starts)
 
 
 def exact_spread_grid(
@@ -155,35 +156,30 @@ def exact_spread_grid(
     total = math.prod(m if s is None else s.size - 1 for s in starts)
     if total > grid.max_tuples:
         raise EnumerationCapError(f"{total} threshold tuples exceed the cap {grid.max_tuples}")
-    cell_lists = [_cells(s, m) for s in starts]
+    cells = [_cells(s, m) for s in starts]
+    shape = tuple(mids.size for mids, _ in cells)
 
     spread = np.zeros(k)
     node_prob = np.zeros((k, n))
-    chunk = 4096
-    combos = itertools.product(*cell_lists) if cell_lists else iter([()])
-    evaluated = 0
-    while True:
-        block = list(itertools.islice(combos, chunk))
-        if not block:
-            break
-        R = len(block)
+    rows = call_rows(net)
+    for lo in range(0, total, rows):  # tuples lo .. lo+R-1 in itertools.product order
+        R = min(rows, total - lo)
+        index = np.unravel_index(np.arange(lo, lo + R), shape) if shape else ()
         chi = np.tile(base_chi, (R, 1))
         weights = np.ones(R)
-        for r, combo in enumerate(block):
-            for slot, (rep, count) in enumerate(combo):
-                chi[r, free[slot]] = rep
-                weights[r] *= count / m
-        _, purchased = simulate_batch(net, products, [aug.row_block(R, 0, evaluated)], chi, on_tie="raise")
+        for v, (mids, counts), i in zip(free, cells, index):
+            chi[:, v] = mids[i]
+            weights *= counts[i] / m
+        _, purchased = simulate_batch(net, products, [aug.row_block(R, 0, lo)], chi, on_tie="raise")
         for j in range(k):
             bought = purchased == j
             spread[j] += float(np.dot(weights, bought.sum(axis=1)))
             node_prob[j] += weights @ bought
-        evaluated += R
     return OracleResult(
         product_ids=aug.product_ids,
         spread=spread,
         node_probability=node_prob,
-        tuples_evaluated=evaluated,
+        tuples_evaluated=total,
     )
 
 

@@ -384,6 +384,17 @@ def test_optimize_unknown_config_key_exits_2(fixture_dir, tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"]["type"] == "config"
 
 
+@pytest.mark.parametrize("flag", ["--net", "--products", "--config"])
+def test_a_directory_for_an_input_file_exits_3_naming_it(fixture_dir, tmp_path, capsys, flag):
+    inputs = dict(zip(*[iter(demo_args(fixture_dir, "preference_shift")[:6])] * 2))
+    inputs[flag] = tmp_path
+    args = [a for pair in inputs.items() for a in pair]
+    code = run(["optimize", *args, "--focal", 0, "--budget", 1.0, "--horizon", 2, "--out", tmp_path / "o.json"])
+    assert code == 3
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "io" and err["message"] == f"[Errno 21] Is a directory: '{tmp_path}'"
+
+
 def test_optimize_non_numeric_config_value_exits_2(fixture_dir, tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("replications = many\n")

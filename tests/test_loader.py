@@ -229,20 +229,33 @@ def test_byte_order_mark_is_skipped(tmp_path, header):
 
 
 def test_byte_order_mark_and_crlf_through_the_cli(tmp_path, capsys):
+    # every text input the CLI reads: edge, product, plan and config files
     assert main(["fixtures", "--out", str(tmp_path)]) == 0
     d = tmp_path / "blocking_demo"
-    for name in ("edges.txt", "products.txt"):
-        text = (d / name).read_text(encoding="utf-8")
+
+    def bom_crlf(name, text):
         (tmp_path / name).write_bytes(b"\xef\xbb\xbf" + text.replace("\n", "\r\n").encode())
+        return str(tmp_path / name)
+
+    for name in ("edges.txt", "products.txt", "plans.json"):
+        bom_crlf(name, (d / name).read_text(encoding="utf-8"))
+    instance = [
+        "--net", str(tmp_path / "edges.txt"), "--sim", str(d / "similarity.txt"),
+        "--products", str(tmp_path / "products.txt"),
+    ]
+    plans = ["--plans", str(tmp_path / "plans.json")]
+    code = main(["simulate", *instance, *plans, "--reps", "100", "--out", str(tmp_path / "out.json")])
+    assert code == 0, capsys.readouterr().err
+    assert json.loads((tmp_path / "out.json").read_text())
+    config = bom_crlf("ce.cfg", "# optimizer\nreplications = 50\nsamples = 4\nmax_iterations = 1\n")
     code = main(
         [
-            "simulate", "--net", str(tmp_path / "edges.txt"), "--sim", str(d / "similarity.txt"),
-            "--products", str(tmp_path / "products.txt"), "--plans", str(d / "plans.json"),
-            "--reps", "100", "--out", str(tmp_path / "out.json"),
+            "optimize", *instance, "--focal", "0", "--budget", "1", "--horizon", "1",
+            "--config", config, "--out", str(tmp_path / "opt.json"),
         ]
     )
     assert code == 0, capsys.readouterr().err
-    assert json.loads((tmp_path / "out.json").read_text())
+    assert json.loads((tmp_path / "opt.json").read_text())["results"]["evaluations"] == 4
 
 
 def test_repeated_similarity_names_its_line(tmp_path):

@@ -281,6 +281,17 @@ def test_best_response_runs_and_reports_history():
     assert not (res.plans[0].seeds & res.plans[1].seeds)
 
 
+def test_best_response_stops_once_a_round_moves_no_value_beyond_the_tolerance():
+    # the first round has no earlier values to compare with, so any
+    # tolerance stops the loop after the second round at the earliest
+    net, products, _ = preference_shift()
+    config = quick_config(best_response_tol=1e9)
+    res = best_response_loop(net, products, [UNIT, UNIT], [1.5, 1.5], 3, config, 13, horizon=2)
+    assert res.rounds_run == 2
+    assert len(res.history) == 2
+    assert len(res.stop_reasons) == 2
+
+
 def test_stalled_elite_threshold_stops_the_loop():
     # every real node bought at the first iteration's best plan: the elite
     # threshold sits at the maximum, 5.0, from then on

@@ -12,7 +12,8 @@ import pytest
 
 from campaignsim import oracle
 from campaignsim.channels import ChannelPlan, build_augmented
-from campaignsim.diffusion import Media, PurchaseTieError, Recommendations
+from campaignsim.diffusion import Media, PurchaseTieError, Recommendations, simulate_batch
+from campaignsim.estimator import CALL_CELLS
 from campaignsim.feature_space import Product, normalize_product
 from campaignsim.fixtures import BRIDGE, TARGET, blocking_demo, ce_toy, preference_shift
 from campaignsim.network import Edge, Network
@@ -162,6 +163,43 @@ def test_collapsed_enumeration_equals_full_grid_with_channels():
     assert res.spread[1] == pytest.approx(brute[1], abs=1e-12)
 
 
+def test_skipped_breakpoints_give_the_collapsed_result(monkeypatch):
+    # past the breakpoint cap every midpoint is a cell of its own: more
+    # tuples, the same values
+    net, products, plans = preference_shift()
+    aug = build_augmented(net, products, plans)
+    m = 6
+    collapsed = exact_spread_grid(aug, products, GridSpec(resolution=m))
+    monkeypatch.setattr(oracle, "_MAX_NORM_COMBOS", 1)
+    full = exact_spread_grid(aug, products, GridSpec(resolution=m))
+    assert full.tuples_evaluated == m**3  # nodes 2, 3 and 4 are free
+    assert collapsed.tuples_evaluated < full.tuples_evaluated
+    assert np.allclose(full.spread, collapsed.spread, rtol=0, atol=1e-12)
+    assert np.allclose(full.node_probability, collapsed.node_probability, rtol=0, atol=1e-12)
+
+
+def test_kernel_calls_stay_within_the_cell_cap(monkeypatch):
+    # 12 free nodes of two cells each on a 40-node network: 4,096 tuples,
+    # more rows than one call over 40 nodes may hold
+    n, free = 40, range(1, 13)
+    net = Network.from_edges(n, [Edge(0, v, 0.5) for v in free])
+    plans = [ChannelPlan(product=0, seeds=frozenset({0}), alpha=0.0, beta=())]
+    aug = build_augmented(net, [P_AXIS], plans)
+    calls = []
+
+    def recording(net, products, blocks, thresholds, **kwargs):
+        calls.append((sum(b.rows for b in blocks), net.node_count))
+        return simulate_batch(net, products, blocks, thresholds, **kwargs)
+
+    monkeypatch.setattr(oracle, "simulate_batch", recording)
+    res = exact_spread_grid(aug, [P_AXIS], GridSpec(resolution=4))
+    assert res.tuples_evaluated == 2 ** len(free) == sum(rows for rows, _ in calls)
+    assert len(calls) > 1
+    assert all(rows * nodes <= CALL_CELLS for rows, nodes in calls)
+    # each free node buys iff its threshold is at most 0.5: two of four midpoints
+    assert res.spread_of(0) == pytest.approx(1 + 0.5 * len(free), abs=1e-12)
+
+
 def test_node_probabilities_sum_to_spread():
     net, products, plans = blocking_demo("base")
     aug = build_augmented(net, products, plans)
@@ -260,7 +298,7 @@ def materialised_cells(norms, m):
     for pid in np.unique(piece):
         idx = np.flatnonzero(piece == pid)
         cells.append((float(mids[idx[0]]), int(idx.size)))
-    return cells
+    return np.array([mid for mid, _ in cells]), np.array([count for _, count in cells])
 
 
 def random_breakpoints(rng, m):
@@ -278,10 +316,17 @@ def test_cells_from_breakpoints_equal_the_materialised_cells():
         for _ in range(3):
             norms = random_breakpoints(rng, m)
             starts = oracle._piece_starts(norms, m)
-            assert oracle._cells(starts, m) == materialised_cells(norms, m)
+            assert_same_cells(oracle._cells(starts, m), materialised_cells(norms, m))
     # skipped breakpoints: every midpoint is a cell of its own
     assert oracle._piece_starts(None, 9) is None
-    assert oracle._cells(None, 9) == [(float(x), 1) for x in (np.arange(9) + 0.5) / 9]
+    assert_same_cells(oracle._cells(None, 9), ((np.arange(9) + 0.5) / 9, np.ones(9, dtype=np.int64)))
+
+
+def assert_same_cells(got, want):
+    """(midpoints, counts) arrays equal bit for bit, midpoints as floats and counts as ints."""
+    (mids, counts), (want_mids, want_counts) = got, want
+    assert mids.dtype == np.float64 and counts.dtype.kind == "i"
+    assert np.array_equal(mids, want_mids) and np.array_equal(counts, want_counts)
 
 
 def test_huge_resolution_runs_in_bounded_memory():

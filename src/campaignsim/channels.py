@@ -61,7 +61,7 @@ import numpy as np
 
 from .diffusion import Media, Recommendations, RowBlock
 from .feature_space import Product
-from .network import Network
+from .network import Network, _decode_utf8
 
 
 class PlanError(Exception):
@@ -200,10 +200,11 @@ def _typed(value, kind, what: str):
 def load_plans(path: str) -> list[ChannelPlan]:
     """Read a JSON plan file: {"horizon": T, "plans": [{product, seeds, alpha, beta}]}.
 
-    Any other shape raises PlanError naming the file.
+    Text that is not UTF-8 (a byte-order mark is skipped) and any other
+    shape raise PlanError naming the file.
     """
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        payload = json.load(fh)
+    with open(path, "rb") as fh:
+        payload = json.loads(_decode_utf8(fh.read(), path, PlanError))
     try:
         horizon = _typed(_typed(payload, dict, "plan file").get("horizon"), int, "horizon")
         plans = []

@@ -37,24 +37,28 @@ within L + 2 * (n - 1).
 
 Influence is permanent and purchases are immutable, so the kernel keeps a
 running aggregate per (replication, node) cell and updates it
-incrementally: at step t only the cells activated at step t-1 (the
-frontier) add weight * product-vector along their out-edges, read from the
-network's CSR arrays, every replication adds the media of step t, and the
-cells activated at step t-2 add their recommendations, in one scatter.
-Only cells touched that step can newly cross their threshold, so norms,
-thresholds and purchases are evaluated for those cells alone.  An aggregate
-is therefore summed in activation-step order, and within a step in
-frontier order (ascending cell) then CSR edge order, then the step's media
-in product order, then its recommendations in ascending source order,
-without BLAS; its norm sums the squared features in feature order.  A
-newly activated cell's dot product with each product is summed the same way,
-per product in feature order and without BLAS, so purchases do not depend on
-the BLAS vendor or its thread count; the first maximal dot wins unless
-another lies within COS_TIE_TOL * norm of it.  Every purchase tie of a step
-is broken by one keyed-hash call over all tied cells.  Memory is
-O(R * n * f) for R replications, n nodes and f features, plus O(E) for the
-edge arrays and each block's media and recommendations; there is no n x n
-matrix.
+incrementally: at step t the cells activated at step t-1 (the frontier)
+add weight * product-vector along their out-edges, read from the network's
+CSR arrays, in one scatter; then the media of step t arrive as one dense add
+per (row block, product) of a vector holding each node's weight, 0 where
+there is no edge; then the cells activated at step t-2 add their
+recommendations in a second scatter.  Off media steps, only cells the
+scatter touched can newly cross their threshold, so norms, thresholds and
+purchases are evaluated for those cells alone; at a media step every cell
+is tested.  An aggregate is therefore summed in activation-step order, and
+within a step in frontier order (ascending cell) then CSR edge order, then
+the step's media in product order, then its recommendations in ascending
+source order, without BLAS; its norm sums the squared features in feature
+order.  A newly activated cell's dot product with each product is summed
+the same way, per product in feature order and without BLAS, so purchases
+do not depend on the BLAS vendor or its thread count; the first maximal dot
+wins unless another lies within COS_TIE_TOL * norm of it.  Every purchase
+tie of a step is broken by one keyed-hash call over all tied cells.  A
+feature that no product has would only add 0.0 to these sums, so the kernel
+drops it and it costs nothing.  Memory is O(R * n * f) for R replications, n
+nodes and f used features, plus O(E) for the edge arrays and each block's
+recommendations and O(n) per (step, product) of each block's media; there
+is no n x n matrix.
 """
 
 from __future__ import annotations
@@ -128,7 +132,8 @@ class Media:
     step[j] >= 1 in every replication.
 
     Aligned arrays of steps, node numbers, product indices and weights, in
-    (step, product, target) order.
+    (step, product, target) order, with at most one edge per (step, product,
+    target).
     """
 
     step: np.ndarray
@@ -188,11 +193,14 @@ def simulate_batch(
     block_rows = [b.rows for b in blocks]
     n_edges = net.dst.size
     pmat = product_matrix(products)
+    # a feature no product has would add 0.0 to every running sum below, which
+    # leaves each sum's bits as they are, so its column is dropped
+    pmat = pmat[:, pmat.any(axis=0)]
     k, f = pmat.shape
     # edge e carrying product j has key j * E + e; its weighted features by key.
     # A cell of node u that bought product j sends along group j * n + u (slot
     # j): its out-edges, keys group_lo[g] to group_lo[g] + group_deg[g] - 1.
-    # All blocks share these groups; each block appends its channels' groups.
+    # All blocks share these groups; each block appends its recommendations'.
     key_dst = [net.dst] * k
     key_contrib = [(pmat.T[:, :, None] * net.weight).reshape(f, k * n_edges)]
     group_lo = [net.indptr[:-1] + j * n_edges for j in range(k)]
@@ -200,7 +208,11 @@ def simulate_batch(
     n_keys, n_groups = k * n_edges, k * n
     recommending = any(len(b.recommendations) for b in blocks)
     last_step = max((int(b.media.step[-1]) for b in blocks if len(b.media)), default=0)
-    rec_start, step_start = [], []  # per block
+    # media_at[t]: (first row, end row, j, w) per block and product with media
+    # at step t, in product order; w holds the weights by target, 0 elsewhere
+    media_at = [[] for _ in range(last_step + 1)]
+    rec_start = []  # per block
+    lo = 0
     for b in blocks:
         if recommending:
             # and one step later along group rec_start + j * n + u: its
@@ -215,24 +227,17 @@ def simulate_batch(
             key_contrib.append(pmat.T[:, rec.product[order]] * rec.weight[order])
             rec_start.append(n_groups)
             n_keys, n_groups = n_keys + len(rec), n_groups + k * n
-        if last_step:
-            # each of its replications' first cell sends, at step t, along
-            # group step_start + t: the block's media of step t, if any
-            med = b.media
-            step_lo = n_keys + med.step.searchsorted(np.arange(1, last_step + 2))
-            group_lo.append(step_lo[:-1])
-            group_deg.append(step_lo[1:] - step_lo[:-1])
-            key_dst.append(med.dst)
-            key_contrib.append(pmat.T[:, med.product] * med.weight)
-            step_start.append(n_groups - 1)
-            n_keys, n_groups = n_keys + len(med), n_groups + last_step
+        med = b.media
+        if len(med):  # one run of edges per (step, product)
+            cuts = (np.flatnonzero(np.diff(med.step) | np.diff(med.product)) + 1).tolist()
+            for s, e in zip([0, *cuts], [*cuts, len(med)]):
+                w = np.zeros(n)
+                w[med.dst[s:e]] = med.weight[s:e]
+                media_at[int(med.step[s])].append((lo, lo + b.rows, int(med.product[s]), w))
+        lo += b.rows
     key_dst, group_lo, group_deg = np.concatenate(key_dst), np.concatenate(group_lo), np.concatenate(group_deg)
     key_contrib = np.concatenate(key_contrib, axis=1)
-    # per row: its block's media groups and recommendation shift
-    if last_step:
-        first_cells = np.arange(0, R * n, n)
-        step_group = np.repeat(step_start, block_rows)
-    if recommending:
+    if recommending:  # per row: its block's recommendation shift
         rec_shift = np.repeat(rec_start, block_rows)
     # per block: its tie key; row r of block i is replication rep_base[i] + r
     block_end = np.cumsum(block_rows)
@@ -243,7 +248,21 @@ def simulate_batch(
     purchased = np.full(R * n, -1, dtype=np.int16)
     activation_time = np.full(R * n, -1, dtype=np.int32)
     agg = np.zeros((f, R * n))
+    agg_rows = agg.reshape(f, R, n)
     touched = np.zeros(R * n, dtype=bool)
+
+    def scatter(sends):
+        """Add the keys of each (cell, group) pair to agg, in order; return the cells reached."""
+        base, group = sends[0] if len(sends) == 1 else map(np.concatenate, zip(*sends))
+        deg = group_deg[group]
+        ends = deg.cumsum()
+        if not (ends.size and ends[-1]):
+            return ends[:0]
+        key = np.repeat(group_lo[group] - ends + deg, deg) + np.arange(ends[-1])
+        cell = np.repeat(base, deg) + key_dst[key]
+        for i in range(f):  # unbuffered: adds in key order onto the running sums
+            np.add.at(agg[i], cell, key_contrib[i][key])
+        return cell
 
     lo = 0
     for b in blocks:  # the seed sets are disjoint, so placement order is free
@@ -254,46 +273,52 @@ def simulate_batch(
         lo += b.rows
     front = (activation_time == 0).nonzero()[0]  # cells activated last step, ascending
     front_prod = purchased[front].astype(np.intp)
-    held = None  # (first cell, group) of the step before last's recommendations
+    held = None  # (cell, group) of the step before last's recommendations
     t = 0
     while front.size or held is not None or t < last_step:
         t += 1
         # out-edges of last step's activations, in frontier then CSR order,
         # then this step's media, then the recommendations of the step
         # before last's activations, in frontier order
-        u = front % n
-        base, group = front - u, front_prod * n + u
-        later = []
-        if t <= last_step:
-            later.append((first_cells, step_group + t))
-        if held is not None:
-            later.append(held)
+        rows = front // n
+        base = rows * n
+        sends = [(base, front_prod * n + (front - base))]
+        later = held
         if recommending:
-            held = (base, group + rec_shift[base // n]) if front.size else None
-        if later:
-            base = np.concatenate([base, *(b for b, _ in later)])
-            group = np.concatenate([group, *(g for _, g in later)])
-        deg = group_deg[group]
-        ends = deg.cumsum()
-        if not (ends.size and ends[-1]):  # nothing reaches any cell this step
-            front = front_prod = ends[:0]
-            continue
-        key = np.repeat(group_lo[group] - ends + deg, deg) + np.arange(ends[-1])
-        cell = np.repeat(base, deg) + key_dst[key]
-        for i in range(f):  # unbuffered: adds in key order onto the running sums
-            np.add.at(agg[i], cell, key_contrib[i][key])
-        # only cells whose aggregate changed can newly cross their threshold
-        touched[cell] = True
-        cells = touched.nonzero()[0]
-        touched[cells] = False
+            held = (base, sends[0][1] + rec_shift[rows]) if front.size else None
+        if t <= last_step:
+            scatter(sends)
+            for lo, hi, j, w in media_at[t]:
+                # pmat[j, i] * w[v] is the one product a media key would add;
+                # where w is 0 it is +0.0, which leaves any aggregate (>= +0.0) as it is
+                agg_rows[:, lo:hi] += (pmat[j][:, None] * w)[:, None]
+            if later is not None:
+                scatter([later])
+            # every cell is tested, none marked: a cell whose aggregate did not
+            # change since its last test cannot activate now, as its aggregate
+            # is zero, or was below its threshold then, or it is influenced;
+            # front comes out in ascending cell order either way
+            tested = None
+        else:
+            if later is not None:
+                sends.append(later)
+            cell = scatter(sends)
+            if not cell.size:  # nothing reaches any cell this step
+                front = front_prod = cell
+                continue
+            # only cells whose aggregate changed can newly cross their threshold
+            touched[cell] = True
+            tested = touched.nonzero()[0]
+            touched[tested] = False
+        at = slice(None) if tested is None else tested
         norm2 = 0.0
         for i in range(f):  # squares summed in feature order
-            x = agg[i][cells]
+            x = agg[i][at]
             norm2 = norm2 + x * x
         norms = np.sqrt(norm2)
         # a zero aggregate never activates, nor does an influenced cell again
-        newly = (norms >= thr[cells]) & (norms > 0.0) & (activation_time[cells] < 0)
-        front = cells[newly]
+        newly = (norms >= thr[at]) & (norms > 0.0) & (activation_time[at] < 0)
+        front = newly.nonzero()[0] if tested is None else np.compress(newly, tested)  # ascending
         if not front.size:
             front_prod = front
             continue
@@ -309,9 +334,9 @@ def simulate_batch(
             # only a strictly greater dot replaces the choice, so the first maximum wins
             cut = dots[0].copy()
             for j in range(1, k):
-                choice[dots[j] > cut] = j
+                np.putmask(choice, dots[j] > cut, j)
                 np.maximum(cut, dots[j], out=cut)
-            cut -= COS_TIE_TOL * norms[newly]
+            cut -= COS_TIE_TOL * np.compress(newly, norms)
             count = np.zeros(front.size, dtype=np.min_scalar_type(k))
             for j in range(k):
                 count += dots[j] >= cut

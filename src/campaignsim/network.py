@@ -14,8 +14,9 @@ Columns, one array per column; a list of (src, dst, weight) edges and a
 
 Edge and similarity files are read column-wise.  A file is decoded once as
 UTF-8 (a byte-order mark skipped, \r\n and \r read as \n, '#' comments
-cut), every line with data must hold three whitespace-separated tokens, and
-each column is converted by int or float in one pass, so a file accepts
+cut; a byte that is not UTF-8 raises ParseError naming the file), every
+line with data must hold three whitespace-separated tokens, and each
+column is converted by int or float in one pass, so a file accepts
 what those built-ins accept, with node ids that fit in intp.  Only a bad
 file is read again line by line, to raise for its first bad line as
 path:lineno.
@@ -220,6 +221,17 @@ class Columns(NamedTuple):
     value: np.ndarray  # (m,) float
 
 
+def _decode_utf8(data: bytes, path: str, error: type[Exception]) -> str:
+    """data as UTF-8 with any byte-order mark skipped; on a byte that is not
+    UTF-8, raise error naming the path and the byte's offset in the file."""
+    body = data.removeprefix(codecs.BOM_UTF8)
+    try:
+        return body.decode("utf-8")  # as utf-8-sig, in less time
+    except UnicodeDecodeError as exc:
+        at = exc.start + len(data) - len(body)
+        raise error(f"{path}: not UTF-8 text: byte {at} (0x{data[at]:02x}): {exc.reason}") from None
+
+
 def _read_text(path: str) -> str:
     """The text of a UTF-8 file with any byte-order mark and '#' comments cut.
 
@@ -236,7 +248,7 @@ def _read_text(path: str) -> str:
             data += chunk
     finally:
         os.close(fd)
-    text = data.removeprefix(codecs.BOM_UTF8).decode("utf-8")  # as utf-8-sig, in less time
+    text = _decode_utf8(data, path, ParseError)
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     return _COMMENT.sub("", text) if "#" in text else text

@@ -395,6 +395,26 @@ def test_a_directory_for_an_input_file_exits_3_naming_it(fixture_dir, tmp_path, 
     assert err["type"] == "io" and err["message"] == f"[Errno 21] Is a directory: '{tmp_path}'"
 
 
+@pytest.mark.parametrize("flag", ["--net", "--products", "--plans", "--config"])
+def test_an_input_file_that_is_not_utf8_exits_3_naming_it(fixture_dir, tmp_path, capsys, flag):
+    inputs = dict(zip(*[iter(demo_args(fixture_dir, "preference_shift"))] * 2))
+    inputs["--config"] = tmp_path / "ce.cfg"
+    inputs["--config"].write_text("samples = 6\nmax_iterations = 1\nreplications = 50\n")
+    bad = tmp_path / "bad"
+    if flag == "--plans":  # JSON in UTF-16, which opens with a byte-order mark
+        bad.write_bytes(inputs[flag].read_text(encoding="utf-8").encode("utf-16"))
+        at = "byte 0 (0xff): invalid start byte"
+    else:  # a Latin-1 e-acute in a comment
+        bad.write_bytes(b"# caf\xe9\n" + inputs[flag].read_bytes())
+        at = "byte 5 (0xe9): invalid continuation byte"
+    inputs[flag] = bad
+    args = [a for pair in inputs.items() for a in pair]
+    code = run(["optimize", *args, "--focal", 0, "--budget", 1.0, "--horizon", 2, "--out", tmp_path / "o.json"])
+    assert code == 3
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "io" and err["message"] == f"{bad}: not UTF-8 text: {at}"
+
+
 def test_optimize_non_numeric_config_value_exits_2(fixture_dir, tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("replications = many\n")

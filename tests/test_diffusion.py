@@ -150,9 +150,13 @@ def random_vector_instance(rng):
                 edges[(int(u), v)] = w
     net = Network.from_edges(n, [Edge(u, v, b) for (u, v), b in edges.items()])
     k = int(rng.integers(1, 4))
-    products = [
-        normalize_product(rng.uniform(0.05, 1.0, size=3), 0, product_id=i) for i in range(k)
-    ]
+    raw = rng.uniform(0.05, 1.0, size=(k, 3))
+    # half the time one feature, at any index, is in no product: the kernel
+    # drops its column, and the scalar reference keeps it
+    unused = int(rng.integers(0, 6))
+    if unused < 3:
+        raw[:, unused] = 0.0
+    products = [normalize_product(raw[i], 0, product_id=i) for i in range(k)]
     nodes = list(rng.permutation(n))
     per = [frozenset({int(nodes[i])}) for i in range(min(k, n))]
     per += [frozenset()] * (k - len(per))
@@ -365,6 +369,14 @@ def test_zero_aggregate_never_activates_even_at_zero_threshold():
         at, pu = simulate_batch(net, products, [RowBlock(2, (frozenset({0}),))], chi)
         assert at.tolist() == [[0, 1, -1, -1]] * 2 and pu.tolist() == [[0, 0, -1, -1]] * 2
     assert wide.tobytes() == kept and contiguous.tobytes() == wide[:, :4].tobytes()
+    # every cell is tested at a media step: media reach nodes 2 and 3 at steps
+    # 1 to 3, but nodes 0 and 1 fill each other's capacity, so no media reach
+    # them, and at threshold 0 neither ever fires
+    net = Network.from_edges(4, [(0, 1, 1.0), (1, 0, 1.0), (2, 3, 0.5)])
+    aug = build_augmented(net, products, [ChannelPlan(product=0, beta=(0.2, 0.2, 0.2))])
+    assert sorted(set(aug.media.dst.tolist())) == [2, 3] and aug.media.step[-1] == 3
+    at, pu = simulate_batch(net, products, [aug.row_block(2)], np.zeros((2, 4)))
+    assert at.tolist() == [[-1, -1, 1, 1]] * 2 and pu.tolist() == [[-1, -1, 0, 0]] * 2
 
 
 def test_purchase_tie_raise_and_keyed_break():

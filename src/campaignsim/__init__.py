@@ -1,9 +1,9 @@
 """Simulation and budget optimization for competing multi-channel campaigns.
 
 Products diffuse over a weighted social network under a multi-feature
-linear-threshold rule; mass media compiles into scheduled edges and social
-advertising into delayed recommendation edges beside the base network, so
-one engine covers every channel mix without pseudonodes.
+linear-threshold rule; mass media compiles into dense per-step vectors and
+social advertising into delayed recommendation edges beside the base
+network, so one engine covers every channel mix without pseudonodes.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from .channels import (
     save_plans,
 )
 from .diffusion import (
-    Media,
     PurchaseTieError,
     Recommendations,
     RowBlock,
@@ -46,7 +45,6 @@ __all__ = [
     "EnumerationCapError",
     "GridSpec",
     "InfeasiblePlanError",
-    "Media",
     "Network",
     "NetworkError",
     "ParseError",

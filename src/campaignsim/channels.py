@@ -1,5 +1,5 @@
-"""Marketing channels compiled into edges beside the network: scheduled
-edges for mass media, delayed edges for social advertising.
+"""Marketing channels compiled beside the network: dense per-step vectors
+for mass media, delayed edges for social advertising.
 
 A channel plan per product carries direct seeds, a social-advertising rate
 alpha, and a mass-media schedule beta over a shared horizon.  The compiled
@@ -9,13 +9,14 @@ Direct seeds need no compiling: build_augmented checks once that every seed
 is a node of the base network and is seeded for one product only, and each
 row block then carries the plans' seed sets as they are, one per product.
 
-Mass media at step t becomes one scheduled edge per real node v with a
-non-zero weight: it adds w * p to v's aggregate at step t in every
-replication (diffusion.Media).  The paper builds it as a root pseudonode
-per product, seeded at step 0, and a chain of media pseudonodes linked by
-weight-1 edges so that the t-th chain node is influenced at step t-1 and
-its pseudoedge to v fires at step t.  The scheduled edge adds the same
-vector at the same step without the chain's cells.
+Mass media compile once into a dense array media[t-1, i, v], the weight
+w of product i's media into real node v at step t, 0 where there is no
+media edge: w * p_i reaches v's aggregate at step t in every replication.
+The paper builds it as a root pseudonode per product, seeded at step 0,
+and a chain of media pseudonodes linked by weight-1 edges so that the t-th
+chain node is influenced at step t-1 and its pseudoedge to v fires at step
+t.  The dense add brings the same vector at the same step without the
+chain's cells.
 
 Social advertising on an edge (u, v) becomes one recommendation per product
 p with a non-zero weight: a delayed edge that adds w * p to v's aggregate
@@ -36,13 +37,13 @@ every base node: both sums over u run in ascending source order, and the
 denominator adds the plans in plan order.  A media edge weighs
 ratio(v) * beta_p[t] and a recommendation ratio(v) * alpha_p * h_uv.
 
-Media edges are listed in (step, product, target) order and recommendations
-in (source, target, product) order.  Within a step the kernel adds the
-direct contributions to an aggregate first, then the media in product
-order, then the recommendations in ascending source order: the order of the
-paper's pseudonodes, numbered after the real nodes (roots, then chains
-product by product, then relays in the network's (source, target) edge
-order, product-minor).
+The media array runs to the last step with a media edge, and
+recommendations are listed in (source, target, product) order.  Within a
+step the kernel adds the direct contributions to an aggregate first, then
+the media in product order, then the recommendations in ascending source
+order: the order of the paper's pseudonodes, numbered after the real
+nodes (roots, then chains product by product, then relays in the network's
+(source, target) edge order, product-minor).
 
 Threshold rows have a width that is a contract, because seeded outputs
 depend on it: threshold_width is the node count of the paper's media
@@ -59,7 +60,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffusion import Media, Recommendations, RowBlock
+from .diffusion import Recommendations, RowBlock
 from .feature_space import Product
 from .network import Network, _decode_utf8
 
@@ -95,7 +96,7 @@ class AugmentedNetwork:
     plans: tuple[ChannelPlan, ...]  # aligned with the products list
     product_ids: tuple[int, ...]
     scale: np.ndarray  # per-node channel scaling ratio
-    media: Media  # mass media, in (step, product, target) order
+    media: np.ndarray  # (last media step, product, node): mass media weights, 0 where none
     recommendations: Recommendations  # social advertising, in (source, target, product) order
     threshold_width: int  # columns per threshold row
 
@@ -150,8 +151,9 @@ def build_augmented(
     src, dst, h = net.src, net.dst, net.h
     in_sum = np.bincount(dst, net.weight, minlength=n)
     h_sum = np.bincount(dst, h, minlength=n)
-    # an overflow leaves inf, raised as PlanError below, or NaN where it meets a
-    # zero budget or similarity, whose weight is 0 and is dropped with the others
+    # an overflow leaves inf, or NaN where it meets a zero budget or similarity;
+    # both raise PlanError below, but for a recommendation's NaN, whose weight
+    # is 0 and is dropped with the others
     with np.errstate(over="ignore", invalid="ignore"):
         load = np.zeros(n)
         for plan in ordered:
@@ -161,26 +163,22 @@ def build_augmented(
         reach = np.array([plan.beta for plan in ordered], dtype=float).T[:, :, None] * scale
         rec = scale[dst][:, None] * np.array([plan.alpha for plan in ordered], dtype=float) * h[:, None]
 
-    # one media edge per (step, product, target) with a non-zero weight, in that order
-    t_idx, p_idx, v_idx = (reach > 0.0).nonzero()
-    media = Media(step=t_idx + 1, dst=v_idx, product=p_idx, weight=reach[t_idx, p_idx, v_idx])
-    last_step = np.zeros(k, dtype=np.intp)
-    np.maximum.at(last_step, media.product, media.step)
-
     # one recommendation per (edge, product) with a non-zero weight, in
     # (source, target, product) order
     e_idx, p_idx = (rec > 0.0).nonzero()
     recommendations = Recommendations(src=src[e_idx], dst=dst[e_idx], product=p_idx, weight=rec[e_idx, p_idx])
-    checked = {"channel load": load, "media weight": media.weight, "recommendation weight": recommendations.weight}
+    checked = {"channel load": load, "media weight": reach, "recommendation weight": recommendations.weight}
     for what, values in checked.items():
         if not np.isfinite(values).all():
             raise PlanError(f"channel budgets overflow: a {what} is not finite")
+    # each product's last step with a media edge; the media run to the last of them
+    last_step = (np.arange(1, len(reach) + 1)[:, None] * reach.any(axis=2)).max(axis=0, initial=0)
     return AugmentedNetwork(
         net=net,
         plans=tuple(ordered),
         product_ids=tuple(p.id for p in products),
         scale=scale,
-        media=media,
+        media=reach[: last_step.max(initial=0)],
         recommendations=recommendations,
         threshold_width=n + k + int(np.maximum(last_step - 1, 0).sum()),
     )
@@ -200,12 +198,13 @@ def _typed(value, kind, what: str):
 def load_plans(path: str) -> list[ChannelPlan]:
     """Read a JSON plan file: {"horizon": T, "plans": [{product, seeds, alpha, beta}]}.
 
-    Text that is not UTF-8 (a byte-order mark is skipped) and any other
-    shape raise PlanError naming the file.
+    Text that is not UTF-8 (a byte-order mark is skipped), text that is not
+    JSON and any other shape raise PlanError that starts with the file's path.
     """
     with open(path, "rb") as fh:
-        payload = json.loads(_decode_utf8(fh.read(), path, PlanError))
+        text = _decode_utf8(fh.read(), path, PlanError)
     try:
+        payload = json.loads(text)
         horizon = _typed(_typed(payload, dict, "plan file").get("horizon"), int, "horizon")
         plans = []
         for entry in _typed(payload.get("plans"), list, "plans"):
@@ -225,7 +224,7 @@ def load_plans(path: str) -> list[ChannelPlan]:
             )
         if not plans:
             raise PlanError("no plans")
-    except PlanError as exc:
+    except (PlanError, json.JSONDecodeError) as exc:
         raise PlanError(f"{path}: {exc}") from None
     return plans
 
@@ -255,17 +254,17 @@ def save_plans(plans: list[ChannelPlan], path: str) -> None:
 
 
 def save_augmented(aug: AugmentedNetwork, edge_path: str, similarity_path: str, pseudo_path: str) -> None:
-    """Write the base network plus a JSON sidecar listing the media edges and
-    the recommendations."""
+    """Write the base network plus a JSON sidecar listing the media edges, in
+    (step, product, target) order, and the recommendations."""
     from .network import save_network
 
     save_network(aug.net, edge_path, similarity_path)
     pids = aug.product_ids
-    media, rec = aug.media, aug.recommendations
+    media, rec = aug.media.nonzero(), aug.recommendations
     payload = {
         "media": [
-            {"product": pids[i], "step": t, "node": v, "weight": w}
-            for t, v, i, w in zip(media.step.tolist(), media.dst.tolist(), media.product.tolist(), media.weight.tolist())
+            {"product": pids[i], "step": t + 1, "node": v, "weight": w}
+            for t, i, v, w in zip(*(a.tolist() for a in media), aug.media[media].tolist())
         ],
         "recommendations": [
             {"kind": "recommendation", "product": pids[i], "edge": [u, v], "weight": w}

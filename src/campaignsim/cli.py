@@ -387,7 +387,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ConfigError, EnumerationCapError) as exc:
         return _fail("config", EXIT_CONFIG, str(exc))
-    except (NetworkError, ProductError, PlanError, json.JSONDecodeError,  # NetworkError: ParseError, ValidationError
+    except (NetworkError, ProductError, PlanError,  # NetworkError: ParseError, ValidationError
             FileNotFoundError, PermissionError, IsADirectoryError) as exc:
         return _fail("io", EXIT_IO, str(exc))
     except InfeasiblePlanError as exc:

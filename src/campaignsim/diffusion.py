@@ -13,22 +13,23 @@ components are non-negative, aggregate norms are non-decreasing over time
 and first-crossing detection coincides with the two-sided formulation
 (crossed now, not crossed one step earlier).
 
-Channels arrive through two kinds of edges kept beside the network, which
-stand for the paper's pseudonodes (see channels).  Mass media are scheduled
-edges (t, v, i, w) that add w * products[i] to v's aggregate at step t in
-every replication.  Recommendations are delayed edges (u, v, i, w) that add
-w * products[i] to v's aggregate at step t_u + 2, and only if u bought
-product i.  The kernel adds exactly what the pseudonodes would, in the same
-order, without their cells.
+Channels arrive compiled beside the network, standing for the paper's
+pseudonodes (see channels).  Mass media are dense vectors: media[t-1, i, v]
+is the weight w for which w * products[i] reaches v's aggregate at step t
+in every replication, 0 where no media edge reaches v.  Recommendations are
+delayed edges (u, v, i, w) that add w * products[i] to v's aggregate at
+step t_u + 2, and only if u bought product i.  The kernel adds exactly what
+the pseudonodes would, in the same order, without their cells.
 
 The kernel advances many replications at once; a single run is a batch of
 one.  A batch's rows come in consecutive row blocks that share the network
 and products, each with its own seeds, media, recommendations and tie key:
-the blocks' channel edges sit side by side in one table, and a cell sends
-along its own block's, so every row comes out exactly as in a batch of its
-block alone.  The kernel never writes the thresholds it is given.  A node
-whose aggregate is exactly the zero vector never activates, whatever its
-threshold, and an influenced node never activates again.  A batch runs at
+the blocks' recommendations sit side by side in one table and a cell sends
+along its own block's, a block's media reach its own rows, and so every row
+comes out exactly as in a batch of its block alone.  The kernel never
+writes the thresholds it is given.  A node whose aggregate is exactly the
+zero vector never activates, whatever its threshold, and an influenced node
+never activates again.  A batch runs at
 least to its last media step; past it, a step that activates no cell ends
 the batch unless a recommendation is still in flight.  So with media up to
 step L, activation times stay within L + n - 1, and with recommendations a
@@ -40,9 +41,9 @@ running aggregate per (replication, node) cell and updates it
 incrementally: at step t the cells activated at step t-1 (the frontier)
 add weight * product-vector along their out-edges, read from the network's
 CSR arrays, in one scatter; then the media of step t arrive as one dense add
-per (row block, product) of a vector holding each node's weight, 0 where
-there is no edge; then the cells activated at step t-2 add their
-recommendations in a second scatter.  Off media steps, only cells the
+per (row block, product) of the block's compiled vector for that step and
+product, unless it is all zero; then the cells activated at step t-2 add
+their recommendations in a second scatter.  Off media steps, only cells the
 scatter touched can newly cross their threshold, so norms, thresholds and
 purchases are evaluated for those cells alone; at a media step every cell
 is tested.  An aggregate is therefore summed in activation-step order, and
@@ -57,15 +58,15 @@ tie of a step is broken by one keyed-hash call over all tied cells.  A
 feature that no product has would only add 0.0 to these sums, so the kernel
 drops it and it costs nothing.  Memory is O(R * n * f) for R replications, n
 nodes and f used features, plus O(E) for the edge arrays and each block's
-recommendations and O(n) per (step, product) of each block's media; there
-is no n x n matrix.
+recommendations; each block's media are O(L * k * n) for k products and
+media up to step L, and are read where they are; there is no n x n matrix.
 """
 
 from __future__ import annotations
 
 import ctypes
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -126,26 +127,6 @@ class Recommendations:
         return self.src.size
 
 
-@dataclass(frozen=True)
-class Media:
-    """Scheduled edges: weight[j] * products[product[j]] reaches dst[j] at
-    step[j] >= 1 in every replication.
-
-    Aligned arrays of steps, node numbers, product indices and weights, in
-    (step, product, target) order, with at most one edge per (step, product,
-    target).
-    """
-
-    step: np.ndarray
-    dst: np.ndarray
-    product: np.ndarray
-    weight: np.ndarray
-
-    def __len__(self) -> int:
-        return self.step.size
-
-
-_NO_MEDIA = Media(*(np.zeros(0, dtype=np.intp),) * 3, np.zeros(0))
 _NO_RECOMMENDATIONS = Recommendations(*(np.zeros(0, dtype=np.intp),) * 3, np.zeros(0))
 
 
@@ -157,12 +138,14 @@ class RowBlock:
     master_seed: purchase ties hash (master_seed, rep_offset + i, node, step).
     seeds holds one seed set per product, index-aligned with the products
     list.  The kernel takes them as given: build_augmented has checked that
-    every seed is a node and lies in one set only.
+    every seed is a node and lies in one set only.  media is (L, k, n):
+    media[t-1, i, v] is the weight of product i's media into node v at step
+    t, 0 where there is none, and L the last step with media.
     """
 
     rows: int
     seeds: tuple[frozenset[int], ...]
-    media: Media = _NO_MEDIA
+    media: np.ndarray = field(default_factory=lambda: np.zeros((0, 0, 0)))
     recommendations: Recommendations = _NO_RECOMMENDATIONS
     master_seed: int = 0
     rep_offset: int = 0
@@ -207,10 +190,10 @@ def simulate_batch(
     group_deg = [net.indptr[1:] - net.indptr[:-1]] * k
     n_keys, n_groups = k * n_edges, k * n
     recommending = any(len(b.recommendations) for b in blocks)
-    last_step = max((int(b.media.step[-1]) for b in blocks if len(b.media)), default=0)
-    # media_at[t]: (first row, end row, j, w) per block and product with media
-    # at step t, in product order; w holds the weights by target, 0 elsewhere
-    media_at = [[] for _ in range(last_step + 1)]
+    last_step = max((b.media.shape[0] for b in blocks), default=0)
+    # media_at[t - 1]: (first row, end row, j, w) per block and product whose
+    # media at step t are not all zero, in product order; w holds the weights by target
+    media_at = [[] for _ in range(last_step)]
     rec_start = []  # per block
     lo = 0
     for b in blocks:
@@ -227,13 +210,8 @@ def simulate_batch(
             key_contrib.append(pmat.T[:, rec.product[order]] * rec.weight[order])
             rec_start.append(n_groups)
             n_keys, n_groups = n_keys + len(rec), n_groups + k * n
-        med = b.media
-        if len(med):  # one run of edges per (step, product)
-            cuts = (np.flatnonzero(np.diff(med.step) | np.diff(med.product)) + 1).tolist()
-            for s, e in zip([0, *cuts], [*cuts, len(med)]):
-                w = np.zeros(n)
-                w[med.dst[s:e]] = med.weight[s:e]
-                media_at[int(med.step[s])].append((lo, lo + b.rows, int(med.product[s]), w))
+        for t, j in zip(*b.media.any(axis=2).nonzero()):  # in (step, product) order
+            media_at[t].append((lo, lo + b.rows, j, b.media[t, j]))
         lo += b.rows
     key_dst, group_lo, group_deg = np.concatenate(key_dst), np.concatenate(group_lo), np.concatenate(group_deg)
     key_contrib = np.concatenate(key_contrib, axis=1)
@@ -288,9 +266,9 @@ def simulate_batch(
             held = (base, sends[0][1] + rec_shift[rows]) if front.size else None
         if t <= last_step:
             scatter(sends)
-            for lo, hi, j, w in media_at[t]:
-                # pmat[j, i] * w[v] is the one product a media key would add;
-                # where w is 0 it is +0.0, which leaves any aggregate (>= +0.0) as it is
+            for lo, hi, j, w in media_at[t - 1]:
+                # pmat[j, i] * w[v] is the one product a media edge would add;
+                # where w is 0 it is a zero, which leaves any aggregate (>= +0.0) as it is
                 agg_rows[:, lo:hi] += (pmat[j][:, None] * w)[:, None]
             if later is not None:
                 scatter([later])

@@ -69,8 +69,9 @@ def _in_edges(aug: AugmentedNetwork) -> dict[int, list[tuple[float, int | None]]
     # one stable pass over the (source, target)-sorted edges
     for v, w in zip(aug.net.dst.tolist(), aug.net.weight.tolist()):
         into.setdefault(v, []).append((w, None))
-    for edges in (aug.media, aug.recommendations):
-        for v, w, i in zip(edges.dst.tolist(), edges.weight.tolist(), edges.product.tolist()):
+    media, rec = aug.media.nonzero(), aug.recommendations  # media in (step, product, target) order
+    for dst, weight, product in ((media[2], aug.media[media], media[1]), (rec.dst, rec.weight, rec.product)):
+        for v, w, i in zip(dst.tolist(), weight.tolist(), product.tolist()):
             into.setdefault(v, []).append((w, i))
     return into
 

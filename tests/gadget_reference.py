@@ -1,15 +1,16 @@
 """The paper's channel construction, the reference that compiled channels
 are checked against.
 
-build_augmented compiles mass media into scheduled edges and social
+build_augmented compiles mass media into dense per-step vectors and social
 advertising into delayed recommendation edges, beside the base network.
 paper_network expands them back into the paper's pseudonodes:
 
 - a root per product, seeded with it at step 0;
 - per product, a chain of media nodes linked by weight-1 edges, the t-th
   influenced at step t - 1, up to the product's last media step; the root
-  and the t-th chain node send step t's media edges (t, v, i, w) as
-  pseudoedges of weight w to v, which fire at step t;
+  and the t-th chain node send step t's media edges (t, i, v, w), the
+  non-zero entries w = media[t - 1, i, v], as pseudoedges of weight w to v,
+  which fire at step t;
 - per recommendation (u, v, product i, weight w) a relay that hears
   chi_w - eps from product i's root and eps from u, fires by the non-strict
   threshold comparison when u buys exactly i (one step after u), and passes
@@ -66,6 +67,13 @@ def relay_threshold(root_weight: float, source_weight: float, product: Product) 
     return min(root_weight + source_weight, math.sqrt(norm2))
 
 
+def media_edges(media: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(step, product index, node, weight) of each media edge, the non-zero
+    entries of a compiled media array, in (step, product, target) order."""
+    t, i, v = media.nonzero()
+    return t + 1, i, v, media[t, i, v]
+
+
 @dataclass
 class PaperNetwork:
     net: Network  # real nodes, then roots, media chains and relays
@@ -89,20 +97,21 @@ def paper_network(
     """aug's network with its media and recommendations expanded into the
     paper's pseudonodes."""
     n, k = aug.net.node_count, len(products)
-    media, rec = aug.media, aug.recommendations
+    m_step, m_product, m_node, m_weight = media_edges(aug.media)
+    rec = aug.recommendations
     edges = list(aug.net.edges)
     roots = tuple(range(n, n + k))
     chain: dict[tuple[int, int], int] = {}
     node = n + k
     for i in range(k):
-        last = int(media.step[media.product == i].max(initial=0))
+        sent = m_product == i
+        last = int(m_step[sent].max(initial=0))
         steps = [roots[i], *range(node, node + max(last - 1, 0))]  # steps[t - 1] sends step t's media
         chain.update({(i, t): c for t, c in enumerate(steps[1:], start=2)})
         edges += [Edge(a, b, 1.0) for a, b in zip(steps, steps[1:])]
-        sent = media.product == i
         edges += [
             Edge(steps[t - 1], v, w)
-            for t, v, w in zip(media.step[sent].tolist(), media.dst[sent].tolist(), media.weight[sent].tolist())
+            for t, v, w in zip(m_step[sent].tolist(), m_node[sent].tolist(), m_weight[sent].tolist())
         ]
         node += len(steps) - 1
     assert node == aug.threshold_width

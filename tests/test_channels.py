@@ -20,7 +20,7 @@ from campaignsim.feature_space import Product, normalize_product
 from campaignsim.fixtures import blocking_demo
 from campaignsim.network import WEIGHT_SUM_TOL, Edge, Network
 from campaignsim.rng import tile_rng
-from gadget_reference import CHAIN_THRESHOLD, GadgetParams, paper_network
+from gadget_reference import CHAIN_THRESHOLD, GadgetParams, media_edges, paper_network
 from scalar_reference import in_neighbors, run_diffusion
 
 P_AXIS = Product(id=0, features=(1.0, 0.0), null_index=1)
@@ -154,12 +154,13 @@ def test_channel_weights_never_break_capacity_random_sweep():
                 assert aug.scale[v] == (max(0.0, 1.0 - in_sum) / load if load > 0.0 else 0.0)
             # media and recommendations into each node fill the residual
             # exactly when scaled, and never more than the capacity 1
-            media, rec = aug.media, aug.recommendations
-            weights = np.concatenate([media.weight, rec.weight])
+            _, _, m_node, m_weight = media_edges(aug.media)
+            rec = aug.recommendations
+            weights = np.concatenate([m_weight, rec.weight])
             assert ((weights > 0.0) & (weights <= 1.0)).all()
             for v in range(n):
                 base_in = sum(wt for _, wt in in_neighbors(net, v))
-                total_in = base_in + media.weight[media.dst == v].sum() + rec.weight[rec.dst == v].sum()
+                total_in = base_in + m_weight[m_node == v].sum() + rec.weight[rec.dst == v].sum()
                 assert total_in <= 1.0 + WEIGHT_SUM_TOL
                 if aug.scale[v] > 0:
                     assert total_in == pytest.approx(1.0, abs=1e-9)
@@ -178,7 +179,7 @@ def test_zero_budget_plans_add_only_isolated_roots():
     plans = [ChannelPlan(product=0, seeds=frozenset({0})), ChannelPlan(product=1)]
     aug = build_augmented(net, [P_AXIS, Q_AXIS], plans)
     assert aug.net is net
-    assert not len(aug.media) and not len(aug.recommendations)
+    assert not np.count_nonzero(aug.media) and not len(aug.recommendations)
     assert aug.threshold_width == 4
     assert aug.row_block(1).seeds == (frozenset({0}), frozenset())
     assert not net.node_kind.any()  # NodeKind.REAL is 0
@@ -198,7 +199,7 @@ def test_budgets_that_overflow_raise_plan_error(beta):
     with pytest.raises(PlanError, match="not finite"):
         build_augmented(net, products, plans)
     plans[0] = dataclasses.replace(plans[0], beta=(1.0, 1.0))
-    assert len(build_augmented(net, products, plans).media) == 6
+    assert np.count_nonzero(build_augmented(net, products, plans).media) == 6
 
 
 def test_plan_set_must_cover_products_exactly():
@@ -231,7 +232,8 @@ def test_media_chain_nodes_activate_one_step_before_their_slot():
     net = two_node_net(weight=0.1, h=0.0)
     plans = [ChannelPlan(product=0, beta=(0.0, 0.0, 0.0, 0.5))]
     aug = build_augmented(net, [P_AXIS], plans)
-    assert aug.media.step.tolist() == [4, 4] and aug.media.dst.tolist() == [0, 1]
+    step, _, node, _ = media_edges(aug.media)
+    assert step.tolist() == [4, 4] and node.tolist() == [0, 1]
     assert aug.threshold_width == 2 + 1 + 3
     ref = paper_network(aug, [P_AXIS])
     chi = ref.thresholds(tile_rng(0, 0).random(ref.net.node_count))
@@ -249,8 +251,8 @@ def test_media_pseudoedge_weight_is_ratio_times_beta():
     net = two_node_net(weight=0.6, h=0.0)
     plans = [ChannelPlan(product=0, beta=(0.2, 0.3))]
     aug = build_augmented(net, [P_AXIS], plans)
-    media = aug.media
-    w = dict(zip(zip(media.step.tolist(), media.dst.tolist()), media.weight.tolist()))
+    step, _, node, weight = media_edges(aug.media)
+    w = dict(zip(zip(step.tolist(), node.tolist()), weight.tolist()))
     # ratio = residual / nominal load = 0.4 / 0.5
     assert w[1, 1] == pytest.approx(0.8 * 0.2)
     assert w[2, 1] == pytest.approx(0.8 * 0.3)
@@ -286,9 +288,11 @@ def test_recommendation_per_similar_edge_and_product_in_source_order():
     # and no chain without a step-2 slot
     assert aug.net is net and aug.threshold_width == 4 + 2
     # the capacity rule, summed here: channel weights in (0, 1], in-weights at most 1
-    weights = np.concatenate([aug.media.weight, rec.weight])
+    _, _, m_node, m_weight = media_edges(aug.media)
+    weights = np.concatenate([m_weight, rec.weight])
     assert ((weights > 0.0) & (weights <= 1.0)).all()
-    in_sums = sum(np.bincount(edges.dst, edges.weight, 4) for edges in (net, aug.media, rec))
+    ins = ((net.dst, net.weight), (m_node, m_weight), (rec.dst, rec.weight))
+    in_sums = sum(np.bincount(dst, weight, 4) for dst, weight in ins)
     assert (in_sums <= 1.0 + WEIGHT_SUM_TOL).all()
 
 
@@ -375,7 +379,7 @@ def test_augmented_dump_files(tmp_path):
     save_augmented(aug, str(e), str(s), str(ps))
     assert e.read_text().splitlines()[1:] == ["0 1 0.3"]  # the base network
     payload = json.loads(ps.read_text())
-    media = aug.media.weight.tolist()
+    media = media_edges(aug.media)[3].tolist()
     assert payload["media"] == [
         {"product": 0, "step": 1, "node": 0, "weight": media[0]},
         {"product": 0, "step": 1, "node": 1, "weight": media[1]},

@@ -12,6 +12,7 @@ from campaignsim.estimator import estimate_spread
 from campaignsim.feature_space import Product, load_products, save_products
 from campaignsim.network import Network, load_network, parse_edge_file, save_network
 from campaignsim.rng import TILE_SIZE, tile_rng
+from gadget_reference import media_edges
 
 
 @pytest.fixture(scope="module")
@@ -213,10 +214,9 @@ def test_simulate_with_media_and_social_channels(tmp_path):
         load_plans(str(d / "plans.json")),
     )
     pseudo = json.loads((tmp_path / "a_aug" / "pseudo.json").read_text())
-    media = aug.media
-    assert len(media) and pseudo["media"] == [
-        {"product": aug.product_ids[i], "step": t, "node": v, "weight": w}
-        for t, v, i, w in zip(media.step.tolist(), media.dst.tolist(), media.product.tolist(), media.weight.tolist())
+    media = [a.tolist() for a in media_edges(aug.media)]
+    assert np.count_nonzero(aug.media) and pseudo["media"] == [
+        {"product": aug.product_ids[i], "step": t, "node": v, "weight": w} for t, i, v, w in zip(*media)
     ]
     rec = aug.recommendations
     assert len(rec) and pseudo["recommendations"] == [
@@ -413,6 +413,16 @@ def test_an_input_file_that_is_not_utf8_exits_3_naming_it(fixture_dir, tmp_path,
     assert code == 3
     err = json.loads(capsys.readouterr().err)["error"]
     assert err["type"] == "io" and err["message"] == f"{bad}: not UTF-8 text: {at}"
+
+
+def test_a_plan_file_that_is_not_json_exits_3_naming_it(fixture_dir, tmp_path, capsys):
+    bad = tmp_path / "plans.json"
+    bad.write_text('{"horizon": 2,\n "plans": [}', encoding="utf-8")
+    args = demo_args(fixture_dir, "preference_shift")[:6]
+    code = run(["simulate", *args, "--plans", bad, "--reps", 10, "--out", tmp_path / "o.json"])
+    assert code == 3
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "io" and err["message"] == f"{bad}: Expecting value: line 2 column 12 (char 26)"
 
 
 def test_optimize_non_numeric_config_value_exits_2(fixture_dir, tmp_path, capsys):

@@ -22,7 +22,7 @@ from campaignsim.fixtures import (
 )
 from campaignsim.network import Edge, Network
 from campaignsim.rng import key_uniform
-from gadget_reference import CHAIN_THRESHOLD, paper_network
+from gadget_reference import CHAIN_THRESHOLD, media_edges, paper_network
 from lt_reference import classical_lt, random_lt_instance
 from scalar_reference import DiffusionNotConverged, in_neighbors, initial_state, run_diffusion, step
 
@@ -210,7 +210,7 @@ def test_batch_equals_scalar_on_augmented_instances_with_ties():
     for products in (mirror, cyclic):
         aug = channel_instance(products, rng)
         net = aug.net
-        assert len(aug.media) and len(aug.recommendations)
+        assert np.count_nonzero(aug.media) and len(aug.recommendations)
         # the scalar engine runs the paper's construction in their place
         ref = paper_network(aug, products)
         n = net.node_count
@@ -245,7 +245,7 @@ def test_recommendations_add_after_direct_contributions_in_source_order():
     assert contract > 0.05 + 0.05 + 0.05 + 0.15 + w1 + w0  # descending source
     chi = np.full((2, aug.net.node_count), 0.5)
     chi[:, 4] = [contract, math.nextafter(contract, math.inf)]
-    assert len(aug.media) == 0
+    assert np.count_nonzero(aug.media) == 0
     at, _ = simulate_batch(aug.net, [P_AXIS], [aug.row_block(2)], chi)
     assert at[:, 4].tolist() == [2, -1]
 
@@ -275,9 +275,7 @@ def test_media_add_after_direct_contributions_and_before_recommendations():
         ChannelPlan(product=1, alpha=0.0, beta=(0.0, 0.2)),
     ]
     aug = build_augmented(net, [p, q], plans)
-    media = aug.media
-    w = dict(zip(zip(media.step.tolist(), media.dst.tolist(), media.product.tolist()), media.weight.tolist()))
-    m0, m1 = w[2, 2, 0], w[2, 2, 1]
+    m0, m1 = aug.media[1, :, 2].tolist()  # step 2, node 2
     (r,) = aug.recommendations.weight.tolist()
     step1 = (0.05, p)
     contract = kernel_norm(step1, (0.1, p), (m0, p), (m1, q), (r, p))
@@ -295,10 +293,46 @@ def test_batch_runs_to_its_last_media_step():
     # reach node 1; node 2 follows at step 5
     net = Network.from_edges(3, [(1, 2, 1.0), (2, 0, 1.0), (0, 1, 0.5)])
     aug = build_augmented(net, [P_AXIS], [ChannelPlan(product=0, beta=(0.0, 0.0, 0.0, 1.0))])
-    assert aug.media.step.tolist() == [4] and aug.media.dst.tolist() == [1]
+    step, _, node, _ = media_edges(aug.media)
+    assert step.tolist() == [4] and node.tolist() == [1] and aug.media.shape == (4, 1, 3)
     assert len(aug.recommendations) == 0
     at, pu = simulate_batch(net, [P_AXIS], [aug.row_block(3)], np.full((3, 3), 0.4))
     assert at.tolist() == [[6, 4, 5]] * 3 and pu.tolist() == [[0, 0, 0]] * 3
+
+
+def test_merged_products_dominate_cell_by_cell():
+    """Products are unit vectors with non-negative features, so the norm of
+    any mix of weighted products is at most the sum of its weights.  Merge
+    both products into product 0, summing the seeds, the alphas and the
+    betas step by step: the merged plan has the same channel load, so the
+    same scaling, and every weight into a node is the sum of the two runs'.
+    Under the same threshold rows, every cell active in the two-product run
+    is then active in the merged run, at the same step or earlier.  Only
+    rounding at an exact threshold tie could flip a cell."""
+    from test_seeded_outputs import _synth
+
+    net, products, (p0, p1) = _synth(1)
+    seeds = (p0.seeds, p1.seeds)
+    mixes = [  # (alpha, beta) of product 0, then of product 1
+        ((0.5, (0.2, 0.2)), (0.0, (0.0, 0.0))),
+        ((0.0, (0.3, 0.3)), (0.9, (0.0, 0.0))),
+        ((0.1, (0.0, 0.5)), (0.2, (0.1, 0.1))),
+        ((0.0, (0.0, 0.0)), (0.0, (0.0, 0.0))),
+    ]
+    chi = np.random.default_rng(1).random((256, net.node_count))
+    active = active_merged = 0
+    for mix in mixes:
+        plans = [ChannelPlan(i, s, a, b) for i, s, (a, b) in zip((0, 1), seeds, mix)]
+        merged = ChannelPlan(
+            0, p0.seeds | p1.seeds, mix[0][0] + mix[1][0], tuple(x + y for x, y in zip(mix[0][1], mix[1][1]))
+        )
+        aug, one = build_augmented(net, products, plans), build_augmented(net, products[:1], [merged])
+        at, _ = simulate_batch(net, products, [aug.row_block(256)], chi)
+        at_merged, _ = simulate_batch(net, products[:1], [one.row_block(256)], chi)
+        on = at >= 0
+        assert not (on & ((at_merged < 0) | (at_merged > at))).any(), mix
+        active, active_merged = active + int(on.sum()), active_merged + int((at_merged >= 0).sum())
+    assert active_merged > active > 500_000
 
 
 def test_first_crossing_matches_two_sided_condition():
@@ -374,7 +408,8 @@ def test_zero_aggregate_never_activates_even_at_zero_threshold():
     # them, and at threshold 0 neither ever fires
     net = Network.from_edges(4, [(0, 1, 1.0), (1, 0, 1.0), (2, 3, 0.5)])
     aug = build_augmented(net, products, [ChannelPlan(product=0, beta=(0.2, 0.2, 0.2))])
-    assert sorted(set(aug.media.dst.tolist())) == [2, 3] and aug.media.step[-1] == 3
+    step, _, node, _ = media_edges(aug.media)
+    assert sorted(set(node.tolist())) == [2, 3] and step[-1] == 3
     at, pu = simulate_batch(net, products, [aug.row_block(2)], np.zeros((2, 4)))
     assert at.tolist() == [[-1, -1, 1, 1]] * 2 and pu.tolist() == [[-1, -1, 0, 0]] * 2
 

@@ -238,7 +238,7 @@ def test_batched_estimates_equal_separate_estimates_on_mixed_plans(monkeypatch):
     ]
     augs = [build_augmented(net, products, plans) for plans in plan_sets]
     assert len({aug.threshold_width for aug in augs}) == 3
-    assert len(augs[2].media) == 0 and len(augs[3].recommendations) == 0
+    assert np.count_nonzero(augs[2].media) == 0 and len(augs[3].recommendations) == 0
     pairs = [(augs[0], 41), (augs[1], 7), (augs[2], 41), (augs[3], 8), (augs[4], 9), (augs[0], 10)]
     # over 1,000 nodes, 5 replications each put all six row blocks in one
     # call; 48 each put two pairs in a call; 200 each split every pair's

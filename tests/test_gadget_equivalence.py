@@ -16,7 +16,7 @@ from campaignsim.channels import ChannelPlan, build_augmented, load_plans
 from campaignsim.diffusion import RowBlock, simulate_batch
 from campaignsim.feature_space import angular_distance, load_products, normalize_product
 from campaignsim.network import Edge, Network, ValidationError, load_network
-from gadget_reference import paper_network
+from gadget_reference import media_edges, paper_network
 from scalar_reference import in_neighbors
 
 INSTANCES = Path(__file__).parents[1] / "benchmarks" / "instances.py"
@@ -46,7 +46,8 @@ def test_synthetic_channel_instances(tmp_path):
         aug = build_augmented(
             load_network(paths["net"], paths["sim"]), products, load_plans(paths["plans"])
         )
-        assert len(aug.media) and len(aug.recommendations) > 2 * aug.net.node_count  # most of the paper's graph
+        # most of the paper's graph
+        assert np.count_nonzero(aug.media) and len(aug.recommendations) > 2 * aug.net.node_count
         rng = np.random.default_rng(seed)
         chi = rng.random((16, aug.threshold_width + len(aug.recommendations)))
         pseudo_times = assert_equivalent(aug, products, chi, master_seed=seed, rep_offset=4096 * seed)
@@ -103,18 +104,19 @@ def test_random_instances():
     kept = seeded_sources = gaps = shared_steps = media_only = late_media = relays_fired = 0
     while kept < 240:
         drawn = random_instance(rng)
-        if drawn is None or not (len(drawn[0].media) or len(drawn[0].recommendations)):
+        if drawn is None or not (np.count_nonzero(drawn[0].media) or len(drawn[0].recommendations)):
             continue
         aug, products = drawn
         kept += 1
-        n, media, rec = aug.net.node_count, aug.media, aug.recommendations
+        n, rec = aug.net.node_count, aug.recommendations
+        m_step, m_product, m_node, _ = media_edges(aug.media)
         seeded = set().union(*(plan.seeds for plan in aug.plans))
         seeded_sources += bool(seeded & set(rec.src.tolist()))
         gaps += any(b == 0.0 and any(plan.beta[t:]) for plan in aug.plans for t, b in enumerate(plan.beta, 1))
-        steps = set(zip(media.step.tolist(), media.product.tolist()))
+        steps = set(zip(m_step.tolist(), m_product.tolist()))
         shared_steps += any((t, j) in steps for t, i in steps for j in range(i + 1, len(products)))
-        media_only += any(not in_neighbors(aug.net, v) for v in set(media.dst.tolist()))
-        late_media += bool(len(media)) and int(media.step[-1]) > n - 1
+        media_only += any(not in_neighbors(aug.net, v) for v in set(m_node.tolist()))
+        late_media += bool(m_step.size) and int(m_step[-1]) > n - 1
         chi = rng.random((8, aug.threshold_width + len(rec)))
         pseudo_times = assert_equivalent(aug, products, chi, master_seed=kept, rep_offset=kept * 8)
         relays_fired += bool((pseudo_times[:, aug.threshold_width - n :] >= 0).any())

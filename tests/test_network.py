@@ -229,10 +229,9 @@ def test_edge_order_is_not_part_of_the_contract(tmp_path):
     assert shuffled.similarity == from_file.similarity
     products, plans = load_products(paths["products"]), load_plans(paths["plans"])
     a, b = build_augmented(from_file, products, plans), build_augmented(shuffled, products, plans)
-    assert len(a.media) and len(a.recommendations)
+    assert np.count_nonzero(a.media) and len(a.recommendations)
     assert a.scale.tobytes() == b.scale.tobytes() and a.threshold_width == b.threshold_width
-    for name in ("step", "dst", "product", "weight"):
-        assert getattr(a.media, name).tobytes() == getattr(b.media, name).tobytes()
+    assert a.media.shape == b.media.shape and a.media.tobytes() == b.media.tobytes()
     for name in ("src", "dst", "product", "weight"):
         assert getattr(a.recommendations, name).tobytes() == getattr(b.recommendations, name).tobytes()
     ea, eb = estimate_spread(a, products, 48, 41), estimate_spread(b, products, 48, 41)

@@ -1,9 +1,9 @@
 """Simulation and budget optimization for competing multi-channel campaigns.
 
 Products diffuse over a weighted social network under a multi-feature
-linear-threshold rule; mass media compiles into dense per-step vectors and
-social advertising into delayed recommendation edges beside the base
-network, so one engine covers every channel mix without pseudonodes.
+linear-threshold rule; mass media compiles once into dense per-step vectors
+and social advertising into an edge layer of recommendations beside the
+base network, so one engine covers every channel mix without pseudonodes.
 """
 
 from __future__ import annotations

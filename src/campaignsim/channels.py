@@ -1,5 +1,5 @@
-"""Marketing channels compiled beside the network: dense per-step vectors
-for mass media, delayed edges for social advertising.
+"""Marketing channels compiled once, beside the network: dense per-step
+vectors for mass media, an edge layer for social advertising.
 
 A channel plan per product carries direct seeds, a social-advertising rate
 alpha, and a mass-media schedule beta over a shared horizon.  The compiled
@@ -18,14 +18,14 @@ chain node is influenced at step t-1 and its pseudoedge to v fires at step
 t.  The dense add brings the same vector at the same step without the
 chain's cells.
 
-Social advertising on an edge (u, v) becomes one recommendation per product
-p with a non-zero weight: a delayed edge that adds w * p to v's aggregate
-two steps after u activates, and only if u bought p
-(diffusion.Recommendations).  The paper builds it as a relay pseudonode per
-(edge, product) that hears chi_w - eps from p's root and eps from u, so that
-by the non-strict threshold comparison it fires exactly when u buys p, one
-step after u, and passes w * p on to v one step later.  The compiled edge
-adds the same vector at the same step without the relay's cells.
+Social advertising compiles once into an edge layer shaped like the
+network's (diffusion.Recommendations): the edges (u, v) with a weight w > 0
+for some product p, where w * p reaches v's aggregate two steps after u
+activates, and only if u bought p.  The paper builds each as a relay
+pseudonode per (edge, product) that hears chi_w - eps from p's root and eps
+from u, so that by the non-strict threshold comparison it fires exactly
+when u buys p, one step after u, and passes w * p on to v one step later.
+The layer adds the same vector at the same step without the relay's cells.
 
 Channel weights into a real node are scaled by a common ratio so that they
 exactly fill the node's residual incoming capacity 1 - sum(b_uv):
@@ -37,8 +37,8 @@ every base node: both sums over u run in ascending source order, and the
 denominator adds the plans in plan order.  A media edge weighs
 ratio(v) * beta_p[t] and a recommendation ratio(v) * alpha_p * h_uv.
 
-The media array runs to the last step with a media edge, and
-recommendations are listed in (source, target, product) order.  Within a
+The media array runs to the last step with a media edge, and the layer
+lists recommendations in (source, target, product) order.  Within a
 step the kernel adds the direct contributions to an aggregate first, then
 the media in product order, then the recommendations in ascending source
 order: the order of the paper's pseudonodes, numbered after the real
@@ -97,7 +97,7 @@ class AugmentedNetwork:
     product_ids: tuple[int, ...]
     scale: np.ndarray  # per-node channel scaling ratio
     media: np.ndarray  # (last media step, product, node): mass media weights, 0 where none
-    recommendations: Recommendations  # social advertising, in (source, target, product) order
+    recommendations: Recommendations  # social advertising: the compiled edge layer
     threshold_width: int  # columns per threshold row
 
     def check_products(self, products: list[Product]) -> None:
@@ -161,12 +161,13 @@ def build_augmented(
         scale = np.zeros(n)
         np.divide(np.maximum(0.0, 1.0 - in_sum), load, out=scale, where=load > 0.0)
         reach = np.array([plan.beta for plan in ordered], dtype=float).T[:, :, None] * scale
-        rec = scale[dst][:, None] * np.array([plan.alpha for plan in ordered], dtype=float) * h[:, None]
+        rec = np.array([plan.alpha for plan in ordered], dtype=float)[:, None] * scale[dst] * h
 
-    # one recommendation per (edge, product) with a non-zero weight, in
-    # (source, target, product) order
-    e_idx, p_idx = (rec > 0.0).nonzero()
-    recommendations = Recommendations(src=src[e_idx], dst=dst[e_idx], product=p_idx, weight=rec[e_idx, p_idx])
+    # a recommendation per (product, edge) with a weight > 0, on the layer of
+    # the edges that carry one; a weight that is not, NaN included, is 0
+    kept = rec > 0.0
+    on = kept.any(axis=0)
+    recommendations = Recommendations(src[on].searchsorted(np.arange(n + 1)), dst[on], np.where(kept, rec, 0.0)[:, on])
     checked = {"channel load": load, "media weight": reach, "recommendation weight": recommendations.weight}
     for what, values in checked.items():
         if not np.isfinite(values).all():
@@ -260,7 +261,7 @@ def save_augmented(aug: AugmentedNetwork, edge_path: str, similarity_path: str, 
 
     save_network(aug.net, edge_path, similarity_path)
     pids = aug.product_ids
-    media, rec = aug.media.nonzero(), aug.recommendations
+    media = aug.media.nonzero()
     payload = {
         "media": [
             {"product": pids[i], "step": t + 1, "node": v, "weight": w}
@@ -268,7 +269,7 @@ def save_augmented(aug: AugmentedNetwork, edge_path: str, similarity_path: str, 
         ],
         "recommendations": [
             {"kind": "recommendation", "product": pids[i], "edge": [u, v], "weight": w}
-            for u, v, i, w in zip(rec.src.tolist(), rec.dst.tolist(), rec.product.tolist(), rec.weight.tolist())
+            for u, v, i, w in zip(*(a.tolist() for a in aug.recommendations.listing()))
         ],
     }
     with open(pseudo_path, "w", encoding="utf-8") as fh:

@@ -66,7 +66,7 @@ def _behavioral_trial(p: Product, q: Product, same_product: bool, source_step: i
         ChannelPlan(product=1, seeds=frozenset() if same_product else seed, alpha=0.0, beta=(0.0,)),
     ]
     aug = build_augmented(net, products, plans)
-    w = float(aug.recommendations.weight[0])  # the one recommendation: u -> v for p
+    (w,) = aug.recommendations.listing()[3].tolist()  # the one recommendation: u -> v for p
     bought = p if same_product else q
     direct = _norm([x * _SOURCE_EDGE for x in bought.features])
     full = _norm([x * _SOURCE_EDGE + x * w for x in p.features])

@@ -196,7 +196,11 @@ def cmd_simulate(args) -> int:
 
 def cmd_optimize(args) -> int:
     net, products = _load_instance(args)
+    if args.focal not in {p.id for p in products}:
+        raise ConfigError(f"--focal {args.focal} is not a product id")
     competitor_plans = load_plans(args.plans) if args.plans else []
+    if args.horizon is None and not competitor_plans:
+        raise ConfigError("--horizon is required without --plans")
     config, cost = _ce_setup(args.config, args.workers)
     start = time.perf_counter()
     result = ce_optimize(

@@ -17,19 +17,19 @@ Channels arrive compiled beside the network, standing for the paper's
 pseudonodes (see channels).  Mass media are dense vectors: media[t-1, i, v]
 is the weight w for which w * products[i] reaches v's aggregate at step t
 in every replication, 0 where no media edge reaches v.  Recommendations are
-delayed edges (u, v, i, w) that add w * products[i] to v's aggregate at
-step t_u + 2, and only if u bought product i.  The kernel adds exactly what
-the pseudonodes would, in the same order, without their cells.
+a layer of edges e = (u, v) like the network's: weight[i, e] * products[i]
+reaches v at step t_u + 2, and only if u bought product i.  The kernel adds
+exactly what the pseudonodes would, in the same order, without their cells.
 
 The kernel advances many replications at once; a single run is a batch of
 one.  A batch's rows come in consecutive row blocks that share the network
 and products, each with its own seeds, media, recommendations and tie key:
-the blocks' recommendations sit side by side in one table and a cell sends
-along its own block's, a block's media reach its own rows, and so every row
-comes out exactly as in a batch of its block alone.  The kernel never
-writes the thresholds it is given.  A node whose aggregate is exactly the
-zero vector never activates, whatever its threshold, and an influenced node
-never activates again.  A batch runs at
+the network and the blocks' recommendation layers sit side by side in one
+key table and a cell sends along its own block's layer, a block's media
+reach its own rows, and so every row comes out exactly as in a batch of its
+block alone.  The kernel never writes the thresholds it is given.  A node
+whose aggregate is exactly the zero vector never activates, whatever its
+threshold, and an influenced node never activates again.  A batch runs at
 least to its last media step; past it, a step that activates no cell ends
 the batch unless a recommendation is still in flight.  So with media up to
 step L, activation times stay within L + n - 1, and with recommendations a
@@ -57,9 +57,9 @@ wins unless another lies within COS_TIE_TOL * norm of it.  Every purchase
 tie of a step is broken by one keyed-hash call over all tied cells.  A
 feature that no product has would only add 0.0 to these sums, so the kernel
 drops it and it costs nothing.  Memory is O(R * n * f) for R replications, n
-nodes and f used features, plus O(E) for the edge arrays and each block's
-recommendations; each block's media are O(L * k * n) for k products and
-media up to step L, and are read where they are; there is no n x n matrix.
+nodes and f used features, plus O(k * E) for the network's and each block's
+layer; each block's media are O(L * k * n) for k products and media up to
+step L, and are read where they are; there is no n x n matrix.
 """
 
 from __future__ import annotations
@@ -112,22 +112,23 @@ class PurchaseTieError(Exception):
 
 @dataclass(frozen=True)
 class Recommendations:
-    """Delayed edges: weight[j] * products[product[j]] reaches dst[j] two
-    steps after src[j] activates, and only if src[j] bought that product.
+    """Social advertising as an edge layer in the network's CSR shape: source
+    u's edges are indptr[u] to indptr[u + 1] - 1, in ascending target, and
+    weight[j, e] * products[j] reaches dst[e] two steps after u activates,
+    and only if u bought product j; weight[j, e] is 0 where j has none."""
 
-    Aligned arrays of product indices, node numbers and weights.
-    """
-
-    src: np.ndarray
-    dst: np.ndarray
-    product: np.ndarray
-    weight: np.ndarray
+    indptr: np.ndarray  # (n + 1,)
+    dst: np.ndarray  # (m,)
+    weight: np.ndarray  # (k, m)
 
     def __len__(self) -> int:
-        return self.src.size
+        return int(np.count_nonzero(self.weight))
 
-
-_NO_RECOMMENDATIONS = Recommendations(*(np.zeros(0, dtype=np.intp),) * 3, np.zeros(0))
+    def listing(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(src, dst, product, weight) of each recommendation, in (source, target, product) order."""
+        e, j = self.weight.T.nonzero()
+        src = np.repeat(np.arange(self.indptr.size - 1), np.diff(self.indptr))
+        return src[e], self.dst[e], j, self.weight[j, e]
 
 
 @dataclass(frozen=True)
@@ -146,7 +147,9 @@ class RowBlock:
     rows: int
     seeds: tuple[frozenset[int], ...]
     media: np.ndarray = field(default_factory=lambda: np.zeros((0, 0, 0)))
-    recommendations: Recommendations = _NO_RECOMMENDATIONS
+    recommendations: Recommendations = field(
+        default_factory=lambda: Recommendations(np.zeros(1, np.intp), np.zeros(0, np.intp), np.zeros((0, 0)))
+    )
     master_seed: int = 0
     rep_offset: int = 0
 
@@ -174,60 +177,58 @@ def simulate_batch(
     if sum(b.rows for b in blocks) != R:
         raise ValueError("row blocks do not cover the threshold rows")
     block_rows = [b.rows for b in blocks]
-    n_edges = net.dst.size
     pmat = product_matrix(products)
     # a feature no product has would add 0.0 to every running sum below, which
     # leaves each sum's bits as they are, so its column is dropped
     pmat = pmat[:, pmat.any(axis=0)]
     k, f = pmat.shape
-    # edge e carrying product j has key j * E + e; its weighted features by key.
-    # A cell of node u that bought product j sends along group j * n + u (slot
-    # j): its out-edges, keys group_lo[g] to group_lo[g] + group_deg[g] - 1.
-    # All blocks share these groups; each block appends its recommendations'.
-    key_dst = [net.dst] * k
-    key_contrib = [(pmat.T[:, :, None] * net.weight).reshape(f, k * n_edges)]
-    group_lo = [net.indptr[:-1] + j * n_edges for j in range(k)]
-    group_deg = [net.indptr[1:] - net.indptr[:-1]] * k
-    n_keys, n_groups = k * n_edges, k * n
+    # layer 0 is the network, its weight the same for every product, and
+    # layer 1 + i block i's recommendations.  A cell of node u that bought
+    # product j sends along group (layer * k + j) * n + u: u's out-edges in
+    # the layer, keys group_lo[g] to group_lo[g] + group_deg[g] - 1.  Edge e
+    # of a layer of m edges has key j * m + e after the layers before it and
+    # carries pmat[j] * weight[j, e]; a product with no weight in a layer
+    # sends nothing along it, nor does a block's layer without edges.
     recommending = any(len(b.recommendations) for b in blocks)
-    last_step = max((b.media.shape[0] for b in blocks), default=0)
-    # media_at[t - 1]: (first row, end row, j, w) per block and product whose
-    # media at step t are not all zero, in product order; w holds the weights by target
-    media_at = [[] for _ in range(last_step)]
-    rec_start = []  # per block
-    lo = 0
-    for b in blocks:
-        if recommending:
-            # and one step later along group rec_start + j * n + u: its
-            # recommendations of product j
-            rec = b.recommendations
-            group = rec.product * n + rec.src
-            order = group.argsort(kind="stable")
-            rec_lo = n_keys + group[order].searchsorted(np.arange(k * n + 1))
-            group_lo.append(rec_lo[:-1])
-            group_deg.append(rec_lo[1:] - rec_lo[:-1])
-            key_dst.append(rec.dst[order])
-            key_contrib.append(pmat.T[:, rec.product[order]] * rec.weight[order])
-            rec_start.append(n_groups)
-            n_keys, n_groups = n_keys + len(rec), n_groups + k * n
-        for t, j in zip(*b.media.any(axis=2).nonzero()):  # in (step, product) order
-            media_at[t].append((lo, lo + b.rows, j, b.media[t, j]))
-        lo += b.rows
-    key_dst, group_lo, group_deg = np.concatenate(key_dst), np.concatenate(group_lo), np.concatenate(group_deg)
-    key_contrib = np.concatenate(key_contrib, axis=1)
-    if recommending:  # per row: its block's recommendation shift
-        rec_shift = np.repeat(rec_start, block_rows)
+    layers = [(net.indptr, net.dst, net.weight)]
+    if recommending:  # and per row, the shift to its block's layer
+        layers += [(r.indptr, r.dst, r.weight) for r in (b.recommendations for b in blocks)]
+        rec_shift = np.repeat(np.arange(1, len(blocks) + 1) * (k * n), block_rows)
+    group_lo, group_deg = np.zeros((2, len(layers), k, n), dtype=np.intp)
+    key_dst, key_contrib, n_keys = [], [], 0
+    for layer, (indptr, dst, weight) in enumerate(layers):
+        if dst.size or not layer:  # the network's always, so no key table is empty
+            group_lo[layer] = indptr[:-1] + (n_keys + dst.size * np.arange(k))[:, None]
+            group_deg[layer] = (indptr[1:] - indptr[:-1]) * weight.any(axis=-1, keepdims=True)
+            key_dst += [dst] * k
+            key_contrib.append((pmat.T[:, :, None] * weight).reshape(f, k * dst.size))
+            n_keys += k * dst.size
+    key_dst, key_contrib = np.concatenate(key_dst), np.concatenate(key_contrib, axis=1)
+    group_lo, group_deg = group_lo.reshape(-1), group_deg.reshape(-1)
     # per block: its tie key; row r of block i is replication rep_base[i] + r
     block_end = np.cumsum(block_rows)
     tie_seed = np.array([b.master_seed & MASK64 for b in blocks], dtype=np.uint64)
     rep_base = np.array([b.rep_offset for b in blocks]) - (block_end - block_rows)
     # per-replication arrays are flat over cells r * n + v; agg is feature-major
     thr = np.asarray(thresholds, dtype=float).reshape(-1)
-    purchased = np.full(R * n, -1, dtype=np.int16)
+    purchased = np.full(R * n, -1, dtype=np.min_scalar_type(-k))
     activation_time = np.full(R * n, -1, dtype=np.int32)
     agg = np.zeros((f, R * n))
     agg_rows = agg.reshape(f, R, n)
     touched = np.zeros(R * n, dtype=bool)
+    last_step = max((b.media.shape[0] for b in blocks), default=0)
+    # media_at[t - 1]: (first row, end row, j, w) per block and product whose
+    # media at step t are not all zero, in product order; w holds the weights by target
+    media_at = [[] for _ in range(last_step)]
+    lo = 0
+    for b in blocks:  # the seed sets are disjoint, so placement order is free
+        cols = [v for nodes in b.seeds for v in nodes]
+        bought = [j for j, nodes in enumerate(b.seeds) for _ in nodes]
+        purchased.reshape(R, n)[lo : lo + b.rows, cols] = bought
+        activation_time.reshape(R, n)[lo : lo + b.rows, cols] = 0
+        for t, j in zip(*b.media.any(axis=2).nonzero()):  # in (step, product) order
+            media_at[t].append((lo, lo + b.rows, j, b.media[t, j]))
+        lo += b.rows
 
     def scatter(sends):
         """Add the keys of each (cell, group) pair to agg, in order; return the cells reached."""
@@ -242,13 +243,6 @@ def simulate_batch(
             np.add.at(agg[i], cell, key_contrib[i][key])
         return cell
 
-    lo = 0
-    for b in blocks:  # the seed sets are disjoint, so placement order is free
-        cols = [v for nodes in b.seeds for v in nodes]
-        bought = [j for j, nodes in enumerate(b.seeds) for _ in nodes]
-        purchased.reshape(R, n)[lo : lo + b.rows, cols] = bought
-        activation_time.reshape(R, n)[lo : lo + b.rows, cols] = 0
-        lo += b.rows
     front = (activation_time == 0).nonzero()[0]  # cells activated last step, ascending
     front_prod = purchased[front].astype(np.intp)
     held = None  # (cell, group) of the step before last's recommendations

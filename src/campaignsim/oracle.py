@@ -69,8 +69,8 @@ def _in_edges(aug: AugmentedNetwork) -> dict[int, list[tuple[float, int | None]]
     # one stable pass over the (source, target)-sorted edges
     for v, w in zip(aug.net.dst.tolist(), aug.net.weight.tolist()):
         into.setdefault(v, []).append((w, None))
-    media, rec = aug.media.nonzero(), aug.recommendations  # media in (step, product, target) order
-    for dst, weight, product in ((media[2], aug.media[media], media[1]), (rec.dst, rec.weight, rec.product)):
+    step, prod, node = aug.media.nonzero()  # in (step, product, target) order
+    for _, dst, product, weight in ((step, node, prod, aug.media[step, prod, node]), aug.recommendations.listing()):
         for v, w, i in zip(dst.tolist(), weight.tolist(), product.tolist()):
             into.setdefault(v, []).append((w, i))
     return into

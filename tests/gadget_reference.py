@@ -2,7 +2,7 @@
 are checked against.
 
 build_augmented compiles mass media into dense per-step vectors and social
-advertising into delayed recommendation edges, beside the base network.
+advertising into an edge layer of recommendations, beside the base network.
 paper_network expands them back into the paper's pseudonodes:
 
 - a root per product, seeded with it at step 0;
@@ -98,7 +98,6 @@ def paper_network(
     paper's pseudonodes."""
     n, k = aug.net.node_count, len(products)
     m_step, m_product, m_node, m_weight = media_edges(aug.media)
-    rec = aug.recommendations
     edges = list(aug.net.edges)
     roots = tuple(range(n, n + k))
     chain: dict[tuple[int, int], int] = {}
@@ -118,9 +117,8 @@ def paper_network(
     fixed = [CHAIN_THRESHOLD] * (node - n)
     b_root, eps = gadget.chi_w - gadget.epsilon, gadget.epsilon
     relays: dict[tuple[int, int, int], int] = {}
-    for relay, (u, v, i, w) in enumerate(
-        sorted(zip(rec.src.tolist(), rec.dst.tolist(), rec.product.tolist(), rec.weight.tolist())), start=node
-    ):
+    listed = sorted(zip(*(a.tolist() for a in aug.recommendations.listing())))
+    for relay, (u, v, i, w) in enumerate(listed, start=node):
         relays[(i, u, v)] = relay
         edges += (Edge(roots[i], relay, b_root), Edge(u, relay, eps), Edge(relay, v, w))
         fixed.append(relay_threshold(b_root, eps, products[i]))

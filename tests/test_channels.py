@@ -155,12 +155,12 @@ def test_channel_weights_never_break_capacity_random_sweep():
             # media and recommendations into each node fill the residual
             # exactly when scaled, and never more than the capacity 1
             _, _, m_node, m_weight = media_edges(aug.media)
-            rec = aug.recommendations
-            weights = np.concatenate([m_weight, rec.weight])
+            _, r_dst, _, r_weight = aug.recommendations.listing()
+            weights = np.concatenate([m_weight, r_weight])
             assert ((weights > 0.0) & (weights <= 1.0)).all()
             for v in range(n):
                 base_in = sum(wt for _, wt in in_neighbors(net, v))
-                total_in = base_in + m_weight[m_node == v].sum() + rec.weight[rec.dst == v].sum()
+                total_in = base_in + m_weight[m_node == v].sum() + r_weight[r_dst == v].sum()
                 assert total_in <= 1.0 + WEIGHT_SUM_TOL
                 if aug.scale[v] > 0:
                     assert total_in == pytest.approx(1.0, abs=1e-9)
@@ -275,7 +275,7 @@ def test_recommendation_per_similar_edge_and_product_in_source_order():
     plans = [ChannelPlan(product=0, alpha=1.0, beta=(0.1,)), ChannelPlan(product=1, alpha=0.5, beta=(0.0,))]
     aug = build_augmented(net, [P_AXIS, Q_AXIS], plans)
     rec = aug.recommendations
-    got = list(zip(rec.src.tolist(), rec.dst.tolist(), rec.product.tolist(), rec.weight.tolist()))
+    got = list(zip(*(a.tolist() for a in rec.listing())))
     want = []
     for u, v, _ in sorted(edges):
         for i, plan in enumerate(plans):
@@ -284,14 +284,18 @@ def test_recommendation_per_similar_edge_and_product_in_source_order():
                 want.append((u, v, i, w))
     assert got == want
     assert {(u, v) for u, v, _, _ in got} == {(2, 1), (0, 1), (3, 0), (0, 3)}
+    # the layer: those edges in (source, target) order, a weight row per product
+    assert rec.indptr.tolist() == [0, 2, 2, 3, 4] and rec.dst.tolist() == [1, 3, 1, 0]
+    assert rec.weight.shape == (2, 4) and len(rec) == len(got)
     # no pseudonodes; the threshold width counts the real nodes, the roots,
     # and no chain without a step-2 slot
     assert aug.net is net and aug.threshold_width == 4 + 2
     # the capacity rule, summed here: channel weights in (0, 1], in-weights at most 1
     _, _, m_node, m_weight = media_edges(aug.media)
-    weights = np.concatenate([m_weight, rec.weight])
+    _, r_dst, _, r_weight = rec.listing()
+    weights = np.concatenate([m_weight, r_weight])
     assert ((weights > 0.0) & (weights <= 1.0)).all()
-    ins = ((net.dst, net.weight), (m_node, m_weight), (rec.dst, rec.weight))
+    ins = ((net.dst, net.weight), (m_node, m_weight), (r_dst, r_weight))
     in_sums = sum(np.bincount(dst, weight, 4) for dst, weight in ins)
     assert (in_sums <= 1.0 + WEIGHT_SUM_TOL).all()
 
@@ -384,7 +388,7 @@ def test_augmented_dump_files(tmp_path):
         {"product": 0, "step": 1, "node": 0, "weight": media[0]},
         {"product": 0, "step": 1, "node": 1, "weight": media[1]},
     ]
-    w = aug.recommendations.weight[0]
+    (w,) = aug.recommendations.listing()[3].tolist()
     assert payload["recommendations"] == [{"kind": "recommendation", "product": 0, "edge": [0, 1], "weight": w}]
 
 

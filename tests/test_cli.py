@@ -221,7 +221,7 @@ def test_simulate_with_media_and_social_channels(tmp_path):
     rec = aug.recommendations
     assert len(rec) and pseudo["recommendations"] == [
         {"kind": "recommendation", "product": aug.product_ids[i], "edge": [u, v], "weight": w}
-        for u, v, i, w in zip(rec.src.tolist(), rec.dst.tolist(), rec.product.tolist(), rec.weight.tolist())
+        for u, v, i, w in zip(*(a.tolist() for a in rec.listing()))
     ]
     # one trajectory row per network node, so no pseudonode rows
     assert_replication_zero(d, 11, tmp_path / "a_traj.csv")
@@ -480,15 +480,17 @@ def test_optimize_out_of_range_ce_config_exits_2(fixture_dir, tmp_path, capsys, 
 
 @pytest.mark.parametrize(
     "command, horizon",
-    [("optimize", -1), ("optimize", -2), ("best-response", -1), ("best-response", -2)],
+    [("optimize", -1), ("optimize", -2), ("optimize", None), ("best-response", -1), ("best-response", -2)],
 )
 def test_negative_horizon_exits_2(fixture_dir, tmp_path, capsys, command, horizon):
+    # None: optimize without --plans needs a --horizon
     extra = ["--focal", 0, "--budget", 2.0] if command == "optimize" else ["--budget", 1.0, "--rounds", 1]
     out = tmp_path / "o.json"
     code = run(
         [
             command, *demo_args(fixture_dir, "preference_shift")[:6], *extra,
-            "--horizon", horizon, "--config", ce_config(tmp_path), "--seed", 1, "--out", out,
+            *(["--horizon", horizon] if horizon is not None else []),
+            "--config", ce_config(tmp_path), "--seed", 1, "--out", out,
         ]
     )
     assert code == 2
@@ -613,6 +615,7 @@ def test_gadget_check_subcommand(tmp_path):
         ["best-response", "--rounds", 0],
         ["gadget-check", "--trials", -1],
         ["gadget-check", "--trials", 0],
+        ["optimize", "--focal", 7],  # not a product id
     ],
     ids=lambda argv: " ".join(map(str, argv)),
 )
@@ -622,6 +625,7 @@ def test_non_positive_count_exits_2(fixture_dir, tmp_path, capsys, argv):
         "simulate": demo_args(fixture_dir),
         "oracle": demo_args(fixture_dir),
         "best-response": [*demo_args(fixture_dir, "preference_shift")[:6], "--budget", 1.0, "--horizon", 2],
+        "optimize": [*demo_args(fixture_dir, "preference_shift")[:6], "--budget", 1.0, "--horizon", 2],
         "gadget-check": [],
     }[command]
     out = tmp_path / "x.json"

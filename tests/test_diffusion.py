@@ -7,6 +7,7 @@ import pytest
 
 from campaignsim.channels import ChannelPlan, build_augmented
 from campaignsim.diffusion import PurchaseTieError, RowBlock, simulate_batch
+from campaignsim.estimator import estimate_spread
 from campaignsim.feature_space import COS_TIE_TOL, Product, normalize_product
 from campaignsim.fixtures import (
     BRIDGE,
@@ -239,7 +240,7 @@ def test_recommendations_add_after_direct_contributions_in_source_order():
         similarities={(0, 4): 0.9, (1, 4): 0.7},
     )
     aug = build_augmented(net, [P_AXIS], [ChannelPlan(product=0, seeds=frozenset({0, 1}), alpha=1.0)])
-    w0, w1 = aug.recommendations.weight.tolist()
+    w0, w1 = aug.recommendations.listing()[3].tolist()
     contract = 0.05 + 0.05 + 0.05 + 0.15 + w0 + w1  # step 1, then step 2: direct, then recommendations
     assert contract > 0.05 + 0.05 + w0 + w1 + 0.05 + 0.15  # recommendations first
     assert contract > 0.05 + 0.05 + 0.05 + 0.15 + w1 + w0  # descending source
@@ -248,6 +249,11 @@ def test_recommendations_add_after_direct_contributions_in_source_order():
     assert np.count_nonzero(aug.media) == 0
     at, _ = simulate_batch(aug.net, [P_AXIS], [aug.row_block(2)], chi)
     assert at[:, 4].tolist() == [2, -1]
+    # beside a block without channels, where node 4 never gets there, each
+    # block's rows come out as alone
+    plain = RowBlock(2, aug.row_block(2).seeds)
+    both, _ = simulate_batch(aug.net, [P_AXIS], [plain, aug.row_block(2)], np.vstack([chi, chi]))
+    assert both[2:].tolist() == at.tolist() and both[:2, 4].tolist() == [-1, -1]
 
 
 def kernel_norm(*contributions):
@@ -276,7 +282,7 @@ def test_media_add_after_direct_contributions_and_before_recommendations():
     ]
     aug = build_augmented(net, [p, q], plans)
     m0, m1 = aug.media[1, :, 2].tolist()  # step 2, node 2
-    (r,) = aug.recommendations.weight.tolist()
+    (r,) = aug.recommendations.listing()[3].tolist()
     step1 = (0.05, p)
     contract = kernel_norm(step1, (0.1, p), (m0, p), (m1, q), (r, p))
     assert contract > kernel_norm(step1, (m0, p), (m1, q), (0.1, p), (r, p))  # media first
@@ -514,6 +520,18 @@ def test_purchase_choice_matches_a_feature_order_reference():
         fed_by_seeds(untied), CYCLIC, [RowBlock(1, seeds)], np.zeros((1, 3 + len(untied))), on_tie="raise"
     )
     assert pu[0, 3:].tolist() == reference_purchases(untied, CYCLIC, 0, 0)
+
+
+def test_purchases_past_32767_products_keep_their_index():
+    # product 32,768 is the only one with media, and both nodes buy it at step 1
+    k = 32_769
+    net = Network.from_edges(2, [(0, 1, 0.5)])
+    products = [Product(j, (0.0, 1.0), 0) for j in range(k - 1)] + [Product(k - 1, (1.0, 0.0), 1)]
+    plans = [ChannelPlan(j, beta=(0.0,)) for j in range(k - 1)] + [ChannelPlan(k - 1, beta=(1.0,))]
+    aug = build_augmented(net, products, plans)
+    at, pu = simulate_batch(net, products, [aug.row_block(1)], np.full((1, 2), 0.4))
+    assert at.tolist() == [[1, 1]] and pu.tolist() == [[k - 1, k - 1]]
+    assert estimate_spread(aug, products, 64, 1).mean_of(k - 1) == 2.0
 
 
 def test_not_converged_raised_when_capped_below_activity():

@@ -15,6 +15,7 @@ from campaignsim.feature_space import Product
 from campaignsim.fixtures import blocking_demo, preference_shift
 from campaignsim.network import Edge, Network
 from campaignsim.rng import TILE_SIZE, tile_rng
+from live_edge_reference import live_edge_spreads
 
 P_AXIS = Product(id=0, features=(1.0, 0.0), null_index=1)
 Q_AXIS = Product(id=1, features=(0.0, 1.0), null_index=0)
@@ -364,3 +365,19 @@ def test_estimates_take_the_compiled_products_in_order():
             estimate_spreads([(aug, 1)], wrong, 10)
         with pytest.raises(ValueError, match="compiled plans' products"):
             activation_time_histogram(aug, wrong, 5, 10, 1)
+
+
+def test_one_product_estimates_agree_with_live_edges():
+    # Kempe, Kleinberg & Tardos's live-edge draws give the final set of the
+    # one-product threshold model under every channel mix, media and
+    # recommendations included; the means agree within 4 combined stderrs
+    from test_seeded_outputs import _synth
+
+    net, products, (plan, _) = _synth(1)
+    reps = 2000
+    for alpha, beta in ((0.0, (0.0, 0.0)), (plan.alpha, (0.0, 0.0)), (0.0, plan.beta), (plan.alpha, plan.beta)):
+        aug = build_augmented(net, products[:1], [ChannelPlan(0, plan.seeds, alpha, beta)])
+        est = estimate_spread(aug, products[:1], reps, 3)
+        live = live_edge_spreads(aug, reps, 4)
+        se = np.hypot(est.stderr_of(0), live.std(ddof=1) / np.sqrt(reps))
+        assert abs(est.mean_of(0) - live.mean()) <= 4 * se, (alpha, beta, est.mean_of(0), live.mean())

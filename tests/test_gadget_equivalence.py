@@ -111,7 +111,7 @@ def test_random_instances():
         n, rec = aug.net.node_count, aug.recommendations
         m_step, m_product, m_node, _ = media_edges(aug.media)
         seeded = set().union(*(plan.seeds for plan in aug.plans))
-        seeded_sources += bool(seeded & set(rec.src.tolist()))
+        seeded_sources += bool(seeded & set(rec.listing()[0].tolist()))
         gaps += any(b == 0.0 and any(plan.beta[t:]) for plan in aug.plans for t, b in enumerate(plan.beta, 1))
         steps = set(zip(m_step.tolist(), m_product.tolist()))
         shared_steps += any((t, j) in steps for t, i in steps for j in range(i + 1, len(products)))

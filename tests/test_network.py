@@ -232,7 +232,7 @@ def test_edge_order_is_not_part_of_the_contract(tmp_path):
     assert np.count_nonzero(a.media) and len(a.recommendations)
     assert a.scale.tobytes() == b.scale.tobytes() and a.threshold_width == b.threshold_width
     assert a.media.shape == b.media.shape and a.media.tobytes() == b.media.tobytes()
-    for name in ("src", "dst", "product", "weight"):
+    for name in ("indptr", "dst", "weight"):
         assert getattr(a.recommendations, name).tobytes() == getattr(b.recommendations, name).tobytes()
     ea, eb = estimate_spread(a, products, 48, 41), estimate_spread(b, products, 48, 41)
     assert ea.spread_sums.tobytes() == eb.spread_sums.tobytes()

@@ -243,13 +243,14 @@ def paper_oracle(aug, products, grid):
     product, a superset of what it can carry."""
     ref = paper_network(aug, products)
     n = aug.net.node_count
-    empty = np.zeros(0, dtype=np.intp)
     ref_aug = dataclasses.replace(
         aug,
         net=ref.net,
         plans=tuple(dataclasses.replace(plan, seeds=seeds) for plan, seeds in zip(aug.plans, ref.seeds)),
         media=np.zeros((0, 0, 0)),
-        recommendations=Recommendations(empty, empty, empty, np.zeros(0)),
+        recommendations=Recommendations(
+            np.zeros(ref.net.node_count + 1, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros((len(products), 0))
+        ),
     )
     pinned = {int(v): float(t) for v, t in enumerate(ref.fixed, start=n)}
     return exact_spread_grid(ref_aug, products, grid, pinned=pinned)

@@ -59,7 +59,13 @@ feature that no product has would only add 0.0 to these sums, so the kernel
 drops it and it costs nothing.  Memory is O(R * n * f) for R replications, n
 nodes and f used features, plus O(k * E) for the network's and each block's
 layer; each block's media are O(L * k * n) for k products and media up to
-step L, and are read where they are; there is no n x n matrix.
+step L, and are read where they are; there is no n x n matrix.  From one
+step to the next the kernel keeps its per-cell state (aggregates, purchases,
+activation times, a mark) and only the frontier, its purchases and the held
+recommendations: the arrays of a step's scatter, threshold test and purchase
+choice die with the step.  One estimate call, its thresholds included, peaks
+at about 61 bytes per cell (row x node) on the 37-node blocking demo (two
+features) and 85 on a 1000-node channel instance (tracemalloc).
 """
 
 from __future__ import annotations
@@ -168,9 +174,13 @@ def simulate_batch(
     non-contiguous view included, is left as it was.  The row blocks split
     the R rows in order, each with its own seeds, media, recommendations and
     tie key, so each block's rows come out exactly as a batch of that block
-    alone would, however the replications are batched.
+    alone would, however the replications are batched.  on_tie "random"
+    breaks each purchase tie by the blocks' tie keys, and "raise" raises
+    PurchaseTieError at the first tie instead.
     Returns (activation_time, purchased), both (R, n).
     """
+    if on_tie not in ("random", "raise"):
+        raise ValueError(f"on_tie must be 'random' or 'raise', got {on_tie!r}")
     R, n = thresholds.shape
     if n != net.node_count:
         raise ValueError("threshold matrix width does not match node count")
@@ -243,7 +253,90 @@ def simulate_batch(
             np.add.at(agg[i], cell, key_contrib[i][key])
         return cell
 
-    front = (activation_time == 0).nonzero()[0]  # cells activated last step, ascending
+    def reach(t, sends):
+        """Add step t's influence to agg: the frontier's out-edges (sends[0]),
+        then at a media step the step's media, then the recommendations of the
+        step before last's activations (sends[1], if any).  Return the cells
+        to test, ascending, or None to test every cell."""
+        if t > last_step:
+            cell = scatter(sends)
+            if not cell.size:  # nothing reaches any cell this step
+                return cell
+            # only cells whose aggregate changed can newly cross their threshold
+            touched[cell] = True
+            tested = touched.nonzero()[0]
+            touched[tested] = False
+            return tested
+        scatter(sends[:1])
+        for lo, hi, j, w in media_at[t - 1]:
+            # pmat[j, i] * w[v] is the one product a media edge would add;
+            # where w is 0 it is a zero, which leaves any aggregate (>= +0.0) as it is
+            agg_rows[:, lo:hi] += (pmat[j][:, None] * w)[:, None]
+        if len(sends) > 1:
+            scatter(sends[1:])
+        # every cell is tested, none marked: a cell whose aggregate did not
+        # change since its last test cannot activate now, as its aggregate
+        # is zero, or was below its threshold then, or it is influenced
+        return None
+
+    def activate(tested):
+        """(front, norms): the tested cells, every cell if None, that cross
+        their threshold now, ascending, and their aggregates' norms, which
+        only a choice between products needs (None with one product)."""
+        if tested is not None and not tested.size:
+            return tested, None
+        at = slice(None) if tested is None else tested
+        norm2 = 0.0
+        for i in range(f):  # squares summed in feature order
+            x = agg[i][at]
+            norm2 = norm2 + x * x
+        norms = np.sqrt(norm2)
+        # a zero aggregate never activates, nor does an influenced cell again
+        newly = (norms >= thr[at]) & (norms > 0.0) & (activation_time[at] < 0)
+        front = newly.nonzero()[0] if tested is None else np.compress(newly, tested)
+        return front, np.compress(newly, norms) if k > 1 else None
+
+    def choose(front, norms, t):
+        """(front, choice): choice[c] is the product, as intp, that cell
+        front[c], whose aggregate has norm norms[c], buys at step t."""
+        choice = np.zeros(front.size, dtype=np.intp)
+        if k == 1 or not front.size:
+            return front, choice
+        # dots[j] = <aggregate, p_j>, summed in feature order like norm2
+        dots = np.zeros((k, front.size))
+        for i in range(f):
+            x = agg[i][front]
+            for j in range(k):
+                dots[j] += x * pmat[j, i]
+        # cut is the running maximum, then the lowest dot that still ties it;
+        # only a strictly greater dot replaces the choice, so the first maximum wins
+        cut = dots[0].copy()
+        for j in range(1, k):
+            np.putmask(choice, dots[j] > cut, j)
+            np.maximum(cut, dots[j], out=cut)
+        cut -= COS_TIE_TOL * norms
+        count = np.zeros(front.size, dtype=np.min_scalar_type(k))
+        for j in range(k):
+            count += dots[j] >= cut
+        multi = (count > 1).nonzero()[0]
+        if multi.size:  # some cell has more than one candidate
+            rows, cols = np.divmod(front[multi], n)
+            block = block_end.searchsorted(rows, side="right")
+            key_seed, reps = tie_seed[block], rep_base[block] + rows
+            if on_tie == "raise":
+                raise PurchaseTieError(f"purchase tie at node {cols[0]}, step {t}, replication {reps[0]}")
+            # the i-th tied candidate, i = floor(u01 * count), hashed per (rep, node, step)
+            u01 = key_uniform(key_seed, reps, cols, t)
+            pick = (u01 * count[multi]).astype(np.intp)
+            # it is the first product whose running candidate count exceeds pick
+            seen = (dots[:, multi] >= cut[multi]).cumsum(axis=0)  # (k, len(multi))
+            choice[multi] = (seen <= pick).sum(axis=0)
+        return front, choice
+
+    # a step carries only its frontier (the cells activated last step, ascending),
+    # their purchases and the held recommendations to the next; the arrays of
+    # a step's scatter, test and purchase choice die inside reach, activate and choose
+    front = (activation_time == 0).nonzero()[0]
     front_prod = purchased[front].astype(np.intp)
     held = None  # (cell, group) of the step before last's recommendations
     t = 0
@@ -255,77 +348,11 @@ def simulate_batch(
         rows = front // n
         base = rows * n
         sends = [(base, front_prod * n + (front - base))]
-        later = held
-        if recommending:
-            held = (base, sends[0][1] + rec_shift[rows]) if front.size else None
-        if t <= last_step:
-            scatter(sends)
-            for lo, hi, j, w in media_at[t - 1]:
-                # pmat[j, i] * w[v] is the one product a media edge would add;
-                # where w is 0 it is a zero, which leaves any aggregate (>= +0.0) as it is
-                agg_rows[:, lo:hi] += (pmat[j][:, None] * w)[:, None]
-            if later is not None:
-                scatter([later])
-            # every cell is tested, none marked: a cell whose aggregate did not
-            # change since its last test cannot activate now, as its aggregate
-            # is zero, or was below its threshold then, or it is influenced;
-            # front comes out in ascending cell order either way
-            tested = None
-        else:
-            if later is not None:
-                sends.append(later)
-            cell = scatter(sends)
-            if not cell.size:  # nothing reaches any cell this step
-                front = front_prod = cell
-                continue
-            # only cells whose aggregate changed can newly cross their threshold
-            touched[cell] = True
-            tested = touched.nonzero()[0]
-            touched[tested] = False
-        at = slice(None) if tested is None else tested
-        norm2 = 0.0
-        for i in range(f):  # squares summed in feature order
-            x = agg[i][at]
-            norm2 = norm2 + x * x
-        norms = np.sqrt(norm2)
-        # a zero aggregate never activates, nor does an influenced cell again
-        newly = (norms >= thr[at]) & (norms > 0.0) & (activation_time[at] < 0)
-        front = newly.nonzero()[0] if tested is None else np.compress(newly, tested)  # ascending
-        if not front.size:
-            front_prod = front
-            continue
-        choice = np.zeros(front.size, dtype=np.intp)
-        if k > 1:
-            # dots[j] = <aggregate, p_j>, summed in feature order like norm2
-            dots = np.zeros((k, front.size))
-            for i in range(f):
-                x = agg[i][front]
-                for j in range(k):
-                    dots[j] += x * pmat[j, i]
-            # cut is the running maximum, then the lowest dot that still ties it;
-            # only a strictly greater dot replaces the choice, so the first maximum wins
-            cut = dots[0].copy()
-            for j in range(1, k):
-                np.putmask(choice, dots[j] > cut, j)
-                np.maximum(cut, dots[j], out=cut)
-            cut -= COS_TIE_TOL * np.compress(newly, norms)
-            count = np.zeros(front.size, dtype=np.min_scalar_type(k))
-            for j in range(k):
-                count += dots[j] >= cut
-            multi = (count > 1).nonzero()[0]
-            if multi.size:  # some cell has more than one candidate
-                rows, cols = np.divmod(front[multi], n)
-                block = block_end.searchsorted(rows, side="right")
-                key_seed, reps = tie_seed[block], rep_base[block] + rows
-                if on_tie == "raise":
-                    raise PurchaseTieError(f"purchase tie at node {cols[0]}, step {t}, replication {reps[0]}")
-                # the i-th tied candidate, i = floor(u01 * count), hashed per (rep, node, step)
-                u01 = key_uniform(key_seed, reps, cols, t)
-                pick = (u01 * count[multi]).astype(np.intp)
-                # it is the first product whose running candidate count exceeds pick
-                seen = (dots[:, multi] >= cut[multi]).cumsum(axis=0)  # (k, len(multi))
-                choice[multi] = (seen <= pick).sum(axis=0)
-        front_prod = choice
-        purchased[front] = choice
-        activation_time[front] = t
+        if held is not None:
+            sends.append(held)
+        held = (base, sends[0][1] + rec_shift[rows]) if recommending and front.size else None
+        front, front_prod = choose(*activate(reach(t, sends)), t)
+        if front.size:
+            purchased[front] = front_prod
+            activation_time[front] = t
     return activation_time.reshape(R, n), purchased.reshape(R, n)

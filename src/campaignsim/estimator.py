@@ -20,11 +20,11 @@ own seed and at its own threshold width, so each estimate is bit for bit
 what estimate_spread gives for that pair alone.  The pairs' chunks and
 smaller tiles are packed in order into kernel calls, one row block per
 (pair, chunk) (see diffusion.RowBlock), and their threshold rows are copied
-into one n-wide array per call, which the kernel only reads.  Workers are
-threads sharing the read-only network that run the kernel calls; they
-overlap where numpy releases the interpreter lock, and each holds one call
-at a time, so an estimate's kernel memory stays within workers times
-CALL_CELLS cells.
+into one n-wide array per call, which the kernel only reads: no full-width
+draw is alive while the kernel runs.  Workers are threads sharing the
+read-only network that run the kernel calls; they overlap where numpy
+releases the interpreter lock, and each holds one call at a time, so an
+estimate's kernel memory stays within workers times CALL_CELLS cells.
 
 Threshold rows are aug.threshold_width wide, the node count of the
 paper's media construction (see channels), and the kernel reads their first
@@ -71,6 +71,7 @@ class SpreadEstimate:
         return float(self.stderrs[self.product_ids.index(product_id)])
 
     def node_probability(self, node: int, product_id: int) -> float:
+        _check_node(node, self.node_counts.shape[1])
         j = self.product_ids.index(product_id)
         return float(self.node_counts[j, node]) / self.replications
 
@@ -115,10 +116,16 @@ def _check_count(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
+def _check_node(node, n: int) -> None:
+    # a negative index would read another node from the end
+    if not (isinstance(node, numbers.Integral) and 0 <= node < n):
+        raise ValueError(f"node {node!r} is not one of the network's {n} nodes 0..{n - 1}")
+
+
 def _run_call(net, products, segments):
     """Exact sums, sums of squares and node counts per segment of one kernel
     call, one row block per (aug, seed, tile_idx, rows, lo) segment."""
-    # copy each draw's first n columns, so one full-width draw is alive at a time
+    # copy each draw's first n columns; no full-width draw is alive while the kernel runs
     thresholds = np.empty((sum(segment[3] for segment in segments), net.node_count))
     blocks, lo = [], 0
     for segment in segments:
@@ -126,6 +133,7 @@ def _run_call(net, products, segments):
         thresholds[lo : lo + block.rows] = chi
         blocks.append(block)
         lo += block.rows
+    del chi
     _, purchased = simulate_batch(net, products, blocks, thresholds)
     starts = np.cumsum([0] + [b.rows for b in blocks[:-1]])
     k = len(products)
@@ -235,6 +243,7 @@ def activation_time_histogram(
     least the latest possible step plus one (see diffusion).
     """
     _check_count("replications", replications)
+    _check_node(node, aug.net.node_count)
     aug.check_products(products)
     w = aug.threshold_width
     hist = np.zeros(2 * w - 1 if len(aug.recommendations) else w, dtype=np.int64)

@@ -562,6 +562,15 @@ def test_batch_shape_validation():
             simulate_batch(net, [P_AXIS], blocks, np.full((2, 2), 0.5))
 
 
+def test_on_tie_must_be_random_or_raise():
+    # a misspelt mode used to break ties at random; it now fails before any
+    # work, ahead of the shape checks
+    net = Network.from_edges(2, [(0, 1, 0.5)])
+    for mode in ("rais", "RANDOM", None):
+        with pytest.raises(ValueError, match=f"on_tie must be 'random' or 'raise', got {mode!r}"):
+            simulate_batch(net, [P_AXIS], [], np.full((2, 3), 0.5), on_tie=mode)
+
+
 def test_threshold_sampling_respects_fixed_values():
     # the paper's construction writes its pseudonodes' fixed thresholds into
     # a copy of the caller's rows and leaves the real columns as drawn

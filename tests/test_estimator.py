@@ -2,6 +2,7 @@ import os
 import resource
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -73,6 +74,20 @@ def test_media_pseudoedge_probability_near_effective_weight():
     assert est.node_probability(1, 0) == est.mean_of(0)
     assert est.node_probability(0, 0) == 0.0
     assert est.node_probability(2, 0) == 0.0
+
+
+def test_a_node_outside_the_network_raises(monkeypatch):
+    # node -1 used to read node 4's figures, and node 5 raised numpy's
+    # IndexError, in the histogram only after a kernel call
+    net, products, plans = preference_shift()
+    aug = build_augmented(net, products, plans)
+    est = estimate_spread(aug, products, 50, 1)
+    monkeypatch.setattr(estimator, "simulate_batch", None)  # no kernel call may start
+    for node in (-1, 5):
+        with pytest.raises(ValueError, match=f"node {node} is not one of the network's 5 nodes"):
+            est.node_probability(node, 0)
+        with pytest.raises(ValueError, match=f"node {node} is not one of the network's 5 nodes"):
+            activation_time_histogram(aug, products, node, 50, 1)
 
 
 def test_activation_time_histogram_hits_the_scheduled_step():
@@ -365,6 +380,26 @@ def test_estimates_take_the_compiled_products_in_order():
             estimate_spreads([(aug, 1)], wrong, 10)
         with pytest.raises(ValueError, match="compiled plans' products"):
             activation_time_histogram(aug, wrong, 5, 10, 1)
+
+
+def test_an_estimate_call_holds_few_bytes_per_cell():
+    # the tracemalloc peak of one estimate_spread call, per cell (rows x
+    # nodes), each instance in one kernel call: 95 and 123 B while a kernel
+    # step's arrays lived on into the next step and the last threshold draw
+    # through the kernel call, 61 and 85 B since neither does
+    from test_seeded_outputs import _synth
+
+    for (net, products, plans), reps, bound in ((blocking_demo("base"), 2048, 75), (_synth(1), 128, 100)):
+        aug = build_augmented(net, products, plans)
+        assert reps <= estimator.call_rows(net)
+        estimate_spread(aug, products, reps, 1)  # numpy's one-off allocations are not the call's
+        tracemalloc.start()
+        try:
+            estimate_spread(aug, products, reps, 2)
+            per_cell = tracemalloc.get_traced_memory()[1] / (reps * net.node_count)
+        finally:
+            tracemalloc.stop()
+        assert per_cell <= bound, (net.node_count, per_cell)
 
 
 def test_one_product_estimates_agree_with_live_edges():

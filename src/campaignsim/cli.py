@@ -33,8 +33,7 @@ from .channels import (
     save_augmented,
 )
 from .checks import gadget_property_check
-from .diffusion import simulate_batch
-from .estimator import _tile_block, estimate_spread
+from .estimator import _run_call, estimate_spread
 from .feature_space import ProductError, load_products
 from .fixtures import write_fixtures
 from .network import NetworkError, _data_lines, _read_text, load_network
@@ -185,8 +184,7 @@ def cmd_simulate(args) -> int:
         header = ["node"] + [f"product_{pid}" for pid in est.product_ids]
         _write_csv(args.node_probs, header, ([v, *row] for v, row in enumerate(probs)))
     if args.trajectory:
-        thresholds, block = _tile_block(aug, args.seed, 0, 1, 0)  # replication 0 of the estimate
-        act_time, purchased = simulate_batch(aug.net, products, [block], thresholds)
+        act_time, purchased = _run_call(products, [(aug, args.seed, 0, 1, 0)])  # replication 0 of the estimate
         ids = [*est.product_ids, -1]  # purchased index -1: no purchase
         rows = zip(range(aug.net.node_count), act_time[0].tolist(), (ids[p] for p in purchased[0].tolist()))
         _write_csv(args.trajectory, ["node", "activation_time", "product"], rows)

@@ -3,13 +3,14 @@
 Replications are partitioned into fixed-size tiles; tile k draws its
 thresholds from a counter-based stream keyed by (master seed, k), so the
 values a given replication sees depend only on the master seed and its global
-index.  _tile_block owns that rule (which threshold row and which tie key
-replication r gets); every run of the kernel on sampled thresholds, including
-the CLI's single-replication trajectory, goes through it.  Because the stream
-is counter-based, _tile_block draws any run of a tile's rows without the rows
-before it.  Per-replication purchase counts are accumulated as exact integers
-and reduced in replication order, which makes every estimate bit-identical
-for any worker count and any split of the rows into kernel calls.
+index.  _run_call draws the thresholds of every sampled kernel run (an
+estimate's calls, a histogram's, the CLI's single-replication trajectory)
+and owns the rule of which threshold row and which tie key replication r
+gets; the stream being counter-based, it draws any run of a tile's rows
+without the rows before it.  Per-replication purchase counts are accumulated
+as exact integers and reduced in replication order, which makes every
+estimate bit-identical for any worker count and any split of the rows into
+kernel calls.
 
 A kernel call's memory grows with its cells (rows times nodes), so no call
 holds more than call_rows(net) rows, at most CALL_CELLS cells: a tile over
@@ -17,12 +18,12 @@ that limit runs in equal row chunks.  estimate_spreads estimates several
 compiled plans over one base network at once, as the optimizer does for an
 iteration's samples.  Each (plan, seed) pair still draws its rows from its
 own seed and at its own threshold width, so each estimate is bit for bit
-what estimate_spread gives for that pair alone.  The pairs' chunks and
-smaller tiles are packed in order into kernel calls, one row block per
-(pair, chunk) (see diffusion.RowBlock), and their threshold rows are copied
-into one n-wide array per call, which the kernel only reads: no full-width
-draw is alive while the kernel runs.  Workers are threads sharing the
-read-only network that run the kernel calls; they overlap where numpy
+what estimate_spread gives for that pair alone.  _plan_calls packs the
+pairs' chunks and smaller tiles in order into kernel calls, one row block
+per (pair, chunk) (see diffusion.RowBlock); _run_call copies a call's
+threshold rows into one n-wide array, which the kernel only reads, so no
+full-width draw is alive while the kernel runs.  Workers are threads sharing
+the read-only network that run the kernel calls; they overlap where numpy
 releases the interpreter lock, and each holds one call at a time, so an
 estimate's kernel memory stays within workers times CALL_CELLS cells.
 
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import AugmentedNetwork
-from .diffusion import RowBlock, simulate_batch
+from .diffusion import simulate_batch
 from .feature_space import Product
 from .rng import TILE_SIZE, tile_rng
 
@@ -54,6 +55,12 @@ def call_rows(net) -> int:
     return max(1, min(TILE_SIZE, CALL_CELLS // net.node_count))
 
 
+def _product_index(product_ids: tuple[int, ...], product_id) -> int:
+    if product_id not in product_ids:
+        raise ValueError(f"product {product_id!r} is not one of the result's products {product_ids}")
+    return product_ids.index(product_id)
+
+
 @dataclass
 class SpreadEstimate:
     product_ids: tuple[int, ...]
@@ -65,14 +72,14 @@ class SpreadEstimate:
     node_counts: np.ndarray  # (k, n) int64 purchase counts
 
     def mean_of(self, product_id: int) -> float:
-        return float(self.means[self.product_ids.index(product_id)])
+        return float(self.means[_product_index(self.product_ids, product_id)])
 
     def stderr_of(self, product_id: int) -> float:
-        return float(self.stderrs[self.product_ids.index(product_id)])
+        return float(self.stderrs[_product_index(self.product_ids, product_id)])
 
     def node_probability(self, node: int, product_id: int) -> float:
         _check_node(node, self.node_counts.shape[1])
-        j = self.product_ids.index(product_id)
+        j = _product_index(self.product_ids, product_id)
         return float(self.node_counts[j, node]) / self.replications
 
     def to_dict(self) -> dict:
@@ -89,28 +96,6 @@ class SpreadEstimate:
         }
 
 
-def _row_chunks(replications: int, limit: int):
-    """(tile_idx, rows, lo) of each row chunk, in replication order: a tile of
-    L rows splits into p = ceil(L / limit) chunks, rows [L*c//p, L*(c+1)//p)."""
-    for tile_idx in range(-(-replications // TILE_SIZE)):
-        tile_len = min(TILE_SIZE, replications - tile_idx * TILE_SIZE)
-        p = -(-tile_len // limit)
-        for c in range(p):
-            lo = tile_len * c // p
-            yield tile_idx, tile_len * (c + 1) // p - lo, lo
-
-
-def _tile_block(aug: AugmentedNetwork, seed: int, tile_idx: int, rows: int, lo: int) -> tuple[np.ndarray, RowBlock]:
-    """(thresholds, row block) of rows lo .. lo + rows - 1 of a tile.
-
-    Replication r = tile_idx * TILE_SIZE + lo + i takes row lo + i of tile
-    tile_idx's stream as its thresholds and (seed, r) as its tie key.
-    """
-    w = aug.threshold_width
-    chi = tile_rng(seed, tile_idx, lo * w).random((rows, w))
-    return chi[:, : aug.net.node_count], aug.row_block(rows, seed, tile_idx * TILE_SIZE + lo)
-
-
 def _check_count(name: str, value) -> None:
     if not (isinstance(value, numbers.Integral) and value >= 1):
         raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
@@ -122,31 +107,45 @@ def _check_node(node, n: int) -> None:
         raise ValueError(f"node {node!r} is not one of the network's {n} nodes 0..{n - 1}")
 
 
-def _run_call(net, products, segments):
-    """Exact sums, sums of squares and node counts per segment of one kernel
-    call, one row block per (aug, seed, tile_idx, rows, lo) segment."""
-    # copy each draw's first n columns; no full-width draw is alive while the kernel runs
+def _plan_calls(pairs: int, replications: int, limit: int) -> list[list[tuple[int, int, int, int]]]:
+    """The kernel calls that estimate replications rows for each of pairs
+    (aug, seed) pairs: lists of (pair index, tile_idx, rows, lo) segments, in
+    replication order.  A tile of L rows splits into p = ceil(L / limit)
+    chunks, rows [L*c//p, L*(c+1)//p); chunk by chunk, each pair's segment is
+    packed in order into calls of at most limit rows."""
+    calls, used = [], limit + 1
+    for tile_idx in range(-(-replications // TILE_SIZE)):
+        tile_len = min(TILE_SIZE, replications - tile_idx * TILE_SIZE)
+        p = -(-tile_len // limit)
+        for c in range(p):
+            lo = tile_len * c // p
+            rows = tile_len * (c + 1) // p - lo
+            for s in range(pairs):
+                if used + rows > limit:
+                    calls.append([])
+                    used = 0
+                calls[-1].append((s, tile_idx, rows, lo))
+                used += rows
+    return calls
+
+
+def _run_call(products: list[Product], segments) -> tuple[np.ndarray, np.ndarray]:
+    """simulate_batch over one kernel call, one row block per (aug, seed,
+    tile_idx, rows, lo) segment, all over one base network.
+
+    Replication r = tile_idx * TILE_SIZE + lo + i of a segment takes row
+    lo + i of tile tile_idx's stream of seed as its thresholds and (seed, r)
+    as its tie key.
+    """
+    net = segments[0][0].net
     thresholds = np.empty((sum(segment[3] for segment in segments), net.node_count))
-    blocks, lo = [], 0
-    for segment in segments:
-        chi, block = _tile_block(*segment)
-        thresholds[lo : lo + block.rows] = chi
-        blocks.append(block)
-        lo += block.rows
-    del chi
-    _, purchased = simulate_batch(net, products, blocks, thresholds)
-    starts = np.cumsum([0] + [b.rows for b in blocks[:-1]])
-    k = len(products)
-    sums = np.zeros((len(blocks), k), dtype=np.int64)
-    sumsq = np.zeros((len(blocks), k), dtype=np.int64)
-    node_counts = np.zeros((len(blocks), k, net.node_count), dtype=np.int64)
-    for j in range(k):
-        bought = purchased == j  # (R, n)
-        per_rep = bought.sum(axis=1, dtype=np.int64)
-        sums[:, j] = np.add.reduceat(per_rep, starts)
-        sumsq[:, j] = np.add.reduceat(per_rep * per_rep, starts)
-        node_counts[:, j] = np.add.reduceat(bought, starts, axis=0, dtype=np.int64)
-    return sums, sumsq, node_counts
+    blocks, at = [], 0
+    for aug, seed, tile_idx, rows, lo in segments:
+        w = aug.threshold_width  # each full-width draw dies once its first n columns are copied
+        thresholds[at : at + rows] = tile_rng(seed, tile_idx, lo * w).random((rows, w))[:, : net.node_count]
+        blocks.append(aug.row_block(rows, seed, tile_idx * TILE_SIZE + lo))
+        at += rows
+    return simulate_batch(net, products, blocks, thresholds)
 
 
 def estimate_spreads(
@@ -174,20 +173,23 @@ def estimate_spreads(
         raise ValueError("estimates in one batch must share one base network")
     for aug, _ in pairs:
         aug.check_products(products)
-    limit = call_rows(net)
-    calls, used = [], limit + 1  # lists of (pair index, tile_idx, rows, lo)
-    for tile_idx, rows, lo in _row_chunks(replications, limit):
-        for s in range(len(pairs)):
-            if used + rows > limit:
-                calls.append([])
-                used = 0
-            calls[-1].append((s, tile_idx, rows, lo))
-            used += rows
-
-    def run(call):
-        return _run_call(net, products, [(*pairs[s], *chunk) for s, *chunk in call])
-
+    calls = _plan_calls(len(pairs), replications, call_rows(net))
     k = len(products)
+
+    def run(call):  # exact sums, sums of squares and node counts per segment
+        _, purchased = _run_call(products, [(*pairs[s], *chunk) for s, *chunk in call])
+        starts = np.cumsum([0] + [rows for _, _, rows, _ in call[:-1]])
+        sums = np.zeros((len(call), k), dtype=np.int64)
+        sumsq = np.zeros((len(call), k), dtype=np.int64)
+        node_counts = np.zeros((len(call), k, net.node_count), dtype=np.int64)
+        for j in range(k):
+            bought = purchased == j  # (R, n)
+            per_rep = bought.sum(axis=1, dtype=np.int64)
+            sums[:, j] = np.add.reduceat(per_rep, starts)
+            sumsq[:, j] = np.add.reduceat(per_rep * per_rep, starts)
+            node_counts[:, j] = np.add.reduceat(bought, starts, axis=0, dtype=np.int64)
+        return sums, sumsq, node_counts
+
     sums = np.zeros((len(pairs), k), dtype=np.int64)
     sumsq = np.zeros((len(pairs), k), dtype=np.int64)
     node_counts = np.zeros((len(pairs), k, net.node_count), dtype=np.int64)
@@ -247,8 +249,7 @@ def activation_time_histogram(
     aug.check_products(products)
     w = aug.threshold_width
     hist = np.zeros(2 * w - 1 if len(aug.recommendations) else w, dtype=np.int64)
-    for chunk in _row_chunks(replications, call_rows(aug.net)):  # the calls of estimate_spread
-        thresholds, block = _tile_block(aug, seed, *chunk)
-        times = simulate_batch(aug.net, products, [block], thresholds)[0][:, node]
+    for call in _plan_calls(1, replications, call_rows(aug.net)):  # the calls of estimate_spread
+        times = _run_call(products, [(aug, seed, *chunk) for _, *chunk in call])[0][:, node]
         hist += np.bincount(times[times >= 0], minlength=hist.size)
     return hist

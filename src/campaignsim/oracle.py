@@ -26,7 +26,7 @@ import numpy as np
 
 from .channels import AugmentedNetwork
 from .diffusion import simulate_batch
-from .estimator import call_rows
+from .estimator import _product_index, call_rows
 from .feature_space import Product, product_matrix
 
 
@@ -57,7 +57,7 @@ class OracleResult:
     tuples_evaluated: int
 
     def spread_of(self, product_id: int) -> float:
-        return float(self.spread[self.product_ids.index(product_id)])
+        return float(self.spread[_product_index(self.product_ids, product_id)])
 
 
 def _in_edges(aug: AugmentedNetwork) -> dict[int, list[tuple[float, int | None]]]:

@@ -15,6 +15,7 @@ from campaignsim.estimator import activation_time_histogram, estimate_spread, es
 from campaignsim.feature_space import Product
 from campaignsim.fixtures import blocking_demo, preference_shift
 from campaignsim.network import Edge, Network
+from campaignsim.oracle import GridSpec, exact_spread_grid
 from campaignsim.rng import TILE_SIZE, tile_rng
 from live_edge_reference import live_edge_spreads
 
@@ -88,6 +89,19 @@ def test_a_node_outside_the_network_raises(monkeypatch):
             est.node_probability(node, 0)
         with pytest.raises(ValueError, match=f"node {node} is not one of the network's 5 nodes"):
             activation_time_histogram(aug, products, node, 50, 1)
+
+
+def test_an_unknown_product_id_names_itself():
+    # every lookup used to raise "tuple.index(x): x not in tuple"
+    net, products, plans = preference_shift()
+    aug = build_augmented(net, products, plans)
+    est = estimate_spread(aug, products, 50, 1)
+    exact = exact_spread_grid(aug, products, GridSpec(resolution=4))
+    lookups = (est.mean_of, est.stderr_of, lambda pid: est.node_probability(0, pid), exact.spread_of)
+    for lookup in lookups:
+        assert lookup(1) >= 0.0
+        with pytest.raises(ValueError, match=r"^product 7 is not one of the result's products \(0, 1\)$"):
+            lookup(7)
 
 
 def test_activation_time_histogram_hits_the_scheduled_step():
@@ -386,33 +400,43 @@ def test_an_estimate_call_holds_few_bytes_per_cell():
     # the tracemalloc peak of one estimate_spread call, per cell (rows x
     # nodes), each instance in one kernel call: 95 and 123 B while a kernel
     # step's arrays lived on into the next step and the last threshold draw
-    # through the kernel call, 61 and 85 B since neither does
+    # through the kernel call, 61 and 85 B since neither does; a histogram
+    # over the same rows holds what the estimate holds (69 B on the blocking
+    # demo while it handed the kernel a view into the full-width draw)
     from test_seeded_outputs import _synth
+
+    def peak_per_cell(run, cells):
+        run(1)  # numpy's one-off allocations are not the call's
+        tracemalloc.start()
+        try:
+            run(2)
+            return tracemalloc.get_traced_memory()[1] / cells
+        finally:
+            tracemalloc.stop()
 
     for (net, products, plans), reps, bound in ((blocking_demo("base"), 2048, 75), (_synth(1), 128, 100)):
         aug = build_augmented(net, products, plans)
         assert reps <= estimator.call_rows(net)
-        estimate_spread(aug, products, reps, 1)  # numpy's one-off allocations are not the call's
-        tracemalloc.start()
-        try:
-            estimate_spread(aug, products, reps, 2)
-            per_cell = tracemalloc.get_traced_memory()[1] / (reps * net.node_count)
-        finally:
-            tracemalloc.stop()
+        cells = reps * net.node_count
+        per_cell = peak_per_cell(lambda seed: estimate_spread(aug, products, reps, seed), cells)
         assert per_cell <= bound, (net.node_count, per_cell)
+        hist = peak_per_cell(lambda seed: activation_time_histogram(aug, products, 5, reps, seed), cells)
+        assert hist <= per_cell + 2, (net.node_count, hist, per_cell)
 
 
 def test_one_product_estimates_agree_with_live_edges():
     # Kempe, Kleinberg & Tardos's live-edge draws give the final set of the
     # one-product threshold model under every channel mix, media and
-    # recommendations included; the means agree within 4 combined stderrs
+    # recommendations included; the means agree within 4 combined stderrs,
+    # at 1,000 nodes and at 10,000, where a kernel call holds 13 rows
     from test_seeded_outputs import _synth
 
-    net, products, (plan, _) = _synth(1)
-    reps = 2000
-    for alpha, beta in ((0.0, (0.0, 0.0)), (plan.alpha, (0.0, 0.0)), (0.0, plan.beta), (plan.alpha, plan.beta)):
-        aug = build_augmented(net, products[:1], [ChannelPlan(0, plan.seeds, alpha, beta)])
-        est = estimate_spread(aug, products[:1], reps, 3)
-        live = live_edge_spreads(aug, reps, 4)
-        se = np.hypot(est.stderr_of(0), live.std(ddof=1) / np.sqrt(reps))
-        assert abs(est.mean_of(0) - live.mean()) <= 4 * se, (alpha, beta, est.mean_of(0), live.mean())
+    for nodes, reps in ((1000, 2000), (10_000, 500)):
+        net, products, (plan, _) = _synth(1, nodes)
+        assert net.node_count == nodes
+        for alpha, beta in ((0.0, (0.0, 0.0)), (plan.alpha, (0.0, 0.0)), (0.0, plan.beta), (plan.alpha, plan.beta)):
+            aug = build_augmented(net, products[:1], [ChannelPlan(0, plan.seeds, alpha, beta)])
+            est = estimate_spread(aug, products[:1], reps, 3)
+            live = live_edge_spreads(aug, reps, 4)
+            se = np.hypot(est.stderr_of(0), live.std(ddof=1) / np.sqrt(reps))
+            assert abs(est.mean_of(0) - live.mean()) <= 4 * se, (nodes, alpha, beta, est.mean_of(0), live.mean())

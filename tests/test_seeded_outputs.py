@@ -29,10 +29,12 @@ GOLDEN = Path(__file__).parent / "data" / "seeded_outputs.json"
 INSTANCES = Path(__file__).parents[1] / "benchmarks" / "instances.py"
 
 
-def _synth(seed: int):
+def _synth(seed: int, nodes: int | None = None):
     spec = importlib.util.spec_from_file_location("bench_instances", INSTANCES)
     instances = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(instances)
+    if nodes is not None:  # the benchmark's instance at another size
+        instances.SYNTH_NODES = nodes
     with tempfile.TemporaryDirectory() as tmp:
         paths = instances.write_synth(seed, tmp)
         return load_network(paths["net"], paths["sim"]), load_products(paths["products"]), load_plans(paths["plans"])

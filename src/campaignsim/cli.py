@@ -130,7 +130,6 @@ _CE_KEYS = {
     "max_iterations": ("max_iterations", _count),
     "tol": ("tol", float),
     "replications": ("replications", _count),
-    "seed_retry_limit": ("seed_retry_limit", _count),
     "best_response_tol": ("best_response_tol", float),
 }
 _COST_KEYS = {"seed_cost", "alpha_cost", "beta_cost"}
@@ -200,6 +199,11 @@ def cmd_optimize(args) -> int:
     if args.horizon is None and not competitor_plans:
         raise ConfigError("--horizon is required without --plans")
     config, cost = _ce_setup(args.config, args.workers)
+    # every input is read before the flags are checked against the plan file
+    if args.focal in {plan.product for plan in competitor_plans}:
+        raise ConfigError(f"--plans holds a plan for the focal product {args.focal}")
+    if competitor_plans and args.horizon not in (None, competitor_plans[0].horizon):
+        raise ConfigError(f"--horizon {args.horizon} differs from the --plans horizon {competitor_plans[0].horizon}")
     start = time.perf_counter()
     result = ce_optimize(
         net, products, args.focal, competitor_plans, cost, args.budget,

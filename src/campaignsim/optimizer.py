@@ -2,12 +2,16 @@
 
 A candidate plan is sampled from independent Bernoulli inclusion
 probabilities over seed nodes and truncated-at-zero normals for the
-continuous alpha/beta budgets.  Seed sets whose cost alone exceeds the
-budget are resampled (bounded retries); the continuous part is then scaled
-down uniformly so the total cost never exceeds the budget.  Each iteration
-keeps the top elite fraction by estimated focal spread, refits the sampling
-distribution to the elites and smooths toward the previous parameters.  The
-returned plan is the best ever evaluated, not the last distribution mode.
+continuous alpha/beta budgets.  The search starts every candidate at seed
+probability min(0.5, budget / (seed cost * candidates)), so the expected
+seed cost of a first sample never exceeds the budget.  A seed set whose
+cost alone exceeds the budget is redrawn, at most 100 times (``_SEED_DRAWS``);
+the continuous part is then scaled down uniformly so the total cost never
+exceeds the budget.  An iteration scores its samples as one array of focal
+means in sample order, ranks it with ties broken by sample index, keeps the
+top elite fraction, refits the sampling distribution to the elites and
+smooths toward the previous parameters.  The returned plan is the best ever
+evaluated (the earliest, among equals), not the last distribution mode.
 
 The loop stops at the first of three tests (``CEResult.stop_reason``):
 
@@ -56,6 +60,8 @@ from .rng import derive_seed
 
 # iterations the elite threshold must hold (span the last this + 1 rows)
 _STALL_ITERATIONS = 5
+# seed-set draws before a sample gives up as infeasible
+_SEED_DRAWS = 100
 
 
 class InfeasiblePlanError(Exception):
@@ -90,7 +96,6 @@ class CEConfig:
     max_iterations: int = 30
     tol: float = 1e-3
     replications: int = 10_000
-    seed_retry_limit: int = 100
     workers: int = 1
     best_response_tol: float = 1e-3
 
@@ -106,7 +111,6 @@ class CEConfig:
             ("max_iterations", count(self.max_iterations)),
             ("tol", 0.0 <= self.tol < math.inf),
             ("replications", count(self.replications)),
-            ("seed_retry_limit", count(self.seed_retry_limit)),
             ("workers", count(self.workers)),
             ("best_response_tol", 0.0 <= self.best_response_tol < math.inf),
         ):
@@ -140,22 +144,17 @@ def sample_plan(
     cost_model: CostModel,
     gamma: float,
     product_id: int,
-    candidates: list[int],
+    candidates: np.ndarray,
     rng: np.random.Generator,
-    retry_limit: int = 100,
 ) -> ChannelPlan:
     """Draw one budget-feasible plan from the current sampling distribution."""
-    seeds = None
-    for _ in range(retry_limit):
+    for _ in range(_SEED_DRAWS):
         mask = rng.random(len(candidates)) < state.seed_probs
-        cost = cost_model.seed_unit_cost * int(mask.sum())
-        if cost <= gamma:
-            seeds = frozenset(c for c, m in zip(candidates, mask) if m)
+        if cost_model.seed_unit_cost * int(mask.sum()) <= gamma:
             break
-    if seeds is None:
-        raise InfeasiblePlanError(
-            f"no feasible seed set within {retry_limit} draws for budget {gamma}"
-        )
+    else:
+        raise InfeasiblePlanError(f"no feasible seed set within {_SEED_DRAWS} draws for budget {gamma}")
+    seeds = frozenset(np.asarray(candidates)[mask].tolist())
     alpha = max(0.0, float(rng.normal(state.alpha_mean, state.alpha_std)))
     beta = np.maximum(0.0, rng.normal(state.beta_mean, state.beta_std))
     seed_cost = cost_model.seed_unit_cost * len(seeds)
@@ -168,11 +167,9 @@ def sample_plan(
 
 
 def _initial_state(candidates, cost_model, gamma, horizon) -> CrossEntropyState:
+    # c * sum(p0) <= gamma: a first sample's expected seed cost fits the budget
     n = max(len(candidates), 1)
-    if cost_model.seed_unit_cost > 0:
-        p0 = min(0.5, max(0.01, gamma / cost_model.seed_unit_cost / n))
-    else:
-        p0 = 0.5
+    p0 = min(0.5, gamma / cost_model.seed_unit_cost / n) if cost_model.seed_unit_cost > 0 else 0.5
     scale = gamma / (horizon + 2) if gamma > 0 else 1.0
     a_mean = scale / cost_model.alpha_unit_cost if cost_model.alpha_unit_cost > 0 else 1.0
     b_mean = scale / cost_model.beta_unit_cost if cost_model.beta_unit_cost > 0 else 1.0
@@ -217,6 +214,8 @@ def ce_optimize(
         raise ValueError(f"horizon must be >= 0, got {horizon}")
     taken = set()
     for plan in competitor_plans:
+        if plan.horizon != horizon:
+            raise ValueError(f"horizon {horizon} differs from the competitor plans' horizon {plan.horizon}")
         taken |= plan.seeds
     covered = {plan.product for plan in competitor_plans}
     if focal_product in covered:
@@ -227,8 +226,7 @@ def ce_optimize(
         for p in products
         if p.id != focal_product and p.id not in covered
     ]
-    candidates = [v for v in range(net.node_count) if v not in taken]
-    index = {c: i for i, c in enumerate(candidates)}
+    candidates = np.array([v for v in range(net.node_count) if v not in taken], dtype=np.intp)
     n_samples = config.n_samples or max(100, 2 * len(candidates))
     n_elite = max(1, math.ceil(config.elite_frac * n_samples))
     # samples per estimate: about one full kernel call for each worker
@@ -239,18 +237,15 @@ def ce_optimize(
     best_plan = None
     best_value = -math.inf
     trace: list[dict] = []
-    evaluations = 0
     max_cost = 0.0
     stop_reason = "max_iterations"
 
     for it in range(1, config.max_iterations + 1):
-        plans = []
-        for s in range(n_samples):
-            rng = np.random.default_rng(derive_seed(seed, it, s))
-            plans.append(sample_plan(
-                state, cost_model, gamma, focal_product, candidates, rng,
-                retry_limit=config.seed_retry_limit,
-            ))
+        plans = [
+            sample_plan(state, cost_model, gamma, focal_product, candidates,
+                        np.random.default_rng(derive_seed(seed, it, s)))
+            for s in range(n_samples)
+        ]
         means = []
         for lo in range(0, n_samples, chunk):  # one chunk's networks and estimates alive at a time
             pairs = [
@@ -259,24 +254,17 @@ def ce_optimize(
             ]
             estimates = estimate_spreads(pairs, products, config.replications, workers=config.workers)
             means += [est.mean_of(focal_product) for est in estimates]
-        scored = []
-        for s, (plan, value) in enumerate(zip(plans, means)):
-            scored.append((value, s, plan))
-            evaluations += 1
-            max_cost = max(max_cost, cost_model.plan_cost(plan))
-            if value > best_value:
-                best_value, best_plan = value, plan
-        scored.sort(key=lambda t: (-t[0], t[1]))
-        elite = scored[:n_elite]
-        elite_threshold = elite[-1][0]
+        means = np.array(means)  # focal means in sample order
+        ranked = np.argsort(-means, kind="stable")  # by (-mean, sample index)
+        elite, top = ranked[:n_elite], ranked[0]
+        if means[top] > best_value:  # an equal later value keeps the earlier best
+            best_value, best_plan = float(means[top]), plans[top]
+        max_cost = max(max_cost, *map(cost_model.plan_cost, plans))
 
-        freq = np.zeros(len(candidates))
-        alphas = np.array([p.alpha for _, _, p in elite])
-        betas = np.array([p.beta for _, _, p in elite])
-        for _, _, plan in elite:
-            for c in plan.seeds:
-                freq[index[c]] += 1.0
-        freq /= len(elite)
+        elite_seeds = np.fromiter((v for i in elite for v in plans[i].seeds), dtype=np.intp)
+        freq = np.bincount(elite_seeds, minlength=net.node_count)[candidates] / len(elite)
+        alphas = np.array([plans[i].alpha for i in elite])
+        betas = np.array([plans[i].beta for i in elite])
         new_probs = lam * freq + (1 - lam) * state.seed_probs
         new_a_mean = lam * float(alphas.mean()) + (1 - lam) * state.alpha_mean
         new_a_std = lam * float(alphas.std()) + (1 - lam) * state.alpha_std
@@ -298,14 +286,13 @@ def ce_optimize(
             beta_std=new_b_std,
             iteration=it,
         )
-        values = np.array([v for v, _, _ in scored])
         trace.append(
             {
                 "iteration": it,
                 "best_value": best_value,
-                "iteration_best": float(values.max()),
-                "iteration_mean": float(values.mean()),
-                "elite_threshold": elite_threshold,
+                "iteration_best": float(means[top]),
+                "iteration_mean": float(means[ranked].mean()),  # summed in rank order, as pinned
+                "elite_threshold": float(means[elite[-1]]),
             }
         )
         spread_stat = _bernoulli_entropy(state.seed_probs) + state.alpha_std + float(state.beta_std.sum())
@@ -328,7 +315,7 @@ def ce_optimize(
         best_value=best_value,
         trace=trace,
         state=state,
-        evaluations=evaluations,
+        evaluations=len(trace) * n_samples,
         max_cost_evaluated=max_cost,
         stop_reason=stop_reason,
     )

@@ -458,7 +458,7 @@ def test_optimize_bad_unit_cost_exits_2(fixture_dir, tmp_path, capsys):
     "line",
     [
         "replications = 0", "samples = -5", "max_iterations = 0", "smoothing = 5", "elite_frac = 0", "tol = nan",
-        "samples = 2.5", "max_iterations = 1.5", "replications = 100.5", "seed_retry_limit = 3.5",
+        "samples = 2.5", "max_iterations = 1.5", "replications = 100.5",
     ],
 )
 def test_optimize_out_of_range_ce_config_exits_2(fixture_dir, tmp_path, capsys, line):
@@ -497,6 +497,34 @@ def test_negative_horizon_exits_2(fixture_dir, tmp_path, capsys, command, horizo
     err = json.loads(capsys.readouterr().err)["error"]
     assert err["type"] == "config"
     assert "--horizon" in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "rival_only, horizon, message",
+    [
+        (False, 2, "--plans holds a plan for the focal product 0"),
+        (True, 3, "--horizon 3 differs from the --plans horizon 2"),
+    ],
+    ids=["focal-plan", "horizon"],
+)
+def test_optimize_flags_that_contradict_the_plan_file_exit_2(fixture_dir, tmp_path, capsys, rival_only, horizon, message):
+    # blocking_demo's plan file holds both products at horizon 2
+    plans = fixture_dir / "blocking_demo" / "plans.json"
+    if rival_only:
+        save_plans([p for p in load_plans(str(plans)) if p.product == 1], tmp_path / "rival.json")
+        plans = tmp_path / "rival.json"
+    out = tmp_path / "o.json"
+    code = run(
+        [
+            "optimize", *demo_args(fixture_dir)[:6], "--plans", plans,
+            "--focal", 0, "--budget", 1.0, "--horizon", horizon,
+            "--config", ce_config(tmp_path), "--seed", 1, "--out", out,
+        ]
+    )
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err == {"type": "config", "message": message, "exit_code": 2}
     assert not out.exists()
 
 

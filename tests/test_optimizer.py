@@ -73,7 +73,30 @@ def test_unaffordable_seed_distribution_is_infeasible():
     )
     rng = np.random.default_rng(0)
     with pytest.raises(InfeasiblePlanError):
-        sample_plan(state, UNIT, 2.0, 0, list(range(5)), rng, retry_limit=50)
+        sample_plan(state, UNIT, 2.0, 0, list(range(5)), rng)
+
+
+def test_the_start_fits_the_budget():
+    # the expected seed cost of a first sample, c * sum(p0), is within the budget
+    for n in (1, 5, 100, 995, 10_000):
+        for gamma in (0.0, 0.5, 1.0, 3.0, 1e4):
+            for c in (0.25, 1.0, 7.0):
+                state = _initial_state(list(range(n)), CostModel(seed_unit_cost=c), gamma, horizon=1)
+                assert c * state.seed_probs.sum() <= gamma * (1 + 1e-12), (n, gamma, c)
+
+
+def test_a_large_network_at_a_small_budget_starts():
+    # 995 candidates against product 1's plan: at budget 1 a sample may hold
+    # one seed, so the search must start near one expected seed, not ten
+    from test_seeded_outputs import _synth
+
+    net, products, plans = _synth(1)
+    rival = [p for p in plans if p.product == 1]
+    config = CEConfig(n_samples=20, max_iterations=1, replications=8)
+    for gamma in (1.0, 3.0):
+        res = ce_optimize(net, products, 0, rival, UNIT, gamma, config, 1)
+        assert UNIT.plan_cost(res.best_plan) <= gamma + 1e-9
+        assert res.max_cost_evaluated <= gamma + 1e-9
 
 
 def test_cost_model_rejects_bad_unit_costs():
@@ -93,7 +116,6 @@ def test_ce_config_rejects_out_of_range_fields():
         "max_iterations": (0, -1, 2.5),
         "tol": (-1e-3, math.inf, math.nan),
         "replications": (0, -10, 100.5),
-        "seed_retry_limit": (0, 1.5),
         "workers": (0, -2, 2.5),
         "best_response_tol": (-1.0, math.inf, math.nan),
     }
@@ -109,7 +131,7 @@ def test_ce_config_rejects_out_of_range_fields():
             estimate_spread(aug, products, 10, 1, workers=value)
     # the edges of every range are accepted
     CEConfig(n_samples=1, elite_frac=1.0, smoothing=0.0, max_iterations=1, tol=0.0,
-             replications=1, seed_retry_limit=1, best_response_tol=0.0)
+             replications=1, best_response_tol=0.0)
     CEConfig(smoothing=1.0)
 
 
@@ -145,6 +167,14 @@ def test_horizon_required_without_competitors():
     net, products, _ = preference_shift()
     with pytest.raises(ValueError, match="horizon"):
         ce_optimize(net, products, 0, [], UNIT, 1.0, quick_config(), 1)
+
+
+def test_a_horizon_unlike_the_competitor_plans_is_rejected_before_sampling(monkeypatch):
+    net, products, plans = preference_shift()
+    rival = [p for p in plans if p.product == 1]  # horizon 2
+    monkeypatch.setattr(optimizer, "sample_plan", lambda *a, **kw: pytest.fail("sampled"))
+    with pytest.raises(ValueError, match="horizon 3 differs from the competitor plans' horizon 2"):
+        ce_optimize(net, products, 0, rival, UNIT, 1.0, quick_config(), 1, horizon=3)
 
 
 def test_focal_product_must_not_have_a_competitor_plan():
@@ -234,7 +264,7 @@ def test_pure_refit_matches_elite_statistics_exactly():
     scored = []
     for s in range(6):
         rng = np.random.default_rng(derive_seed(seed, 1, s))
-        plan = sample_plan(state0, UNIT, gamma, 0, candidates, rng, retry_limit=100)
+        plan = sample_plan(state0, UNIT, gamma, 0, candidates, rng)
         aug = build_augmented(net, products, fixed + [plan])
         value = estimate_spread(aug, products, 200, derive_seed(seed, 7001, s)).mean_of(0)
         scored.append((value, s, plan))

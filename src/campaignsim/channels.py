@@ -44,12 +44,6 @@ the media in product order, then the recommendations in ascending source
 order: the order of the paper's pseudonodes, numbered after the real
 nodes (roots, then chains product by product, then relays in the network's
 (source, target) edge order, product-minor).
-
-Threshold rows have a width that is a contract, because seeded outputs
-depend on it: threshold_width is the node count of the paper's media
-construction, n real nodes plus one root per product plus one chain node
-per step after the first, up to each product's last step with a media
-edge.  The kernel reads the first n columns of each row.
 """
 
 from __future__ import annotations
@@ -98,7 +92,6 @@ class AugmentedNetwork:
     scale: np.ndarray  # per-node channel scaling ratio
     media: np.ndarray  # (last media step, product, node): mass media weights, 0 where none
     recommendations: Recommendations  # social advertising: the compiled edge layer
-    threshold_width: int  # columns per threshold row
 
     def check_products(self, products: list[Product]) -> None:
         """Raise ValueError unless products are the compiled plans' products, in their order."""
@@ -146,7 +139,7 @@ def build_augmented(
                 raise PlanError(f"node {s} seeded for more than one product")
             seen_seeds.add(s)
 
-    n, k = net.node_count, len(products)
+    n = net.node_count
     # the edges are in (source, target) order, so sums per target run in ascending source order
     src, dst, h = net.src, net.dst, net.h
     in_sum = np.bincount(dst, net.weight, minlength=n)
@@ -172,16 +165,15 @@ def build_augmented(
     for what, values in checked.items():
         if not np.isfinite(values).all():
             raise PlanError(f"channel budgets overflow: a {what} is not finite")
-    # each product's last step with a media edge; the media run to the last of them
-    last_step = (np.arange(1, len(reach) + 1)[:, None] * reach.any(axis=2)).max(axis=0, initial=0)
+    # the media run to the last step with a media edge
+    last_step = (np.arange(1, len(reach) + 1) * reach.any(axis=(1, 2))).max(initial=0)
     return AugmentedNetwork(
         net=net,
         plans=tuple(ordered),
         product_ids=tuple(p.id for p in products),
         scale=scale,
-        media=reach[: last_step.max(initial=0)],
+        media=reach[:last_step],
         recommendations=recommendations,
-        threshold_width=n + k + int(np.maximum(last_step - 1, 0).sum()),
     )
 
 

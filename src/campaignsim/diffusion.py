@@ -34,7 +34,8 @@ least to its last media step; past it, a step that activates no cell ends
 the batch unless a recommendation is still in flight.  So with media up to
 step L, activation times stay within L + n - 1, and with recommendations a
 replication activates a node at least every second step until it settles,
-within L + 2 * (n - 1).
+within L + 2 * (n - 1); estimator.activation_time_histogram takes its
+length from this bound.
 
 Influence is permanent and purchases are immutable, so the kernel keeps a
 running aggregate per (replication, node) cell and updates it

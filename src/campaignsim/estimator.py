@@ -17,19 +17,19 @@ holds more than call_rows(net) rows, at most CALL_CELLS cells: a tile over
 that limit runs in equal row chunks.  estimate_spreads estimates several
 compiled plans over one base network at once, as the optimizer does for an
 iteration's samples.  Each (plan, seed) pair still draws its rows from its
-own seed and at its own threshold width, so each estimate is bit for bit
-what estimate_spread gives for that pair alone.  _plan_calls packs the
-pairs' chunks and smaller tiles in order into kernel calls, one row block
-per (pair, chunk) (see diffusion.RowBlock); _run_call copies a call's
-threshold rows into one n-wide array, which the kernel only reads, so no
-full-width draw is alive while the kernel runs.  Workers are threads sharing
-the read-only network that run the kernel calls; they overlap where numpy
-releases the interpreter lock, and each holds one call at a time, so an
-estimate's kernel memory stays within workers times CALL_CELLS cells.
+own seed, so each estimate is bit for bit what estimate_spread gives for
+that pair alone.  _plan_calls packs the pairs' chunks and smaller tiles in
+order into kernel calls, one row block per (pair, chunk) (see
+diffusion.RowBlock); _run_call copies a call's threshold rows into one
+n-wide array, which the kernel only reads, so no full-width draw is alive
+while the kernel runs.  Workers are threads sharing the read-only network
+that run the kernel calls; they overlap where numpy releases the
+interpreter lock, and each holds one call at a time, so an estimate's
+kernel memory stays within workers times CALL_CELLS cells.
 
-Threshold rows are aug.threshold_width wide, the node count of the
-paper's media construction (see channels), and the kernel reads their first
-n columns; media and recommendations cost no draws of their own.
+Threshold rows are n + k wide for n nodes and k products, a contract like
+TILE_SIZE that no plan changes: with one seed, two plans see the same
+thresholds and tie keys.  The kernel reads the first n columns of a row.
 """
 
 from __future__ import annotations
@@ -138,10 +138,11 @@ def _run_call(products: list[Product], segments) -> tuple[np.ndarray, np.ndarray
     as its tie key.
     """
     net = segments[0][0].net
+    w = net.node_count + len(products)  # the row width, the same for every plan
     thresholds = np.empty((sum(segment[3] for segment in segments), net.node_count))
     blocks, at = [], 0
     for aug, seed, tile_idx, rows, lo in segments:
-        w = aug.threshold_width  # each full-width draw dies once its first n columns are copied
+        # each full-width draw dies once its first n columns are copied
         thresholds[at : at + rows] = tile_rng(seed, tile_idx, lo * w).random((rows, w))[:, : net.node_count]
         blocks.append(aug.row_block(rows, seed, tile_idx * TILE_SIZE + lo))
         at += rows
@@ -240,15 +241,16 @@ def activation_time_histogram(
     """Counts of replications in which the node activated at each step.
 
     Index t holds the count for activation at exactly step t; replications
-    where the node never activates are not counted anywhere.  With w the
-    threshold width, the length is w, or 2w - 1 with recommendations: at
-    least the latest possible step plus one (see diffusion).
+    where the node never activates are not counted anywhere.  The length is
+    the latest possible step plus one (see diffusion): L + n with media up to
+    step L over n nodes, or L + 2(n - 1) + 1 with recommendations.
     """
     _check_count("replications", replications)
-    _check_node(node, aug.net.node_count)
+    n = aug.net.node_count
+    _check_node(node, n)
     aug.check_products(products)
-    w = aug.threshold_width
-    hist = np.zeros(2 * w - 1 if len(aug.recommendations) else w, dtype=np.int64)
+    L = aug.media.shape[0]
+    hist = np.zeros(L + 2 * (n - 1) + 1 if len(aug.recommendations) else L + n, dtype=np.int64)
     for call in _plan_calls(1, replications, call_rows(aug.net)):  # the calls of estimate_spread
         times = _run_call(products, [(aug, seed, *chunk) for _, *chunk in call])[0][:, node]
         hist += np.bincount(times[times >= 0], minlength=hist.size)

@@ -226,7 +226,9 @@ def ce_optimize(
         for p in products
         if p.id != focal_product and p.id not in covered
     ]
-    candidates = np.array([v for v in range(net.node_count) if v not in taken], dtype=np.intp)
+    free = np.ones(net.node_count, dtype=bool)
+    free[[v for v in taken if 0 <= v < net.node_count]] = False  # build_augmented rejects the others
+    candidates = free.nonzero()[0]
     n_samples = config.n_samples or max(100, 2 * len(candidates))
     n_elite = max(1, math.ceil(config.elite_frac * n_samples))
     # samples per estimate: about one full kernel call for each worker

@@ -26,7 +26,7 @@ import numpy as np
 
 from .channels import AugmentedNetwork
 from .diffusion import simulate_batch
-from .estimator import _product_index, call_rows
+from .estimator import _check_node, _product_index, call_rows
 from .feature_space import Product, product_matrix
 
 
@@ -148,6 +148,7 @@ def exact_spread_grid(
 
     base_chi = np.full(n, 2.0)
     for node, value in pinned.items():
+        _check_node(node, n)
         base_chi[node] = value
 
     into = _in_edges(aug)

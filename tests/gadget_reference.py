@@ -20,9 +20,8 @@ Pseudonodes are numbered after the real nodes: roots in product order, then
 the chains product by product and step by step, then the relays in
 (source, target, product) order.  So within a step their contributions
 reach an aggregate after the direct ones, media in product order, then
-recommendations in ascending source order, and the node count before the
-relays is the compiled threshold width.  Pseudonode thresholds are fixed:
-thresholds() writes them into a caller's threshold rows.
+recommendations in ascending source order.  Pseudonode thresholds are
+fixed: thresholds() writes them into a caller's threshold rows.
 """
 
 from __future__ import annotations
@@ -113,7 +112,6 @@ def paper_network(
             for t, v, w in zip(m_step[sent].tolist(), m_node[sent].tolist(), m_weight[sent].tolist())
         ]
         node += len(steps) - 1
-    assert node == aug.threshold_width
     fixed = [CHAIN_THRESHOLD] * (node - n)
     b_root, eps = gadget.chi_w - gadget.epsilon, gadget.epsilon
     relays: dict[tuple[int, int, int], int] = {}

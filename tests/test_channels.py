@@ -172,15 +172,13 @@ def test_channel_weights_never_break_capacity_random_sweep():
 
 
 def test_zero_budget_plans_add_only_isolated_roots():
-    # compiled: the base network alone, threshold rows two real nodes plus
-    # one root per product wide; in the paper's construction the roots are
-    # seeded and isolated
+    # compiled: the base network alone; in the paper's construction the
+    # roots are seeded and isolated
     net = two_node_net()
     plans = [ChannelPlan(product=0, seeds=frozenset({0})), ChannelPlan(product=1)]
     aug = build_augmented(net, [P_AXIS, Q_AXIS], plans)
     assert aug.net is net
     assert not np.count_nonzero(aug.media) and not len(aug.recommendations)
-    assert aug.threshold_width == 4
     assert aug.row_block(1).seeds == (frozenset({0}), frozenset())
     assert not net.node_kind.any()  # NodeKind.REAL is 0
     ref = paper_network(aug, [P_AXIS, Q_AXIS])
@@ -234,7 +232,6 @@ def test_media_chain_nodes_activate_one_step_before_their_slot():
     aug = build_augmented(net, [P_AXIS], plans)
     step, _, node, _ = media_edges(aug.media)
     assert step.tolist() == [4, 4] and node.tolist() == [0, 1]
-    assert aug.threshold_width == 2 + 1 + 3
     ref = paper_network(aug, [P_AXIS])
     chi = ref.thresholds(tile_rng(0, 0).random(ref.net.node_count))
     assert chi[2:].tolist() == [CHAIN_THRESHOLD] * 4
@@ -287,9 +284,8 @@ def test_recommendation_per_similar_edge_and_product_in_source_order():
     # the layer: those edges in (source, target) order, a weight row per product
     assert rec.indptr.tolist() == [0, 2, 2, 3, 4] and rec.dst.tolist() == [1, 3, 1, 0]
     assert rec.weight.shape == (2, 4) and len(rec) == len(got)
-    # no pseudonodes; the threshold width counts the real nodes, the roots,
-    # and no chain without a step-2 slot
-    assert aug.net is net and aug.threshold_width == 4 + 2
+    # no pseudonodes
+    assert aug.net is net
     # the capacity rule, summed here: channel weights in (0, 1], in-weights at most 1
     _, _, m_node, m_weight = media_edges(aug.media)
     _, r_dst, _, r_weight = rec.listing()

@@ -117,7 +117,7 @@ def assert_replication_zero(d, seed, traj):
     net = load_network(str(d / "edges.txt"), str(d / "similarity.txt"))
     aug = build_augmented(net, products, load_plans(str(d / "plans.json")))
     n = aug.net.node_count
-    chi = tile_rng(seed, 0).random((TILE_SIZE, aug.threshold_width))[:1, :n]
+    chi = tile_rng(seed, 0).random((TILE_SIZE, n + len(products)))[:1, :n]
     act, bought = simulate_batch(aug.net, products, [aug.row_block(1, seed)], chi)
     ids = [p.id for p in products]
     expected = [f"{v},{act[0, v]},{ids[bought[0, v]] if bought[0, v] >= 0 else -1}" for v in range(n)]

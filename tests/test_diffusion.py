@@ -577,7 +577,7 @@ def test_threshold_sampling_respects_fixed_values():
     net = Network.from_edges(3, [(0, 1, 0.5), (1, 2, 0.5)], similarities={(0, 1): 0.5})
     aug = build_augmented(net, [P_AXIS], [ChannelPlan(product=0, seeds=frozenset({0}), alpha=1.0, beta=(0.0, 0.2))])
     ref = paper_network(aug, [P_AXIS])
-    assert ref.net.node_count == aug.threshold_width + 1 == 3 + 2 + 1  # root, one chain node, one relay
+    assert ref.net.node_count == 3 + 2 + 1  # root, one chain node, one relay
     drawn = np.random.default_rng(9).random((4, ref.net.node_count))
     kept = drawn.copy()
     chi = ref.thresholds(drawn)

@@ -108,8 +108,8 @@ def test_activation_time_histogram_hits_the_scheduled_step():
     for t in (1, 2, 3):
         aug = media_instance(t=t)
         hist = activation_time_histogram(aug, [P_AXIS], 1, 20_000, 50 + t)
-        # the threshold width: 3 real nodes, a root and t - 1 chain nodes
-        assert hist.size == aug.threshold_width == 3 + t
+        # the kernel's bound L + n: media up to step t over 3 nodes
+        assert hist.size == t + 3
         active = int(hist.sum())
         assert hist[t] == active  # never at any other step
         assert active / 20_000 == pytest.approx(0.37, abs=0.01)
@@ -119,19 +119,47 @@ def test_activation_time_histogram_reaches_past_n_through_recommendations():
     # a similarity path 0 -> 1 -> 2 -> 3 seeded at 0: each edge carries 0.1
     # and its recommendation the other 0.9, so a node whose threshold is
     # above 0.1 waits for the recommendation, two steps after its source;
-    # node 3 then activates at step 6 although the threshold width is 5
+    # node 3 then activates at step 6, the last step of the kernel's bound
+    # L + 2(n - 1) with no media (L = 0) over 4 nodes
     net = Network.from_edges(
         4, [(0, 1, 0.1), (1, 2, 0.1), (2, 3, 0.1)], similarities={(0, 1): 0.5, (1, 2): 0.5, (2, 3): 0.5}
     )
     aug = build_augmented(net, [P_AXIS], [ChannelPlan(product=0, seeds=frozenset({0}), alpha=1.0)])
-    assert aug.threshold_width == 5 and len(aug.recommendations) == 3
+    assert aug.media.shape[0] == 0 and len(aug.recommendations) == 3
     reps = 4000
     hist = activation_time_histogram(aug, [P_AXIS], 3, reps, 9)
-    assert hist.size == 2 * 5 - 1
+    assert hist.size == 2 * 3 + 1
     assert hist[:3].sum() == 0 and hist[7:].sum() == 0
     # steps 2, 4 and 6 for all three thresholds above 0.1: probability 0.9^3
     assert hist[6] / reps == pytest.approx(0.729, abs=0.03)
     assert hist.sum() == reps
+
+
+def test_activation_time_histogram_length_is_the_kernels_tight_bound():
+    # a weight-1 path 0 -> 1 -> 2 -> 3: only node 0 has residual capacity,
+    # so product 0's whole media budget reaches it at step 3 with weight 1,
+    # and the path activates one node a step, node 3 at step L + n - 1 = 6
+    net = Network.from_edges(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
+    plans = [ChannelPlan(product=0, beta=(0.0, 0.0, 1.0)), ChannelPlan(product=1, beta=(0.0, 0.0, 0.0))]
+    aug = build_augmented(net, [P_AXIS, Q_AXIS], plans)
+    hist = activation_time_histogram(aug, [P_AXIS, Q_AXIS], 3, 1000, 5)
+    assert hist.size == 3 + 4
+    assert hist[-1] == 1000
+
+
+def test_thresholds_do_not_depend_on_the_plan(monkeypatch):
+    # one seed over one network and its products: every media schedule,
+    # with or without a step past the first, sees the same threshold rows
+    net, products, plans = blocking_demo("base")
+    drawn = []
+    monkeypatch.setattr(
+        estimator, "simulate_batch", lambda *a, **kw: drawn.append(a[3].copy()) or simulate_batch(*a, **kw)
+    )
+    for beta in ((0.0, 0.0), (0.3, 0.0), (0.0, 0.3), (0.3, 0.3)):
+        varied = [ChannelPlan(plan.product, plan.seeds, plan.alpha, beta) for plan in plans]
+        estimate_spread(build_augmented(net, products, varied), products, 300, 4)
+    assert len(drawn) == 4
+    assert all(np.array_equal(chi, drawn[0]) for chi in drawn[1:])
 
 
 def test_spread_sum_equals_node_count_total():
@@ -267,13 +295,11 @@ def test_batched_estimates_equal_separate_estimates_on_mixed_plans(monkeypatch):
         [variant(p0, seeds=frozenset()), variant(p1, beta=(0.0, 0.4))],
     ]
     augs = [build_augmented(net, products, plans) for plans in plan_sets]
-    assert len({aug.threshold_width for aug in augs}) == 3
     assert np.count_nonzero(augs[2].media) == 0 and len(augs[3].recommendations) == 0
     pairs = [(augs[0], 41), (augs[1], 7), (augs[2], 41), (augs[3], 8), (augs[4], 9), (augs[0], 10)]
     # over 1,000 nodes, 5 replications each put all six row blocks in one
     # call; 48 each put two pairs in a call; 200 each split every pair's
-    # tile into two 100-row chunks, each in a call of its own, drawn at
-    # each pair's own threshold width
+    # tile into two 100-row chunks, each in a call of its own
     assert 100 <= estimator.call_rows(net) < 3 * 48
     calls = []
     monkeypatch.setattr(

@@ -26,7 +26,7 @@ def assert_equivalent(aug, products, chi, master_seed=0, rep_offset=0):
     """Pseudonode activation times of the paper's construction."""
     ref = paper_network(aug, products)
     n = aug.net.node_count
-    assert ref.net.node_count == aug.threshold_width + len(aug.recommendations) == chi.shape[1]
+    assert ref.net.node_count == chi.shape[1]
     R = chi.shape[0]
     at, pu = simulate_batch(aug.net, products, [aug.row_block(R, master_seed, rep_offset)], chi[:, :n])
     block = RowBlock(R, ref.seeds, master_seed=master_seed, rep_offset=rep_offset)
@@ -49,9 +49,10 @@ def test_synthetic_channel_instances(tmp_path):
         # most of the paper's graph
         assert np.count_nonzero(aug.media) and len(aug.recommendations) > 2 * aug.net.node_count
         rng = np.random.default_rng(seed)
-        chi = rng.random((16, aug.threshold_width + len(aug.recommendations)))
+        width = paper_network(aug, products).net.node_count
+        chi = rng.random((16, width))
         pseudo_times = assert_equivalent(aug, products, chi, master_seed=seed, rep_offset=4096 * seed)
-        assert (pseudo_times[:, aug.threshold_width - aug.net.node_count :] >= 0).any()  # relays fired
+        assert (pseudo_times[:, width - len(aug.recommendations) - aug.net.node_count :] >= 0).any()  # relays fired
 
 
 def random_instance(rng):
@@ -117,8 +118,9 @@ def test_random_instances():
         shared_steps += any((t, j) in steps for t, i in steps for j in range(i + 1, len(products)))
         media_only += any(not in_neighbors(aug.net, v) for v in set(m_node.tolist()))
         late_media += bool(m_step.size) and int(m_step[-1]) > n - 1
-        chi = rng.random((8, aug.threshold_width + len(rec)))
+        width = paper_network(aug, products).net.node_count
+        chi = rng.random((8, width))
         pseudo_times = assert_equivalent(aug, products, chi, master_seed=kept, rep_offset=kept * 8)
-        relays_fired += bool((pseudo_times[:, aug.threshold_width - n :] >= 0).any())
+        relays_fired += bool((pseudo_times[:, width - len(rec) - n :] >= 0).any())
     assert seeded_sources > 100 and gaps > 50 and relays_fired > 100
     assert shared_steps > 100 and media_only > 100 and late_media > 30

@@ -230,7 +230,7 @@ def test_edge_order_is_not_part_of_the_contract(tmp_path):
     products, plans = load_products(paths["products"]), load_plans(paths["plans"])
     a, b = build_augmented(from_file, products, plans), build_augmented(shuffled, products, plans)
     assert np.count_nonzero(a.media) and len(a.recommendations)
-    assert a.scale.tobytes() == b.scale.tobytes() and a.threshold_width == b.threshold_width
+    assert a.scale.tobytes() == b.scale.tobytes()
     assert a.media.shape == b.media.shape and a.media.tobytes() == b.media.tobytes()
     for name in ("indptr", "dst", "weight"):
         assert getattr(a.recommendations, name).tobytes() == getattr(b.recommendations, name).tobytes()

@@ -105,6 +105,16 @@ def test_pinned_threshold_overrides_enumeration():
     assert res.node_probability[1, BRIDGE] == 0.0
 
 
+@pytest.mark.parametrize("node", [-1, 37, BRIDGE - 37])
+def test_a_pinned_node_outside_the_network_raises(node):
+    # -34 used to pin node 3 while still enumerating it, and 37 raised
+    # numpy's IndexError
+    net, products, plans = blocking_demo("base")
+    aug = build_augmented(net, products, plans)
+    with pytest.raises(ValueError, match=f"node {node} is not one of the network's 37 nodes"):
+        exact_spread_grid(aug, products, GridSpec(resolution=50), pinned={node: 0.65})
+
+
 def brute_force_grid(aug, products, m):
     """Independent route: enumerate the full m^n grid with the scalar engine
     on the paper's construction."""

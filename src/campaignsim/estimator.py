@@ -97,7 +97,7 @@ class SpreadEstimate:
 
 
 def _check_count(name: str, value) -> None:
-    if not (isinstance(value, numbers.Integral) and value >= 1):
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= 1):
         raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 

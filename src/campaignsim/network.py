@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import codecs
 import errno
+import numbers
 import os
 import re
 import stat
@@ -105,15 +106,18 @@ class Network:
         """Build a network from (src, dst, weight) edges and (u, v, h) similarities.
 
         Each comes as Columns, or as a list of (src, dst, weight) and a
-        {(u, v): h} dict, which are turned into Columns first.  A node outside
-        0..n-1, a duplicate directed edge and an asymmetric similarity (a pair
-        given again with another value) are hard errors, raised for the first
+        {(u, v): h} dict, which are turned into Columns first.  A node count
+        that is not an integer >= 1, a node outside 0..n-1, a duplicate
+        directed edge and an asymmetric similarity (a pair given again with
+        another value) are hard errors, raised for the count, then the first
         offending edge, then pair, in input order.  Then every other violation
         (self-loops and weights outside (0, 1] in edge order, incoming sums
         above 1 by node, similarities outside [0, 1] and self-pairs in pair
         order) is raised at once as a ValidationError.
         """
         n = node_count
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+            raise NetworkError(f"node count must be an integer >= 1, got {n!r}")
         if not isinstance(edges, Columns):
             cols = tuple(zip(*edges)) or ((), (), ())
             edges = Columns(np.array(cols[:2], dtype=np.intp), np.array(cols[2], dtype=float))

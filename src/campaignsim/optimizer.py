@@ -9,13 +9,14 @@ cost alone exceeds the budget is redrawn, at most 100 times (``_SEED_DRAWS``);
 the continuous part is then scaled down uniformly so the total cost never
 exceeds the budget.  An iteration scores its samples as one array of focal
 means in sample order, ranks it with ties broken by sample index, keeps the
-top elite fraction, refits the sampling distribution to the elites and
-smooths toward the previous parameters.  The returned plan is the best ever
-evaluated (the earliest, among equals), not the last distribution mode.
+top elite fraction, and refits and smooths every parameter by one rule:
+smoothing * (fit to the elites) + (1 - smoothing) * (previous value).  The
+returned plan is the best ever evaluated (the earliest, among equals), not
+the last distribution mode.
 
 The loop stops at the first of three tests (``CEResult.stop_reason``):
 
-- ``"converged"``: the smoothed parameters moved by less than ``tol``, or
+- ``"converged"``: no parameter moved by ``tol`` or more in the update, or
   the distribution has collapsed (entropy plus standard deviations < ``tol``);
 - ``"stalled"``: the elite threshold (the worst elite's value) has held
   within ``tol`` for ``_STALL_ITERATIONS`` iterations, the textbook CE rule
@@ -100,9 +101,9 @@ class CEConfig:
     best_response_tol: float = 1e-3
 
     def __post_init__(self):
-        # range tests so NaN fails too; counts must be integers, not 2.5
+        # range tests so NaN fails too; counts must be integers, not 2.5 or True
         def count(value):
-            return isinstance(value, numbers.Integral) and value >= 1
+            return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1
 
         for name, ok in (
             ("n_samples", self.n_samples is None or count(self.n_samples)),
@@ -135,7 +136,6 @@ class CEResult:
     trace: list[dict] = field(default_factory=list)
     state: CrossEntropyState | None = None
     evaluations: int = 0
-    max_cost_evaluated: float = 0.0
     stop_reason: str = "max_iterations"  # or "converged", "stalled"
 
 
@@ -212,6 +212,9 @@ def ce_optimize(
         horizon = competitor_plans[0].horizon
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
+    ids = [p.id for p in products]
+    if focal_product not in ids:
+        raise ValueError(f"focal product {focal_product} is not among the products {ids}")
     taken = set()
     for plan in competitor_plans:
         if plan.horizon != horizon:
@@ -239,7 +242,6 @@ def ce_optimize(
     best_plan = None
     best_value = -math.inf
     trace: list[dict] = []
-    max_cost = 0.0
     stop_reason = "max_iterations"
 
     for it in range(1, config.max_iterations + 1):
@@ -261,33 +263,17 @@ def ce_optimize(
         elite, top = ranked[:n_elite], ranked[0]
         if means[top] > best_value:  # an equal later value keeps the earlier best
             best_value, best_plan = float(means[top]), plans[top]
-        max_cost = max(max_cost, *map(cost_model.plan_cost, plans))
 
         elite_seeds = np.fromiter((v for i in elite for v in plans[i].seeds), dtype=np.intp)
         freq = np.bincount(elite_seeds, minlength=net.node_count)[candidates] / len(elite)
         alphas = np.array([plans[i].alpha for i in elite])
         betas = np.array([plans[i].beta for i in elite])
-        new_probs = lam * freq + (1 - lam) * state.seed_probs
-        new_a_mean = lam * float(alphas.mean()) + (1 - lam) * state.alpha_mean
-        new_a_std = lam * float(alphas.std()) + (1 - lam) * state.alpha_std
-        new_b_mean = lam * betas.mean(axis=0) + (1 - lam) * state.beta_mean
-        new_b_std = lam * betas.std(axis=0) + (1 - lam) * state.beta_std
-
-        delta = max(
-            float(np.max(np.abs(new_probs - state.seed_probs), initial=0.0)),
-            abs(new_a_mean - state.alpha_mean),
-            abs(new_a_std - state.alpha_std),
-            float(np.max(np.abs(new_b_mean - state.beta_mean), initial=0.0)),
-            float(np.max(np.abs(new_b_std - state.beta_std), initial=0.0)),
-        )
-        state = CrossEntropyState(
-            seed_probs=new_probs,
-            alpha_mean=new_a_mean,
-            alpha_std=new_a_std,
-            beta_mean=new_b_mean,
-            beta_std=new_b_std,
-            iteration=it,
-        )
+        # in CrossEntropyState field order; alpha's pairwise sum stays apart from beta's
+        fit = (freq, alphas.mean(), alphas.std(), betas.mean(axis=0), betas.std(axis=0))
+        old = (state.seed_probs, state.alpha_mean, state.alpha_std, state.beta_mean, state.beta_std)
+        new = [lam * f + (1 - lam) * o for f, o in zip(fit, old)]
+        delta = max(float(np.max(np.abs(a - b), initial=0.0)) for a, b in zip(new, old))
+        state = CrossEntropyState(*new, iteration=it)
         trace.append(
             {
                 "iteration": it,
@@ -318,7 +304,6 @@ def ce_optimize(
         trace=trace,
         state=state,
         evaluations=len(trace) * n_samples,
-        max_cost_evaluated=max_cost,
         stop_reason=stop_reason,
     )
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .channels import AugmentedNetwork
 from .diffusion import simulate_batch
-from .estimator import _check_node, _product_index, call_rows
+from .estimator import _check_count, _check_node, _product_index, call_rows
 from .feature_space import Product, product_matrix
 
 
@@ -45,8 +45,7 @@ class GridSpec:
     max_tuples: int = 1 << 24
 
     def __post_init__(self):
-        if self.resolution < 1:
-            raise ValueError("grid resolution must be >= 1")
+        _check_count("grid resolution", self.resolution)  # 2.5 midpoints per node is no grid
 
 
 @dataclass

@@ -2,11 +2,11 @@
 
 These are the parsers and the network check campaignsim used before files
 were read column-wise: one Python loop per line, one tuple per edge, one
-dict entry per similarity pair.  Two fixes are applied to them, as to the
-package: a UTF-8 byte-order mark is skipped, and a repeated similarity pair
-names its line.  reference_network returns what Network.from_edges stores,
-or raises what it raises, so tests compare arrays byte for byte and errors
-message for message.
+dict entry per similarity pair.  Three fixes are applied to them, as to the
+package: a UTF-8 byte-order mark is skipped, a repeated similarity pair
+names its line, and a network of fewer than one node is rejected.
+reference_network returns what Network.from_edges stores, or raises what it
+raises, so tests compare arrays byte for byte and errors message for message.
 """
 
 from __future__ import annotations
@@ -64,6 +64,8 @@ def parse_similarity_file(path: str) -> dict[tuple[int, int], float]:
 
 def reference_network(n: int, edges: list[tuple], similarities: dict | None = None):
     """(src, dst, weight, h, indptr, similarity dict) as from_edges stores them."""
+    if n < 1:
+        raise NetworkError(f"node count must be an integer >= 1, got {n!r}")
     for i, (u, v, _) in enumerate(edges):
         if not (0 <= u < n and 0 <= v < n):
             raise NetworkError(f"edge ({u},{v}) references a node outside 0..{n - 1}")

@@ -64,6 +64,14 @@ def test_real_nodes_initially_everything():
     assert np.array_equal(small_net().node_kind, np.zeros(4, dtype=np.int8))  # NodeKind.REAL is 0
 
 
+def test_a_node_count_below_one_is_rejected():
+    # an empty network used to build and then divide by zero in every estimate
+    for bad in (0, -3, 2.0, True):
+        with pytest.raises(NetworkError, match=re.escape(f"node count must be an integer >= 1, got {bad!r}")):
+            Network.from_edges(bad, [])
+    assert Network.from_edges(np.int64(1), []).node_count == 1
+
+
 def test_duplicate_edge_rejected():
     with pytest.raises(NetworkError, match="duplicate edge"):
         Network.from_edges(2, [(0, 1, 0.5), (0, 1, 0.4)])

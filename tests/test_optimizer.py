@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -27,6 +28,35 @@ def quick_config(**kw):
     base = dict(n_samples=6, max_iterations=2, replications=200, tol=1e-9)
     base.update(kw)
     return CEConfig(**base)
+
+
+def check_every_sample(monkeypatch):
+    """Wrap optimizer.sample_plan so every plan it draws must fit its budget;
+    returns the list of drawn plans."""
+    real, sampled = optimizer.sample_plan, []
+
+    def checked(state, cost_model, gamma, *args):
+        plan = real(state, cost_model, gamma, *args)
+        assert UNIT.plan_cost(plan) <= gamma + 1e-9
+        sampled.append(plan)
+        return plan
+
+    monkeypatch.setattr(optimizer, "sample_plan", checked)
+    return sampled
+
+
+def test_counts_are_integers_not_bools():
+    # True is an Integral, but as a count it is a flag passed by mistake;
+    # the config and the estimator reject it alike, before any sampling
+    for name in ("n_samples", "max_iterations", "replications", "workers"):
+        with pytest.raises(ValueError, match=name):
+            CEConfig(**{name: True})
+    net, products, plans = preference_shift()
+    aug = build_augmented(net, products, plans)
+    with pytest.raises(ValueError, match="workers"):
+        estimate_spread(aug, products, 10, 1, workers=True)
+    with pytest.raises(ValueError, match="replications"):
+        estimate_spread(aug, products, True, 1)
 
 
 def test_plan_cost_arithmetic():
@@ -85,7 +115,7 @@ def test_the_start_fits_the_budget():
                 assert c * state.seed_probs.sum() <= gamma * (1 + 1e-12), (n, gamma, c)
 
 
-def test_a_large_network_at_a_small_budget_starts():
+def test_a_large_network_at_a_small_budget_starts(monkeypatch):
     # 995 candidates against product 1's plan: at budget 1 a sample may hold
     # one seed, so the search must start near one expected seed, not ten
     from test_seeded_outputs import _synth
@@ -93,10 +123,11 @@ def test_a_large_network_at_a_small_budget_starts():
     net, products, plans = _synth(1)
     rival = [p for p in plans if p.product == 1]
     config = CEConfig(n_samples=20, max_iterations=1, replications=8)
+    sampled = check_every_sample(monkeypatch)
     for gamma in (1.0, 3.0):
         res = ce_optimize(net, products, 0, rival, UNIT, gamma, config, 1)
         assert UNIT.plan_cost(res.best_plan) <= gamma + 1e-9
-        assert res.max_cost_evaluated <= gamma + 1e-9
+    assert len(sampled) == 2 * 20
 
 
 def test_cost_model_rejects_bad_unit_costs():
@@ -177,6 +208,13 @@ def test_a_horizon_unlike_the_competitor_plans_is_rejected_before_sampling(monke
         ce_optimize(net, products, 0, rival, UNIT, 1.0, quick_config(), 1, horizon=3)
 
 
+def test_an_unknown_focal_product_is_rejected_before_sampling(monkeypatch):
+    net, products, horizon = ce_toy()
+    monkeypatch.setattr(optimizer, "sample_plan", lambda *a, **kw: pytest.fail("sampled"))
+    with pytest.raises(ValueError, match=re.escape("focal product 7 is not among the products [0]")):
+        ce_optimize(net, products, 7, [], UNIT, 2.0, quick_config(), 1, horizon=horizon)
+
+
 def test_focal_product_must_not_have_a_competitor_plan():
     net, products, _ = preference_shift()
     fixed = [ChannelPlan(product=0, beta=(0.0, 0.0))]
@@ -191,14 +229,14 @@ def test_competitor_seeds_are_excluded_from_candidates():
     assert not (res.best_plan.seeds & {1, 3})
 
 
-def test_best_value_trace_is_non_decreasing_and_feasible():
+def test_best_value_trace_is_non_decreasing_and_feasible(monkeypatch):
     net, products, _ = preference_shift()
     gamma = 2.0
+    sampled = check_every_sample(monkeypatch)
     res = ce_optimize(net, products, 0, [], UNIT, gamma, quick_config(max_iterations=4), 11, horizon=2)
     bests = [row["best_value"] for row in res.trace]
     assert bests == sorted(bests)
-    assert res.max_cost_evaluated <= gamma + 1e-9
-    assert res.evaluations == len(res.trace) * 6
+    assert res.evaluations == len(res.trace) * 6 == len(sampled)
     assert UNIT.plan_cost(res.best_plan) <= gamma + 1e-9
 
 

@@ -41,6 +41,15 @@ def test_grid_spec_validation():
         GridSpec(resolution=0)
 
 
+def test_grid_resolution_must_be_an_integer():
+    # 2.5 midpoints per node is no grid: product 0's "exact" spread on
+    # preference_shift read 3.616 with only nodes 0, 2 and 4 in its reach
+    for bad in (2.5, 4.0, True, "4"):
+        with pytest.raises(ValueError, match="grid resolution must be an integer >= 1"):
+            GridSpec(resolution=bad)
+    assert GridSpec(resolution=np.int64(4)).resolution == 4
+
+
 def test_single_pseudoedge_probability_is_exact_on_the_grid():
     # midpoints (i-0.5)/100: exactly 37 of them are <= 0.37
     aug = media_037()

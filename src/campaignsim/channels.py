@@ -56,7 +56,7 @@ import numpy as np
 
 from .diffusion import Recommendations, RowBlock
 from .feature_space import Product
-from .network import Network, _decode_utf8
+from .network import Network, _decode_utf8, save_network
 
 
 class PlanError(Exception):
@@ -199,6 +199,8 @@ def load_plans(path: str) -> list[ChannelPlan]:
     try:
         payload = json.loads(text)
         horizon = _typed(_typed(payload, dict, "plan file").get("horizon"), int, "horizon")
+        if horizon < 0:
+            raise PlanError(f"horizon must be >= 0, got {horizon}")
         plans = []
         for entry in _typed(payload.get("plans"), list, "plans"):
             product = _typed(_typed(entry, dict, "plan entry").get("product"), int, "product")
@@ -223,8 +225,9 @@ def load_plans(path: str) -> list[ChannelPlan]:
 
 
 def plans_to_payload(plans: list[ChannelPlan]) -> dict:
-    horizons = {p.horizon for p in plans}
-    if len(horizons) != 1:
+    if not plans:
+        raise PlanError("no plans")
+    if len({p.horizon for p in plans}) != 1:
         raise PlanError("plans must share one horizon")
     return {
         "horizon": plans[0].horizon,
@@ -249,8 +252,6 @@ def save_plans(plans: list[ChannelPlan], path: str) -> None:
 def save_augmented(aug: AugmentedNetwork, edge_path: str, similarity_path: str, pseudo_path: str) -> None:
     """Write the base network plus a JSON sidecar listing the media edges, in
     (step, product, target) order, and the recommendations."""
-    from .network import save_network
-
     save_network(aug.net, edge_path, similarity_path)
     pids = aug.product_ids
     media = aug.media.nonzero()

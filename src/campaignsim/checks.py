@@ -25,6 +25,7 @@ import numpy as np
 
 from .channels import ChannelPlan, build_augmented
 from .diffusion import simulate_batch
+from .estimator import _check_count
 from .feature_space import Product, angular_distance, normalize_product
 from .network import Network
 
@@ -84,6 +85,7 @@ def _behavioral_trial(p: Product, q: Product, same_product: bool, source_step: i
 
 def gadget_property_check(trials: int, seed: int) -> dict:
     """Random sweep over (chi_w, eps, theta, p, q); returns counterexample counts."""
+    _check_count("trials", trials)
     rng = np.random.default_rng(seed)
     analytic_fail = 0
     behavioral_fail = 0

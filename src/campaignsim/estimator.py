@@ -7,10 +7,10 @@ index.  _run_call draws the thresholds of every sampled kernel run (an
 estimate's calls, a histogram's, the CLI's single-replication trajectory)
 and owns the rule of which threshold row and which tie key replication r
 gets; the stream being counter-based, it draws any run of a tile's rows
-without the rows before it.  Per-replication purchase counts are accumulated
-as exact integers and reduced in replication order, which makes every
-estimate bit-identical for any worker count and any split of the rows into
-kernel calls.
+without the rows before it.  Estimates keep two exact integer tallies per
+(plan, product), node purchase counts and sums of squared purchase counts,
+reduced in replication order, so bit-identical for any worker count and any
+split of rows into kernel calls; spread sums are the node counts' totals.
 
 A kernel call's memory grows with its cells (rows times nodes), so no call
 holds more than call_rows(net) rows, at most CALL_CELLS cells: a tile over
@@ -177,36 +177,33 @@ def estimate_spreads(
     calls = _plan_calls(len(pairs), replications, call_rows(net))
     k = len(products)
 
-    def run(call):  # exact sums, sums of squares and node counts per segment
+    def run(call):  # exact sums of squares and node counts per segment
         _, purchased = _run_call(products, [(*pairs[s], *chunk) for s, *chunk in call])
         starts = np.cumsum([0] + [rows for _, _, rows, _ in call[:-1]])
-        sums = np.zeros((len(call), k), dtype=np.int64)
         sumsq = np.zeros((len(call), k), dtype=np.int64)
         node_counts = np.zeros((len(call), k, net.node_count), dtype=np.int64)
         for j in range(k):
             bought = purchased == j  # (R, n)
             per_rep = bought.sum(axis=1, dtype=np.int64)
-            sums[:, j] = np.add.reduceat(per_rep, starts)
             sumsq[:, j] = np.add.reduceat(per_rep * per_rep, starts)
             node_counts[:, j] = np.add.reduceat(bought, starts, axis=0, dtype=np.int64)
-        return sums, sumsq, node_counts
+        return sumsq, node_counts
 
-    sums = np.zeros((len(pairs), k), dtype=np.int64)
     sumsq = np.zeros((len(pairs), k), dtype=np.int64)
     node_counts = np.zeros((len(pairs), k, net.node_count), dtype=np.int64)
 
-    def reduce(results):  # each call's counts as it arrives, in call order
-        for call, (s_sums, s_sumsq, s_counts) in zip(calls, results):
+    def reduce(results):  # each call's tallies as they arrive, in call order
+        for call, (call_sumsq, call_counts) in zip(calls, results):
             for i, (s, *_) in enumerate(call):  # calls hold chunks in order
-                sums[s] += s_sums[i]
-                sumsq[s] += s_sumsq[i]
-                node_counts[s] += s_counts[i]
+                sumsq[s] += call_sumsq[i]
+                node_counts[s] += call_counts[i]
 
     if workers > 1 and len(calls) > 1:  # a single call runs on the calling thread
         with ThreadPoolExecutor(max_workers=min(workers, len(calls))) as pool:
             reduce(pool.map(run, calls))  # map keeps call order
     else:
         reduce(map(run, calls))
+    sums = node_counts.sum(axis=2)  # every purchase is one node's count
     R = replications
     means = sums / R
     stderrs = np.zeros_like(means)

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .network import ParseError, _data_lines, _read_text
+
 COS_TIE_TOL = 1e-12
 
 
@@ -85,8 +87,6 @@ def angular_distance(aggregate: np.ndarray, product: Product) -> float:
 
 def load_products(path: str) -> list[Product]:
     """Parse '<id> <f values...> null=<index>' lines; raw vectors are normalized."""
-    from .network import ParseError, _data_lines, _read_text
-
     products = []
     for lineno, line in _data_lines(_read_text(path)):
         parts = line.split()

@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import ChannelPlan, PlanError, build_augmented
-from .estimator import call_rows, estimate_spreads
+from .estimator import _check_count, call_rows, estimate_spreads
 # estimate_spread is not called here; benchmarks/tracing.py still replaces it
 from .estimator import estimate_spread  # noqa: F401
 from .feature_space import Product
@@ -210,8 +210,8 @@ def ce_optimize(
         if not competitor_plans:
             raise ValueError("horizon is required when there are no competitor plans")
         horizon = competitor_plans[0].horizon
-    if horizon < 0:
-        raise ValueError(f"horizon must be >= 0, got {horizon}")
+    if isinstance(horizon, bool) or not (isinstance(horizon, numbers.Integral) and horizon >= 0):
+        raise ValueError(f"horizon must be an integer >= 0, got {horizon!r}")
     ids = [p.id for p in products]
     if focal_product not in ids:
         raise ValueError(f"focal product {focal_product} is not among the products {ids}")
@@ -225,9 +225,8 @@ def ce_optimize(
         raise PlanError(f"competitor plans already cover product {focal_product}")
     # products without a stated rival plan sit out with an empty one
     fixed_plans = list(competitor_plans) + [
-        ChannelPlan(product=p.id, seeds=frozenset(), alpha=0.0, beta=(0.0,) * horizon)
-        for p in products
-        if p.id != focal_product and p.id not in covered
+        ChannelPlan(p.id, beta=(0.0,) * horizon)
+        for p in products if p.id != focal_product and p.id not in covered
     ]
     free = np.ones(net.node_count, dtype=bool)
     free[[v for v in taken if 0 <= v < net.node_count]] = False  # build_augmented rejects the others
@@ -330,44 +329,32 @@ def best_response_loop(
 ) -> BestResponseResult:
     """Sequential round-robin: each product re-optimizes against the others.
 
-    Stops early once a full round moves no product's objective by more than
-    config.best_response_tol.
+    Stops early once no value moved by more than config.best_response_tol
+    between the last two history rows; the first round has no row before it.
     """
-    if rounds < 1:
-        raise ValueError("rounds must be >= 1")
-    if horizon < 0:
-        raise ValueError(f"horizon must be >= 0, got {horizon}")
-    k = len(products)
-    if len(cost_models) != k or len(budgets) != k:
+    _check_count("rounds", rounds)
+    if isinstance(horizon, bool) or not (isinstance(horizon, numbers.Integral) and horizon >= 0):
+        raise ValueError(f"horizon must be an integer >= 0, got {horizon!r}")
+    if not products:
+        raise ValueError("products must not be empty")
+    if len(cost_models) != len(products) or len(budgets) != len(products):
         raise ValueError("cost_models and budgets must match the product list")
-    plans = [
-        ChannelPlan(product=p.id, seeds=frozenset(), alpha=0.0, beta=(0.0,) * horizon)
-        for p in products
-    ]
-    values: list[float | None] = [None] * k
+    plans = [ChannelPlan(p.id, beta=(0.0,) * horizon) for p in products]
     history: list[dict] = []
     stop_reasons: list[list[str]] = []
-    rounds_run = 0
     for rnd in range(rounds):
-        max_delta = math.inf if any(v is None for v in values) else 0.0
-        reasons: list[str] = []
-        stop_reasons.append(reasons)
+        results = []
         for i, p in enumerate(products):
-            competitors = [plans[j] for j in range(k) if j != i]
             res = ce_optimize(
-                net, products, p.id, competitors, cost_models[i], budgets[i],
+                net, products, p.id, plans[:i] + plans[i + 1:], cost_models[i], budgets[i],
                 config, derive_seed(seed, rnd, i), horizon=horizon,
             )
-            if values[i] is not None:
-                max_delta = max(max_delta, abs(res.best_value - values[i]))
             plans[i] = res.best_plan
-            values[i] = res.best_value
-            reasons.append(res.stop_reason)
-        rounds_run = rnd + 1
-        history.append({"round": rnd, "values": [float(v) for v in values]})
-        if max_delta <= config.best_response_tol:
+            results.append(res)
+        history.append({"round": rnd, "values": [res.best_value for res in results]})
+        stop_reasons.append([res.stop_reason for res in results])
+        if len(history) > 1 and all(
+            abs(a - b) <= config.best_response_tol for a, b in zip(history[-2]["values"], history[-1]["values"])
+        ):
             break
-    return BestResponseResult(
-        plans=plans, values=[float(v) for v in values], history=history,
-        rounds_run=rounds_run, stop_reasons=stop_reasons,
-    )
+    return BestResponseResult(plans, list(history[-1]["values"]), history, len(history), stop_reasons)

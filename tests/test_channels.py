@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -72,6 +73,26 @@ def test_plan_file_beta_length_must_match_horizon(tmp_path):
     path.write_text(json.dumps({"horizon": 3, "plans": [{"product": 0, "beta": [0.1]}]}))
     with pytest.raises(PlanError, match="beta length"):
         load_plans(str(path))
+
+
+def test_plan_file_without_plans_is_rejected(tmp_path):
+    path = tmp_path / "plans.json"
+    path.write_text(json.dumps({"horizon": 1, "plans": []}))
+    with pytest.raises(PlanError, match=f"^{re.escape(str(path))}: no plans$"):
+        load_plans(str(path))
+
+
+def test_plans_to_payload_needs_plans_of_one_horizon():
+    with pytest.raises(PlanError, match="no plans"):
+        plans_to_payload([])
+    mixed = [ChannelPlan(product=0, beta=(0.1,)), ChannelPlan(product=1, beta=(0.1, 0.2))]
+    with pytest.raises(PlanError, match="one horizon"):
+        plans_to_payload(mixed)
+
+
+def test_blocking_demo_rejects_an_unknown_variant():
+    with pytest.raises(ValueError, match="unknown variant 'x'"):
+        blocking_demo("x")
 
 
 # -- scaling rule --------------------------------------------------------

@@ -1,5 +1,7 @@
 import math
 
+import pytest
+
 from campaignsim.checks import _behavioral_trial, gadget_property_check
 from campaignsim.feature_space import Product, normalize_product
 
@@ -38,3 +40,10 @@ def test_random_sweep_has_no_counterexamples():
     assert report["analytic_counterexamples"] == 0
     assert report["behavioral_counterexamples"] == 0
     assert report["latency_violations"] == 0
+
+
+def test_trials_must_be_an_integer_of_at_least_one():
+    # a sweep over no trials would report no counterexamples
+    for trials in (0, -5, 2.5, True):
+        with pytest.raises(ValueError, match="trials"):
+            gadget_property_check(trials, seed=1)

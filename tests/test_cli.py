@@ -339,6 +339,17 @@ def test_malformed_plan_file_exits_3(fixture_dir, tmp_path, capsys, payload):
     assert str(plans) in err["message"]
 
 
+def test_a_negative_plan_horizon_exits_3_naming_it(fixture_dir, tmp_path, capsys):
+    plans = tmp_path / "bad_plans.json"
+    plans.write_text(json.dumps({"horizon": -1, "plans": [{"product": 0, "beta": []}]}))
+    args = demo_args(fixture_dir)[:6]
+    code = run(["simulate", *args, "--plans", plans, "--reps", 10, "--out", tmp_path / "x.json"])
+    assert code == 3
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "io"
+    assert err["message"] == f"{plans}: horizon must be >= 0, got -1"
+
+
 # -- optimize and best-response -----------------------------------------
 
 

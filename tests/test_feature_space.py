@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from campaignsim.feature_space import (
     product_matrix,
     save_products,
 )
+from campaignsim.network import ParseError
 from scalar_reference import tied_candidates
 
 
@@ -31,6 +33,11 @@ def test_product_must_be_unit_norm_and_non_negative():
     for raw in ((np.nan, 1.0), (np.inf, 1.0)):
         with pytest.raises(ProductError, match="non-finite"):
             normalize_product(raw, null_index=1)
+
+
+def test_product_features_must_be_a_vector():
+    with pytest.raises(ProductError, match="1-d vector"):
+        Product(id=0, features=((1.0, 0.0), (0.0, 1.0)), null_index=1)
 
 
 def test_single_feature_product_allowed():
@@ -162,4 +169,11 @@ def test_products_file_errors(tmp_path):
         load_products(str(p))
     p.write_text("# nothing\n")
     with pytest.raises(Exception, match="no products"):
+        load_products(str(p))
+
+
+def test_a_feature_that_is_not_a_number_names_its_line(tmp_path):
+    p = tmp_path / "p.txt"
+    p.write_text("0 1.0 heavy null=1\n")
+    with pytest.raises(ParseError, match=f"^{re.escape(str(p))}:1: "):
         load_products(str(p))

@@ -336,6 +336,24 @@ def test_best_response_validates_arguments():
         best_response_loop(net, products, [UNIT], [1.0, 1.0], 1, quick_config(), 1, horizon=2)
 
 
+def test_rounds_and_horizons_are_integers_not_bools():
+    net, products, _ = preference_shift()
+    for rounds in (True, 2.5):
+        with pytest.raises(ValueError, match="rounds"):
+            best_response_loop(net, products, [UNIT, UNIT], [1.0, 1.0], rounds, quick_config(), 1, horizon=2)
+    for horizon in (True, 1.5, 2.0):
+        with pytest.raises(ValueError, match="horizon"):
+            ce_optimize(net, products, 0, [], UNIT, 1.0, quick_config(), 1, horizon=horizon)
+        with pytest.raises(ValueError, match="horizon"):
+            best_response_loop(net, products, [UNIT, UNIT], [1.0, 1.0], 1, quick_config(), 1, horizon=horizon)
+
+
+def test_best_response_needs_a_product():
+    net, _, _ = preference_shift()
+    with pytest.raises(ValueError, match="products must not be empty"):
+        best_response_loop(net, [], [], [], 1, quick_config(), 1, horizon=2)
+
+
 def test_best_response_runs_and_reports_history():
     net, products, _ = preference_shift()
     res = best_response_loop(

@@ -26,7 +26,7 @@ import numpy as np
 from .channels import ChannelPlan, build_augmented
 from .diffusion import simulate_batch
 from .estimator import _check_count
-from .feature_space import Product, angular_distance, normalize_product
+from .feature_space import Product, _norm, angular_distance, normalize_product
 from .network import Network
 
 _SOURCE_EDGE = 0.1  # weight of the watched edge u -> v
@@ -39,14 +39,6 @@ def _product_pair(rng: np.random.Generator) -> tuple[Product, Product]:
         q = normalize_product(rng.random(3), null_index=2, product_id=1)
         if angular_distance(q.vector, p) >= 0.01:
             return p, q
-
-
-def _norm(vector) -> float:
-    """The kernel's norm: squares summed in feature order, then the square root."""
-    norm2 = 0.0
-    for x in vector:
-        norm2 = norm2 + x * x
-    return math.sqrt(norm2)
 
 
 def _behavioral_trial(p: Product, q: Product, same_product: bool, source_step: int) -> tuple[bool, bool]:
@@ -94,13 +86,8 @@ def gadget_property_check(trials: int, seed: int) -> dict:
         chi_w = rng.uniform(0.05, 0.95)
         eps = chi_w * rng.uniform(0.05, 0.95)
         same = bool(rng.random() < 0.5)
-        a = chi_w - eps
-        if same:
-            # equality branch: the reduced difference 2 eps a (cos 0 - 1) is exactly 0
-            diff = 2.0 * eps * a * (math.cos(0.0) - 1.0)
-            if diff != 0.0:
-                analytic_fail += 1
-        else:
+        if not same:  # at theta = 0 the two sides are equal, so only theta > 0 is tested
+            a = chi_w - eps
             theta = rng.uniform(0.01, math.pi)
             lhs = a * a + eps * eps + 2.0 * eps * a * math.cos(theta)
             if not lhs < chi_w * chi_w:

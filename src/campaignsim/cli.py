@@ -33,6 +33,7 @@ from .channels import (
     save_augmented,
 )
 from .checks import gadget_property_check
+from .diffusion import PurchaseTieError
 from .estimator import _run_call, estimate_spread
 from .feature_space import ProductError, load_products
 from .fixtures import write_fixtures
@@ -261,8 +262,10 @@ def cmd_oracle(args) -> int:
     net, products = _load_instance(args)
     plans = load_plans(args.plans)
     aug = build_augmented(net, products, plans)
-    grid = GridSpec(resolution=args.resolution)
-    exact = exact_spread_grid(aug, products, grid)
+    try:
+        exact = exact_spread_grid(aug, products, GridSpec(resolution=args.resolution))
+    except PurchaseTieError as exc:
+        raise ConfigError(f"the oracle is defined only for tie-free instances: {exc}") from None
     est = estimate_spread(aug, products, args.reps, args.seed, workers=args.workers)
     comparison = []
     for j, pid in enumerate(aug.product_ids):

@@ -9,6 +9,7 @@ influence vector; exact cosine ties (within 1e-12) are broken uniformly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,19 @@ COS_TIE_TOL = 1e-12
 
 class ProductError(Exception):
     pass
+
+
+def _dot(a, b) -> float:
+    """<a, b> summed in feature order, as the kernel sums it, without BLAS."""
+    total = 0.0
+    for x, y in zip(a, b, strict=True):
+        total = total + x * y
+    return total
+
+
+def _norm(vector) -> float:
+    """The kernel's norm: squares summed in feature order, then the square root."""
+    return math.sqrt(_dot(vector, vector))
 
 
 @dataclass(frozen=True)
@@ -39,7 +53,7 @@ class Product:
             raise ProductError(f"product {self.id}: negative feature component")
         if not (0 <= self.null_index < f.size):
             raise ProductError(f"product {self.id}: null index {self.null_index} out of range")
-        if abs(float(np.linalg.norm(f)) - 1.0) > 1e-12:
+        if abs(_norm(f.tolist()) - 1.0) > 1e-12:
             raise ProductError(f"product {self.id}: features are not unit norm")
 
     @property
@@ -52,14 +66,14 @@ def normalize_product(raw, null_index: int, product_id: int = 0) -> Product:
     f = np.asarray(raw, dtype=float)
     if f.ndim != 1 or f.size < 2:
         raise ProductError("raw feature vector must have at least 2 components")
-    norm = float(np.linalg.norm(f))
+    norm = _norm(f.tolist())
     if norm == 0.0:
         raise ProductError("cannot normalize an all-zero feature vector")
     if not norm < np.inf:  # before dividing, which would warn on inf / inf
         raise ProductError(f"product {product_id}: feature vector has a non-finite norm")
     scaled = f / norm
     # renormalize once more to absorb rounding in the division
-    scaled = scaled / float(np.linalg.norm(scaled))
+    scaled = scaled / _norm(scaled.tolist())
     return Product(id=product_id, features=tuple(scaled.tolist()), null_index=null_index)
 
 
@@ -74,11 +88,11 @@ def angular_distance(aggregate: np.ndarray, product: Product) -> float:
     The aggregate must be non-zero; the cosine is clamped to [-1, 1] before
     arccos so accumulated rounding can never produce NaN.
     """
-    a = np.asarray(aggregate, dtype=float)
-    norm = float(np.linalg.norm(a))
+    a = np.asarray(aggregate, dtype=float).tolist()
+    norm = _norm(a)
     if norm == 0.0:
         raise ProductError("angular distance from the zero vector is undefined")
-    cos = float(np.dot(a, product.vector)) / norm
+    cos = _dot(a, product.features) / norm
     return float(np.arccos(min(1.0, max(-1.0, cos))))
 
 
@@ -96,9 +110,11 @@ def load_products(path: str) -> list[Product]:
             pid = int(parts[0])
             raw = [float(x) for x in parts[1:-1]]
             null_index = int(parts[-1][len("null="):])
+            products.append(normalize_product(raw, null_index, product_id=pid))
         except ValueError as exc:
             raise ParseError(f"{path}:{lineno}: {exc}") from None
-        products.append(normalize_product(raw, null_index, product_id=pid))
+        except ProductError as exc:  # a bad vector names its line too
+            raise ProductError(f"{path}:{lineno}: {exc}") from None
     if not products:
         raise ParseError(f"{path}: no products")
     ids = [p.id for p in products]

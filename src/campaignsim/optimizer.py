@@ -228,8 +228,10 @@ def ce_optimize(
         ChannelPlan(p.id, beta=(0.0,) * horizon)
         for p in products if p.id != focal_product and p.id not in covered
     ]
+    # check the rivals once, with the one plan checker, before any sampling
+    build_augmented(net, products, fixed_plans + [ChannelPlan(focal_product, beta=(0.0,) * horizon)])
     free = np.ones(net.node_count, dtype=bool)
-    free[[v for v in taken if 0 <= v < net.node_count]] = False  # build_augmented rejects the others
+    free[list(taken)] = False
     candidates = free.nonzero()[0]
     n_samples = config.n_samples or max(100, 2 * len(candidates))
     n_elite = max(1, math.ceil(config.elite_frac * n_samples))

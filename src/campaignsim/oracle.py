@@ -13,8 +13,10 @@ Midpoints sit strictly between the decimal weights typical of input files,
 so grid probabilities of simple events are exact (a single incoming weight w
 at m=100 yields activation probability w for two-decimal w).
 
-Purchase ties abort the computation: the oracle is only defined for
-tie-free instances.
+The result keeps one tally, each node's weighted purchase probability per
+product, summed row by row without BLAS; a product's spread is its total, as
+every purchase is one node's.  Purchase ties abort the computation: the
+oracle is only defined for tie-free instances.
 """
 
 from __future__ import annotations
@@ -82,19 +84,11 @@ def _breakpoint_norms(products: list[Product], ins: list[tuple[float, int | None
     any) per in-edge.
     """
     pmat = product_matrix(products)
-    options: list[np.ndarray] = []
-    total = 1
-    for w, pi in ins:
-        if pi is None:
-            opts = np.vstack([np.zeros(pmat.shape[1]), w * pmat])
-        else:
-            opts = np.vstack([np.zeros(pmat.shape[1]), w * pmat[pi]])
-        options.append(opts)
-        total *= opts.shape[0]
-        if total > _MAX_NORM_COMBOS:
-            return None
     acc = np.zeros((1, pmat.shape[1]))
-    for opts in options:
+    for w, pi in ins:
+        opts = np.vstack([np.zeros(pmat.shape[1]), w * (pmat if pi is None else pmat[pi : pi + 1])])
+        if len(acc) * len(opts) > _MAX_NORM_COMBOS:
+            return None
         acc = (acc[:, None, :] + opts[None, :, :]).reshape(-1, pmat.shape[1])
     return np.unique(np.sqrt(np.sum(acc * acc, axis=1)))
 
@@ -160,7 +154,6 @@ def exact_spread_grid(
     cells = [_cells(s, m) for s in starts]
     shape = tuple(mids.size for mids, _ in cells)
 
-    spread = np.zeros(k)
     node_prob = np.zeros((k, n))
     rows = call_rows(net)
     for lo in range(0, total, rows):  # tuples lo .. lo+R-1 in itertools.product order
@@ -173,15 +166,9 @@ def exact_spread_grid(
             weights *= counts[i] / m
         _, purchased = simulate_batch(net, products, [aug.row_block(R, 0, lo)], chi, on_tie="raise")
         for j in range(k):
-            bought = purchased == j
-            spread[j] += float(np.dot(weights, bought.sum(axis=1)))
-            node_prob[j] += weights @ bought
-    return OracleResult(
-        product_ids=aug.product_ids,
-        spread=spread,
-        node_probability=node_prob,
-        tuples_evaluated=total,
-    )
+            node_prob[j] += (weights[:, None] * (purchased == j)).sum(axis=0)
+    return OracleResult(product_ids=aug.product_ids, spread=node_prob.sum(axis=1),
+                        node_probability=node_prob, tuples_evaluated=total)
 
 
 @dataclass(frozen=True)

@@ -637,6 +637,27 @@ def test_oracle_subcommand_reports_agreement(fixture_dir, tmp_path):
     assert abs(rows[0]["difference"]) < 5 * rows[0]["engine_stderr"] + 0.05
 
 
+def test_oracle_on_a_tied_instance_exits_2_naming_the_tie(tmp_path, capsys):
+    # node 2 gets 0.5 of each axis product at step 1: an exact purchase tie
+    (tmp_path / "edges.txt").write_text("0 2 0.5\n1 2 0.5\n")
+    (tmp_path / "products.txt").write_text("0 1 0 null=1\n1 0 1 null=0\n")
+    (tmp_path / "plans.json").write_text(
+        '{"horizon": 0, "plans": [{"product": 0, "seeds": [0]}, {"product": 1, "seeds": [1]}]}'
+    )
+    files = [
+        "--net", tmp_path / "edges.txt",
+        "--products", tmp_path / "products.txt",
+        "--plans", tmp_path / "plans.json",
+    ]
+    assert run(["simulate", *files, "--reps", 10, "--out", tmp_path / "sim.json"]) == 0
+    capsys.readouterr()
+    assert run(["oracle", *files, "--resolution", 4, "--out", tmp_path / "oracle.json"]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "config" and err["exit_code"] == 2
+    assert "tie-free" in err["message"] and "node 2, step 1" in err["message"]
+    assert not (tmp_path / "oracle.json").exists()
+
+
 def test_gadget_check_subcommand(tmp_path):
     out = tmp_path / "gadget.json"
     assert run(["gadget-check", "--trials", 100, "--seed", 1, "--out", out]) == 0

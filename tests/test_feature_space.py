@@ -177,3 +177,36 @@ def test_a_feature_that_is_not_a_number_names_its_line(tmp_path):
     p.write_text("0 1.0 heavy null=1\n")
     with pytest.raises(ParseError, match=f"^{re.escape(str(p))}:1: "):
         load_products(str(p))
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("0 0 0 null=1", "all-zero"),
+        ("0 1 -1 null=1", "negative"),
+        ("0 1 inf null=1", "non-finite"),
+        ("0 1 0 null=5", "null index 5 out of range"),
+    ],
+)
+def test_a_bad_product_line_names_its_file_and_line(tmp_path, line, message):
+    p = tmp_path / "p.txt"
+    p.write_text(f"1 0.6 0.8 null=1\n{line}\n")
+    with pytest.raises(ProductError, match=f"^{re.escape(str(p))}:2: .*{message}"):
+        load_products(str(p))
+
+
+def test_normalize_product_uses_the_kernel_norm_bit_for_bit():
+    # squares summed in feature order, then the square root, as the kernel
+    # sums them; BLAS ddot sums in an order of its own
+    def feature_order_norm(values):
+        total = 0.0
+        for x in values:
+            total = total + x * x
+        return math.sqrt(total)
+
+    rng = np.random.default_rng(17)
+    for _ in range(500):
+        raw = rng.uniform(0.01, 10, size=int(rng.integers(2, 6)))
+        scaled = [x / feature_order_norm(raw) for x in raw]
+        want = [x / feature_order_norm(scaled) for x in scaled]
+        assert normalize_product(raw, null_index=0).features == tuple(want)

@@ -215,6 +215,25 @@ def test_an_unknown_focal_product_is_rejected_before_sampling(monkeypatch):
         ce_optimize(net, products, 7, [], UNIT, 2.0, quick_config(), 1, horizon=horizon)
 
 
+@pytest.mark.parametrize(
+    "rivals, message",
+    [
+        ([ChannelPlan(product=1, seeds=frozenset({99}), beta=(0.0, 0.0))], "seed 99 is not a node"),
+        ([ChannelPlan(product=7, beta=(0.0, 0.0))], "unknown product"),
+        ([ChannelPlan(product=1, beta=(0.0, 0.0))] * 2, "more than one plan"),
+    ],
+    ids=["seed-past-the-network", "unknown-product", "two-plans-for-one-product"],
+)
+def test_a_faulty_rival_plan_is_rejected_before_sampling(monkeypatch, rivals, message):
+    net, products, _ = preference_shift()
+    calls = []
+    real = optimizer.sample_plan
+    monkeypatch.setattr(optimizer, "sample_plan", lambda *a: calls.append(1) or real(*a))
+    with pytest.raises(PlanError, match=message):
+        ce_optimize(net, products, 0, rivals, UNIT, 1.0, quick_config(n_samples=100), 1)
+    assert calls == []
+
+
 def test_focal_product_must_not_have_a_competitor_plan():
     net, products, _ = preference_shift()
     fixed = [ChannelPlan(product=0, beta=(0.0, 0.0))]
